@@ -6,8 +6,7 @@ systematically:
 
 * :mod:`repro.scenario` — a :class:`Scenario` is one complete,
   JSON-serializable experiment: topology shape, virtual-channel knobs,
-  traffic mix, and a seeded :class:`~repro.faults.FaultPlan` (previously
-  ``repro.fuzz.scenario``, which remains as a deprecated shim);
+  traffic mix, and a seeded :class:`~repro.faults.FaultPlan`;
 * :mod:`~repro.fuzz.generate` — draws scenarios from a seed and mutates
   corpus entries (coverage-guided exploration);
 * :mod:`~repro.fuzz.executor` — runs one scenario under an event-budget

@@ -48,11 +48,13 @@ histogram (docs/telemetry.md).
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import Event, Simulator
 
-__all__ = ["FluidResource", "Flow", "FluidNetwork", "DMA", "PIO"]
+__all__ = ["FluidResource", "Flow", "FluidNetwork", "DMA", "PIO", "fill",
+           "component", "departure_seeds"]
 
 _EPS = 1e-9
 
@@ -62,6 +64,11 @@ PIO = "pio"
 
 #: bucket bounds for the component-size histogram (flows per re-solve).
 _COMPONENT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+#: how the DES answers :func:`fill`/:func:`component` about a FluidResource.
+_capacity = operator.attrgetter("capacity")
+_members = operator.attrgetter("flows")
+_arrival = operator.attrgetter("_seq")
 
 
 class _OrderedSet:
@@ -130,9 +137,9 @@ class Flow:
 
     _ids = itertools.count()
 
-    __slots__ = ("id", "name", "size", "remaining", "path", "peak",
-                 "rate", "done", "started_at", "finished_at", "_last_update",
-                 "_seq")
+    __slots__ = ("id", "name", "size", "remaining", "path", "footprint",
+                 "peak", "rate", "done", "started_at", "finished_at",
+                 "_last_update", "_seq")
 
     def __init__(self, name: str, size: float,
                  path: Sequence[tuple[FluidResource, str]], peak: float) -> None:
@@ -148,6 +155,8 @@ class Flow:
         self.size = float(size)
         self.remaining = float(size)
         self.path = tuple(path)
+        #: what :func:`fill` sees of the path: weight 1 per hop.
+        self.footprint = tuple([(res, 1) for res, _kind in self.path])
         self.peak = float(peak)
         self.rate = 0.0
         self.done: Optional[Event] = None
@@ -172,47 +181,109 @@ class Flow:
                 f"{self.size:.0f}B rate={self.rate:.2f}>")
 
 
-def _fill_component(flows: list[Flow], caps: dict[Flow, float]) -> dict[Flow, float]:
-    """Progressive filling of one contention component.
+def fill(ceilings: Sequence[float], footprints: Sequence[Sequence[tuple]],
+         capacity_of: Callable) -> list[float]:
+    """Max-min progressive filling of one contention component.
 
-    ``flows`` must be in arrival order and ``caps`` must hold each flow's
-    effective cap (peak, PIO-under-DMA already applied).  This is the exact
-    arithmetic of the historical whole-population fill restricted to one
-    component, so single-component workloads (the golden fig5 pipeline)
-    reproduce the pre-incremental engine bit for bit.
+    Flow ``k`` (arrival order) may rise to ``ceilings[k]`` and consumes
+    ``weight × rate`` of every ``(resource key, weight)`` entry of
+    ``footprints[k]``; ``capacity_of(key)`` is that resource's capacity.  A
+    resource crossed twice is two entries.  Returns the rates, aligned with
+    the inputs.  This is the repo's only filling loop besides the
+    brute-force oracle ``solver.core.max_min_rates``: the DES passes weight
+    1 per path hop with the PIO-under-DMA cap already folded into
+    ``ceilings``, the solver passes its pipeline ceilings and real-valued
+    weights.
+
+    The order of operations is a contract (golden fig5 and
+    ``benchmarks/perf/expected.json`` compare exact floats): all active
+    flows rise by the smallest headroom, applied only when it exceeds
+    ``1e-9``; residuals drop entry by entry in flow order and are clamped
+    at 0; a flow freezes within an *absolute* ``1e-9`` of its ceiling or of
+    a saturated resource; filling stops when a round freezes nothing.
     """
-    alloc: dict[Flow, float] = {f: 0.0 for f in flows}
-    residual: dict[FluidResource, float] = {}
-    for f in flows:
-        for res in f.resources():
-            residual.setdefault(res, res.capacity)
-    active = list(flows)
+    alloc = [0.0] * len(ceilings)
+    residual: dict = {}
+    load: dict = {}               # key -> summed weight of active entries
+    count: dict = {}              # key -> number of active entries
+    for fp in footprints:
+        for key, w in fp:
+            if key in load:
+                load[key] += w
+                count[key] += 1
+            else:
+                load[key] = w
+                count[key] = 1
+                residual[key] = capacity_of(key)
+    active = range(len(ceilings))
     while active:
-        delta = min(caps[f] - alloc[f] for f in active)
-        counts: dict[FluidResource, int] = {}
-        for f in active:
-            for res in f.resources():
-                counts[res] = counts.get(res, 0) + 1
-        for res, n in counts.items():
-            delta = min(delta, residual[res] / n)
+        delta = min([ceilings[k] - alloc[k] for k in active])
+        for key, demand in load.items():
+            head = residual[key] / demand
+            if head < delta:
+                delta = head
         if delta > _EPS:
-            for f in active:
-                alloc[f] += delta
-                for res in f.resources():
-                    residual[res] -= delta
-            for res in residual:
-                if residual[res] < 0:  # numerical guard
-                    residual[res] = 0.0
+            for k in active:
+                alloc[k] += delta
+                for key, w in footprints[k]:
+                    residual[key] -= w * delta
+            for key, left in residual.items():
+                if left < 0:  # numerical guard
+                    residual[key] = 0.0
         still = []
-        for f in active:
-            capped = alloc[f] >= caps[f] - _EPS
-            saturated = any(residual[res] <= _EPS for res in f.resources())
-            if not capped and not saturated:
-                still.append(f)
+        for k in active:
+            fp = footprints[k]
+            if alloc[k] < ceilings[k] - _EPS and not any(
+                    [residual[key] <= _EPS for key, _w in fp]):
+                still.append(k)
+                continue
+            for key, w in fp:     # frozen: retire its demand
+                count[key] -= 1
+                if count[key]:
+                    load[key] -= w
+                else:
+                    del load[key]
         if len(still) == len(active):
             break  # no progress possible without a freeze: stop
         active = still
     return alloc
+
+
+def component(seed, visited: set, members_of: Callable) -> list:
+    """The flows reachable from ``seed`` over shared resources (discovery
+    order), grown breadth-first; ``members_of(key)`` iterates the flows on
+    a resource and every flow carries a ``footprint``.  Marks them in
+    ``visited``."""
+    visited.add(seed)
+    comp = [seed]
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for key, _w in f.footprint:
+                for o in members_of(key):
+                    if o not in visited:
+                        visited.add(o)
+                        comp.append(o)
+                        nxt.append(o)
+        frontier = nxt
+    return comp
+
+
+def departure_seeds(gone: Sequence, members_of: Callable) -> list:
+    """Every remaining flow sharing a resource with a flow in ``gone``.
+    Breadth-first closure from these covers the leavers' whole former
+    component(s) — any flow whose allocation can change — and nothing
+    else."""
+    seen = set(gone)
+    seeds = []
+    for f in gone:
+        for key, _w in f.footprint:
+            for o in members_of(key):
+                if o not in seen:
+                    seen.add(o)
+                    seeds.append(o)
+    return seeds
 
 
 class FluidNetwork:
@@ -293,25 +364,6 @@ class FluidNetwork:
             if flow.kind_on(res) == DMA:
                 res.dma_flows -= 1
 
-    def _component(self, seed: Flow, visited: set) -> list[Flow]:
-        """The live contention component containing ``seed`` (arrival
-        order), grown breadth-first over shared resources."""
-        visited.add(seed)
-        comp = [seed]
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for res in f.resources():
-                    for o in res.flows:
-                        if o not in visited:
-                            visited.add(o)
-                            comp.append(o)
-                            nxt.append(o)
-            frontier = nxt
-        comp.sort(key=lambda f: f._seq)
-        return comp
-
     def _effective_cap(self, flow: Flow) -> float:
         """Flow's standalone cap with PIO-under-DMA applied, from the
         maintained per-resource DMA membership counts (O(path))."""
@@ -355,19 +407,19 @@ class FluidNetwork:
         for seed in seeds:
             if seed in visited or seed not in self.flows:
                 continue
-            comp = self._component(seed, visited)
+            comp = component(seed, visited, _members)
+            comp.sort(key=_arrival)
             touched += len(comp)
             if self._m_component is not None:
                 self._m_component.observe(float(len(comp)))
-            caps = {f: self._effective_cap(f) for f in comp}
-            rates = _fill_component(comp, caps)
-            for flow, rate in rates.items():
-                if abs(rate - flow.rate) > _EPS:
-                    flow.rate = rate
+            rates = fill([self._effective_cap(f) for f in comp],
+                         [f.footprint for f in comp], _capacity)
+            for flow, rate in zip(comp, rates):
+                changed = abs(rate - flow.rate) > _EPS
+                flow.rate = rate
+                if changed:
                     for obs in self.rate_observers:
                         obs(self.sim.now, flow, rate)
-                else:
-                    flow.rate = rate
         self.recompute_epochs += 1
         self.recomputed_flows += touched
         self.live_flow_epochs += len(self.flows)
@@ -421,19 +473,7 @@ class FluidNetwork:
         finished = [f for f in self.flows if f.remaining <= 1e-6 * max(1.0, f.size)]
         if not (self.flows or finished):
             return
-        # Seeds for the post-removal recompute: every live flow sharing a
-        # resource with a finisher.  BFS closure from these covers the
-        # finishers' whole former component(s) — any flow whose allocation
-        # can change — and nothing else.
-        gone = set(finished)
-        seeds = []
-        seen = set()
-        for flow in finished:
-            for res in flow.resources():
-                for o in res.flows:
-                    if o not in gone and o not in seen:
-                        seen.add(o)
-                        seeds.append(o)
+        seeds = departure_seeds(finished, _members)
         for flow in finished:
             self._finish(flow)
         self._recompute(seeds)
@@ -467,30 +507,17 @@ class FluidNetwork:
                         for o in members[res]):
                     cap = min(cap, f.peak / res.preempt_slowdown)
             caps[f] = cap
-        # Partition into contention components (flows sharing no resource,
-        # directly or transitively, never interact).
-        comp_of: dict[Flow, int] = {}
-        n_comps = 0
-        for f in flows:
-            if f in comp_of:
-                continue
-            comp_of[f] = n_comps
-            frontier = [f]
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for res in g.resources():
-                        for o in members[res]:
-                            if o not in comp_of:
-                                comp_of[o] = n_comps
-                                nxt.append(o)
-                frontier = nxt
-            n_comps += 1
-        groups: list[list[Flow]] = [[] for _ in range(n_comps)]
-        for f in flows:
-            if not groups[comp_of[f]] or groups[comp_of[f]][-1] is not f:
-                groups[comp_of[f]].append(f)
+        # Fill each contention component (flows sharing no resource,
+        # directly or transitively, never interact) in the given order.
+        position = {f: i for i, f in enumerate(flows)}
         alloc: dict[Flow, float] = {}
-        for group in groups:
-            alloc.update(_fill_component(group, caps))
+        visited: set = set()
+        for f in flows:
+            if f in visited:
+                continue
+            group = component(f, visited, members.__getitem__)
+            group.sort(key=position.__getitem__)
+            alloc.update(zip(group, fill([caps[g] for g in group],
+                                         [g.footprint for g in group],
+                                         _capacity)))
         return alloc

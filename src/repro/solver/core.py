@@ -25,18 +25,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ..scenario import Scenario
+from ..sim.fluid import component, departure_seeds, fill
 from .network import RoutedFlow, SolverNetwork
 
 __all__ = ["FlowEstimate", "SolverResult", "max_min_rates", "solve",
            "solve_bandwidth"]
 
 _REL_EPS = 1e-9
+_arrival = operator.attrgetter("seq")      # sort key: rails in arrival order
 
 
 def max_min_rates(flows: Sequence[RoutedFlow],
@@ -125,7 +128,7 @@ class SolverResult:
     live_flow_epochs: int = 0
     #: contention-component size -> number of times a component of that
     #: size was re-solved.
-    component_sizes: dict = None
+    component_sizes: dict = field(default_factory=dict)
     #: with ``crosscheck=True``: the largest relative deviation of any
     #: epoch's live rates from a from-scratch :func:`max_min_rates` oracle.
     crosscheck_max_dev: float = 0.0
@@ -198,90 +201,19 @@ class _Rail:
     state — and its predicted finish — across epochs verbatim.
     """
 
-    __slots__ = ("rf", "fp", "rem", "t_last", "rate", "version", "seq")
+    __slots__ = ("rf", "footprint", "rem", "t_last", "rate", "version",
+                 "seq")
 
     def __init__(self, rf: RoutedFlow, seq: int) -> None:
         self.rf = rf
         #: (resource id, weight) pairs — footprint with interned keys.
-        self.fp = tuple(zip(rf.res_ids, (w for _k, w in rf.footprint)))
+        self.footprint = tuple(zip(rf.res_ids,
+                                   (w for _k, w in rf.footprint)))
         self.rem = float(rf.nbytes)
         self.t_last = rf.arrival + rf.setup_us
         self.rate = 0.0
         self.version = 0
         self.seq = seq
-
-
-def _fill_solver_component(comp: list, capacities: list) -> dict:
-    """Progressive filling of one contention component of active rails.
-
-    The rounds mirror :func:`max_min_rates` (same freeze slack, same
-    saturation test, same stall break) restricted to the component; since
-    components share no resources, the component-wise fixed points compose
-    to the global one.  Two arithmetic shortcuts keep each round linear in
-    ``active + resources`` instead of ``active × footprint``: a resource's
-    demand is maintained across rounds (frozen flows subtract their weights
-    on exit) rather than rebuilt, and its usage advances by
-    ``demand × inc`` in one step rather than per member — both reorder
-    float sums, so rates can drift ulps (≪ the 1e-9 crosscheck gate) from
-    the reference filling, never past a freeze slack.
-    """
-    n = len(comp)
-    ceils = [rail.rf.ceiling for rail in comp]
-    slacks = [_REL_EPS * max(1.0, c) for c in ceils]
-    fps = [rail.fp for rail in comp]
-    rate = [0.0] * n
-    load: dict = {}              # resource id -> total active demand
-    count: dict = {}             # resource id -> active member count
-    used: dict = {}
-    for fp in fps:
-        for i, w in fp:
-            load[i] = load.get(i, 0.0) + w
-            count[i] = count.get(i, 0) + 1
-            used[i] = 0.0
-    cap_slack = {i: _REL_EPS * (capacities[i] if capacities[i] > 1.0 else 1.0)
-                 for i in load}
-    active = list(range(n))
-    while active:
-        inc = math.inf
-        for k in active:
-            head = ceils[k] - rate[k]
-            if head < inc:
-                inc = head
-        for i, demand in load.items():
-            head = (capacities[i] - used[i]) / demand
-            if head < inc:
-                inc = head
-        if inc < 0.0:
-            inc = 0.0
-        saturated = set()
-        for i, demand in load.items():
-            u = used[i] + demand * inc
-            used[i] = u
-            if capacities[i] - u <= cap_slack[i]:
-                saturated.add(i)
-        rest = []
-        for k in active:
-            r = rate[k] + inc
-            rate[k] = r
-            if r < ceils[k] - slacks[k] and not (
-                    saturated and any(i in saturated for i, _w in fps[k])):
-                rest.append(k)
-        if len(rest) == len(active):   # numerical stall: nothing froze
-            break                      # pragma: no cover
-        j = 0
-        for k in active:               # retire the flows that froze
-            if j < len(rest) and rest[j] == k:
-                j += 1
-                continue
-            for i, w in fps[k]:
-                count[i] -= 1
-                if count[i]:
-                    load[i] -= w
-                else:
-                    del load[i]
-                    del count[i]
-        active = rest
-    return {rail.rf.id: rate[k] for k, rail in enumerate(comp)}
 
 
 def solve(scenario: Scenario, node_params=None, gateway_params=None,
@@ -324,7 +256,7 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     arrivals = sorted(rails, key=lambda r: (r.arrival + r.setup_us, r.id))
     cursor = 0
     active: dict = {}                     # rail id -> _Rail
-    members: list[dict] = [{} for _ in res_keys]   # res id -> {rail id: _Rail}
+    members: list[dict] = [{} for _ in res_keys]   # res id -> {_Rail: None}
     finish: dict = {}                     # rail id -> finish time
     util = [0.0] * len(res_keys)          # integral of allocated load, bytes
     res_rate = [0.0] * len(res_keys)      # current total weighted rate
@@ -363,30 +295,19 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
         visited: set = set()
         touched = 0
         for seed in seeds:
-            if seed.rf.id in visited or seed.rf.id not in active:
+            if seed in visited:
                 continue
-            comp = [seed]
-            visited.add(seed.rf.id)
-            frontier = [seed]
-            while frontier:
-                grown = []
-                for rail in frontier:
-                    for i, _w in rail.fp:
-                        for orid, (other, _ow) in members[i].items():
-                            if orid not in visited:
-                                visited.add(orid)
-                                comp.append(other)
-                                grown.append(other)
-                frontier = grown
-            comp.sort(key=lambda rail: rail.seq)
+            comp = component(seed, visited, members.__getitem__)
+            comp.sort(key=_arrival)
             touched += len(comp)
             component_sizes[len(comp)] = component_sizes.get(len(comp), 0) + 1
-            comp_res = {i for rail in comp for i, _w in rail.fp}
+            comp_res = {i for rail in comp for i, _w in rail.footprint}
             for i in comp_res:
                 settle_resource(i, now)
-            rates = _fill_solver_component(comp, capacities)
-            for rail in comp:
-                r = rates[rail.rf.id]
+            rates = fill([rail.rf.ceiling for rail in comp],
+                         [rail.footprint for rail in comp],
+                         capacities.__getitem__)
+            for rail, r in zip(comp, rates):
                 if r <= 0.0:
                     raise RuntimeError(
                         f"fluid flow {rail.rf.id} starved (rate 0); resource "
@@ -398,7 +319,7 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
                         rail.rem -= rail.rate * dt
                     rail.t_last = now
                     delta = r - rail.rate
-                    for i, w in rail.fp:
+                    for i, w in rail.footprint:
                         res_rate[i] += delta * w
                     rail.rate = r
                     rail.version += 1
@@ -440,24 +361,18 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
                 done.append(rail)
             else:
                 break
-        seeds = []
-        seen = set()
+        seeds = departure_seeds(done, members.__getitem__)
+        seeds.sort(key=_arrival)
         for rail in done:
             finish[rail.rf.id] = now
             del active[rail.rf.id]
-        for rail in done:
-            for i, w in rail.fp:
+            for i, w in rail.footprint:
                 settle_resource(i, now)
-                del members[i][rail.rf.id]
+                del members[i][rail]
                 if members[i]:
                     res_rate[i] -= rail.rate * w
-                    for orid, (other, _ow) in members[i].items():
-                        if orid not in seen:
-                            seen.add(orid)
-                            seeds.append(other)
                 else:
                     res_rate[i] = 0.0
-        seeds.sort(key=lambda rail: rail.seq)
         while cursor < len(arrivals) and \
                 arrivals[cursor].arrival + arrivals[cursor].setup_us \
                 <= now + _REL_EPS:
@@ -470,8 +385,8 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
             seq += 1
             rail.t_last = now
             active[rf.id] = rail
-            for i, w in rail.fp:
-                members[i][rf.id] = (rail, w)
+            for i, _w in rail.footprint:
+                members[i][rail] = None
             seeds.append(rail)
         resolve(seeds)
 

@@ -1,10 +1,9 @@
-"""The unified MessageEndpoint protocol and its deprecation shims."""
+"""The unified MessageEndpoint protocol."""
 
 import pytest
 
 from repro.hw import build_world
-from repro.madeleine import (GTMOutgoing, MessageEndpoint, OutgoingMessage,
-                             Session)
+from repro.madeleine import MessageEndpoint, Session
 from repro.madeleine.vchannel import VChannelEndpoint
 
 
@@ -36,16 +35,6 @@ def test_vchannel_endpoint_implements_protocol():
 def test_protocol_is_abstract():
     with pytest.raises(TypeError):
         MessageEndpoint()
-
-
-def test_deprecated_two_arg_begin_packing_warns_and_delegates():
-    _s, vch = paper_vch()
-    with pytest.warns(DeprecationWarning, match="endpoint"):
-        msg = vch.begin_packing(0, 1)
-    assert isinstance(msg, OutgoingMessage)
-    with pytest.warns(DeprecationWarning):
-        fwd = vch.begin_packing(0, 2)
-    assert isinstance(fwd, GTMOutgoing)
 
 
 def test_new_surface_does_not_warn(recwarn):

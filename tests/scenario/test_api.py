@@ -93,17 +93,6 @@ def test_from_scenario_rejects_invalid():
         Session.from_scenario(sc)
 
 
-def test_fuzz_shim_warns_but_works():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.fuzz.scenario", None)
-    with pytest.warns(DeprecationWarning, match="repro.scenario"):
-        shim = importlib.import_module("repro.fuzz.scenario")
-    assert shim.Scenario is Scenario
-    assert shim.Topology is Topology
-
-
 def test_traffic_spec_validation():
     with pytest.raises(ValueError, match="pattern"):
         TrafficSpec(pattern="ring")
