@@ -12,7 +12,7 @@ Myrinet->SCI) forwarding path while everything else stays at paper values.
 import numpy as np
 
 from repro.bench import PingHarness
-from repro.hw import GatewayParams, NodeParams, PCIParams
+from repro.hw import GatewayParams, NodeParams, PCIParams, PipelineConfig
 
 from common import emit, once
 
@@ -35,14 +35,13 @@ def run_all():
         (ov, forward_bw(gateway_params=GatewayParams(switch_overhead=ov)))
         for ov in (0.0, 20.0, 40.0, 80.0, 160.0)]
     out["depth"] = [
-        (d, forward_bw(gateway_params=GatewayParams(pipeline_depth=d,
-                                                    lockstep=False)))
+        (d, forward_bw(gateway_params=GatewayParams(
+            pipeline=PipelineConfig(depth=d, lockstep=False))))
         for d in (1, 2, 4)]
     out["discipline"] = [
-        ("lockstep (paper)", forward_bw(
-            gateway_params=GatewayParams(lockstep=True))),
-        ("decoupled queue", forward_bw(
-            gateway_params=GatewayParams(lockstep=False))),
+        ("lockstep (paper)", forward_bw(gateway_params=GatewayParams())),
+        ("decoupled queue", forward_bw(gateway_params=GatewayParams(
+            pipeline=PipelineConfig(lockstep=False)))),
     ]
     out["ingress"] = [
         (lim, forward_bw(direction="a0->b0",

@@ -143,7 +143,7 @@ def predict_forwarding(in_proto: ProtocolParams, out_proto: ProtocolParams,
     """
     gateway = gateway or GatewayParams()
     node = node or NodeParams()
-    pipe = pipeline if pipeline is not None else gateway.resolved_pipeline
+    pipe = pipeline if pipeline is not None else gateway.pipeline
     t_recv, t_send, period = _rail_period(in_proto, out_proto, packet,
                                           gateway, node, pipe)
     return PipelinePrediction(recv_us=t_recv, send_us=t_send,
@@ -186,7 +186,7 @@ def predict_multirail(in_proto: ProtocolParams, out_proto: ProtocolParams,
         raise ValueError(f"rails must be >= 1, got {rails}")
     gateway = gateway or GatewayParams()
     node = node or NodeParams()
-    pipe = pipeline if pipeline is not None else gateway.resolved_pipeline
+    pipe = pipeline if pipeline is not None else gateway.pipeline
     share = node.pci.capacity / rails
     _r, _s, period = _rail_period(in_proto, out_proto, packet,
                                   gateway, node, pipe, end_share=share)

@@ -334,7 +334,7 @@ def _scenario_multirail() -> dict:
 
 def _scenario_sweep_nodes() -> dict:
     """Traffic-engine scaling cell: events/MB growth from 8 to 64 open-loop
-    flows on a 4x4 torus (calendar scheduler); ``event_growth`` is held
+    flows on a 4x4 torus; ``event_growth`` is held
     under the ``sweep_nodes_event_growth`` ceiling."""
     from .scale import scaling_scenario
     return scaling_scenario()

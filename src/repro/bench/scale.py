@@ -5,7 +5,7 @@ open-loop traffic engine and reports flow-level statistics per cell:
 p50/p99 flow completion time, goodput, peak concurrency, gateway queue
 high-water mark, and the kernel-cost figure of merit (dispatched events per
 transferred MB).  The default grid ends at a 256-node 3D torus under 128
-concurrent flows — the scale the calendar-queue scheduler exists for.
+concurrent flows.
 
 ``event_growth`` (events/MB at high flow count over events/MB at low flow
 count, same topology) is the committed scaling floor: growth must stay
@@ -51,12 +51,11 @@ def _topology(kind: str, shape: Sequence[int]) -> Topology:
 
 def _cell_scenario(topo: Topology, flows: int, *, pattern: str,
                    size: int, mean_interarrival: float,
-                   scheduler: str, seed: int) -> Scenario:
+                   seed: int) -> Scenario:
     return Scenario(
         seed=seed, topology=topo,
         traffic=TrafficSpec(pattern=pattern, flows=flows,
                             mean_interarrival=mean_interarrival, size=size),
-        scheduler=scheduler,
         # Congestion is the point of these scenarios; the gateway stall
         # timeout is a crash heuristic and would abandon slow messages.
         gw_stall_timeout=None)
@@ -88,7 +87,7 @@ def solve_traffic_scenario(scenario: Scenario) -> dict:
 def sweep_nodes(grid: Sequence = DEFAULT_GRID, *,
                 pattern: str = "uniform", size: int = 32 << 10,
                 mean_interarrival: float = 50.0,
-                scheduler: str = "calendar", seed: int = _SWEEP_SEED,
+                seed: int = _SWEEP_SEED,
                 progress=None, mode: str = "des") -> list[dict]:
     """Run the node-scaling grid; one summary row per ``(kind, shape,
     flows)`` cell.  ``mode="solver"`` estimates every cell with the
@@ -104,8 +103,7 @@ def sweep_nodes(grid: Sequence = DEFAULT_GRID, *,
             progress(f"{kind}{tuple(shape)} x {flows} flows "
                      f"({topo.n_nodes} nodes)")
         sc = _cell_scenario(topo, flows, pattern=pattern, size=size,
-                            mean_interarrival=mean_interarrival,
-                            scheduler=scheduler, seed=seed)
+                            mean_interarrival=mean_interarrival, seed=seed)
         row = (solve_traffic_scenario(sc) if mode == "solver"
                else run_traffic_scenario(sc))
         row.update({"kind": kind, "shape": list(shape), "flows": flows,
@@ -138,15 +136,13 @@ def scaling_scenario() -> dict:
     Sub-linear kernel cost is the commitment: with 8× the concurrent
     flows, dispatched events per MB must grow by at most the committed
     ``sweep_nodes_event_growth`` factor (< 1 in practice — fixed per-run
-    costs amortize).  Runs on the calendar scheduler, whose dispatch order
-    is asserted bit-identical to the heap elsewhere.
+    costs amortize).
     """
     topo = _topology("torus", (4, 4))
     out = {}
     for flows in (8, 64):
         sc = _cell_scenario(topo, flows, pattern="uniform", size=32 << 10,
-                            mean_interarrival=200.0, scheduler="calendar",
-                            seed=11)
+                            mean_interarrival=200.0, seed=11)
         row = run_traffic_scenario(sc)
         if row["completed"] < flows:
             # A partial run's FCT/event statistics describe only the flows
@@ -185,7 +181,7 @@ def incremental_rates_scenario() -> dict:
 
     cells = [_cell_scenario(_topology(kind, shape), flows, pattern="uniform",
                             size=32 << 10, mean_interarrival=50.0,
-                            scheduler="calendar", seed=_SWEEP_SEED)
+                            seed=_SWEEP_SEED)
              for kind, shape, flows in DEFAULT_GRID]
     out = {}
     # -- DES locality on the big torus cell ---------------------------------

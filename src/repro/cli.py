@@ -310,8 +310,8 @@ def _sweep_nodes(args) -> int:
               "fixed-point recomputations) — accuracy bounds in "
               "docs/solver.md")
     else:
-        print("\nopen-loop Poisson traffic on generated tori (calendar "
-              "scheduler); 'gwq' is the gateway queue high-water mark and "
+        print("\nopen-loop Poisson traffic on generated tori; 'gwq' is "
+              "the gateway queue high-water mark and "
               "'ev/MB' the kernel cost per transferred MB "
               "(see docs/scaling.md)")
     if args.sweep_out:

@@ -225,19 +225,11 @@ class GatewayParams:
 
     #: software overhead per buffer switch in the double-buffer pipeline.
     switch_overhead: float = 40.0
-    #: number of pipeline buffers per direction (the paper uses 2).
-    #: Superseded by ``pipeline``; kept for existing call sites.
-    pipeline_depth: int = 2
-    #: True (the paper's design): the two forwarding threads exchange their
-    #: buffers at a synchronization point each step, so the pipeline period
-    #: is max(recv, send) + switch_overhead exactly (Figure 5).  False: a
-    #: decoupled bounded-queue pipeline of ``pipeline_depth`` buffers that
-    #: can hide the switch overhead behind the longer step (an ablation —
-    #: not what the paper built).  Superseded by ``pipeline``.
-    lockstep: bool = True
-    #: generalized pipeline config; when set it overrides ``pipeline_depth``
-    #: and ``lockstep`` above.
-    pipeline: PipelineConfig | None = None
+    #: the staging-buffer pipeline.  The default is the paper's design:
+    #: two buffers the forwarding threads exchange at a synchronization
+    #: point each step, so the pipeline period is max(recv, send) +
+    #: switch_overhead exactly (Figure 5).
+    pipeline: PipelineConfig = PipelineConfig()
     #: the §4 future-work "bandwidth control mechanism ... to regulate the
     #: incoming communication flow on gateways": cap the rate (bytes/µs) at
     #: which a forwarding worker accepts fragments.  ``None`` = unregulated.
@@ -248,18 +240,6 @@ class GatewayParams:
     #: set it whenever a fault plan is armed so dropped fragments can never
     #: wedge a gateway.
     stall_timeout: float | None = None
-
-    @property
-    def resolved_pipeline(self) -> PipelineConfig:
-        """The effective pipeline config, mapping the legacy
-        ``pipeline_depth``/``lockstep`` pair when ``pipeline`` is unset.
-        A legacy non-depth-2 "lockstep" request silently ran the decoupled
-        queue; the mapping preserves that."""
-        if self.pipeline is not None:
-            return self.pipeline
-        return PipelineConfig(
-            depth=self.pipeline_depth,
-            lockstep=self.lockstep and self.pipeline_depth == 2)
 
 
 DEFAULT_PCI = PCIParams()

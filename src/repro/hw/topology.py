@@ -25,10 +25,8 @@ __all__ = ["World", "build_world", "ClusterSpec", "build_cluster_of_clusters"]
 class World:
     """All simulation state for one experiment run."""
 
-    def __init__(self, node_params: Optional[NodeParams] = None,
-                 scheduler: str = "heap",
-                 bucket_width: Optional[float] = None) -> None:
-        self.sim = Simulator(scheduler=scheduler, bucket_width=bucket_width)
+    def __init__(self, node_params: Optional[NodeParams] = None) -> None:
+        self.sim = Simulator()
         self.trace = TraceRecorder()
         self.accounting = CopyAccounting()
         # Off by default: a disabled registry records nothing and keeps
@@ -80,13 +78,10 @@ class World:
 
 
 def build_world(adapters: Mapping[str, Sequence[str]],
-                node_params: Optional[NodeParams] = None,
-                scheduler: str = "heap",
-                bucket_width: Optional[float] = None) -> World:
+                node_params: Optional[NodeParams] = None) -> World:
     """Build a world from ``{node_name: [protocol names]}`` (insertion order
-    defines ranks).  ``scheduler``/``bucket_width`` select the event-queue
-    implementation (see :class:`~repro.sim.Simulator`)."""
-    world = World(node_params, scheduler=scheduler, bucket_width=bucket_width)
+    defines ranks)."""
+    world = World(node_params)
     for name, protos in adapters.items():
         world.add_node(name, protos)
     return world

@@ -57,8 +57,7 @@ def split_fragments(length: int, mtu: int) -> list[tuple[int, int]]:
     """
     if mtu < 1:
         raise ValueError("mtu must be >= 1")
-    return [(off, min(mtu, length - off)) for off in range(0, max(length, 1), mtu)] \
-        if length > 0 else []
+    return [(off, min(mtu, length - off)) for off in range(0, length, mtu)]
 
 
 class _SenderBase:

@@ -30,7 +30,8 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-from ..hw.params import GatewayParams, NodeParams, PCIParams
+from ..hw.params import (GatewayParams, NodeParams, PCIParams,
+                         PipelineConfig)
 from ..hw.topology import build_world
 from .channel import RealChannel
 from .session import Session
@@ -114,11 +115,20 @@ def load_config(cfg: Mapping[str, Any]) -> tuple[
             raise ConfigError(
                 f"virtual channel {name!r}: unknown gateway option(s) "
                 f"{sorted(bad)}")
+        gateway_params = None
+        if gw_spec:
+            # ``pipeline_depth``/``lockstep`` are this input format's
+            # spelling of the pipeline: lockstep (the default) is what a
+            # two-buffer pipeline runs, false forces the credit path.
+            gw_spec = dict(gw_spec)
+            pipeline = PipelineConfig(
+                depth=gw_spec.pop("pipeline_depth", 2),
+                lockstep=None if gw_spec.pop("lockstep", True) else False)
+            gateway_params = GatewayParams(pipeline=pipeline, **gw_spec)
         vchannels[name] = session.virtual_channel(
             member_channels,
             packet_size=spec.get("packet_size", DEFAULT_PACKET_SIZE),
-            gateway_params=GatewayParams(**gw_spec) if gw_spec else None,
-            name=name)
+            gateway_params=gateway_params, name=name)
     return session, channels, vchannels
 
 

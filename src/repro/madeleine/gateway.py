@@ -9,7 +9,7 @@ runs two cooperating threads per message:
   the buffer.
 
 Two pipeline disciplines are implemented
-(:class:`~repro.hw.params.PipelineConfig`, legacy ``GatewayParams.lockstep``):
+(:class:`~repro.hw.params.PipelineConfig`):
 
 * **lockstep** (default — the paper's design): the threads share two buffers
   and exchange them at a synchronization point each step, paying the
@@ -102,7 +102,7 @@ class ForwardingWorker:
         self.gw_rank = gw_rank
         self.in_channel = in_channel
         self.params = params or GatewayParams()
-        self.pipeline = self.params.resolved_pipeline
+        self.pipeline = self.params.pipeline
         self.sim = in_channel.sim
         self.node = in_channel.world.nodes[gw_rank]
         self.trace = in_channel.fabric.trace

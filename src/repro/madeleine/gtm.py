@@ -13,10 +13,19 @@ Wire protocol per message (§2.3):
    reception constraints), then the buffer fragmented into MTU-sized pieces;
 3. an empty descriptor terminating the message.
 
-Zero-copy rules at the endpoints: on dynamic-buffer protocols fragments are
-views of user memory; on static-buffer protocols the origin stages each
-fragment in a protocol block (accounted, overlapped — see EXPERIMENTS.md)
-and the final receiver copies out of the landing block.
+One send path.  :func:`wire_items` is the plan: the ordered wire items of
+one packed buffer, computed by the same code on both ends.  A send mode is
+a plan — plain and header-batched differ in their first item, a striped
+rail is the plain plan behind one ``stripe`` item, an eager message is a
+single ``eagr`` item holding the entry table and every buffer.
+:meth:`GTMOutgoing._put` and :meth:`GTMIncoming._get` execute one item
+each and are the only code that touches the wire or a protocol block.
+
+Zero-copy rule at the endpoints, stated once in each: on dynamic-buffer
+protocols payloads are views of user memory; on static-buffer protocols
+the origin stages each payload in a protocol block (accounted, overlapped —
+see EXPERIMENTS.md) and the final receiver copies out of the landing block.
+Header records are never staged: they ride as their own gather element.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from ..memory import Buffer
 from ..sim import Event
 from .bmm import UnpackMismatch, split_fragments
 from .flags import RecvMode, SendMode, validate_modes
-from .message import MessageStateError, _ExecutorMixin, _as_buffer
+from .message import MessageStateError, _ExecutorMixin, _as_buffer, _landing
 from .wire import (DESC_BYTES, EAGER_HDR_BYTES, MODE_GTM, STRIPE_BYTES,
                    Announce, Descriptor, StripeRecord, decode_descriptor,
                    decode_eager, decode_stripe, eager_record_bytes,
@@ -39,9 +48,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tm import TransmissionModule
     from .vchannel import VirtualChannel
 
-__all__ = ["GTMOutgoing", "GTMIncoming"]
+__all__ = ["GTMOutgoing", "GTMIncoming", "wire_items"]
 
 _msg_ids = itertools.count(1 << 20)   # disjoint from regular message ids
+
+
+def wire_items(length: int, mtu: int,
+               batched: bool) -> list[tuple[str, int, int, int]]:
+    """The ordered ``(kind, header_bytes, offset, size)`` wire items of one
+    packed buffer of ``length`` bytes: payload ``[offset, offset + size)``
+    travels behind ``header_bytes`` of descriptor record.
+
+    The first item carries the descriptor: alone (``desc``), or, with
+    header batching (§2.3), in the same record as the head of the buffer
+    (``gtmh``) — shortened so the combined record still fits one MTU, since
+    gateways stage whole records in MTU-sized blocks.  The rest of the
+    buffer follows as ``frag`` items.
+    """
+    head = min(length, mtu - DESC_BYTES) if batched else 0
+    items = [("gtmh" if batched else "desc", DESC_BYTES, 0, head)]
+    items += [("frag", 0, head + off, size)
+              for off, size in split_fragments(length - head, mtu)]
+    return items
 
 
 class _UnpackAborted(Exception):
@@ -77,6 +105,9 @@ class GTMOutgoing(_ExecutorMixin):
         wire_channel = (vchannel.special_twin(hop0.channel)
                         if len(route) > 1 else hop0.channel)
         self.tm: "TransmissionModule" = wire_channel.tm(src)
+        #: where payloads are staged: the tx pool of a static-buffer
+        #: origin, None where the network sends from user memory.
+        self._pool = self.tm.tx_pool
         self.hop_dst = hop0.dst
         self.msg_id = next(_msg_ids)
         self.accounting = self.tm.channel.fabric.accounting
@@ -98,24 +129,24 @@ class GTMOutgoing(_ExecutorMixin):
             if self._eager_budget >= EAGER_HDR_BYTES:
                 self._eager_pending = []
                 return
-        self._submit(self._announce_op(lock, self._rendezvous_announce()))
+        self._submit(self._announce_op())
 
-    def _rendezvous_announce(self) -> Announce:
-        return Announce(mode=MODE_GTM, origin=self.src, final_dst=self.dst,
-                        mtu=self.mtu, msg_id=self.msg_id,
-                        hops_left=self._hops_left, batched=self.batched,
-                        striped=self.stripe is not None)
+    def _announce(self, eager: bool = False) -> Event:
+        return self.tm.send_announce(self.hop_dst, Announce(
+            mode=MODE_GTM, origin=self.src, final_dst=self.dst, mtu=self.mtu,
+            msg_id=self.msg_id, hops_left=self._hops_left, eager=eager,
+            batched=self.batched and not eager,
+            striped=self.stripe is not None))
 
-    def _announce_op(self, lock, announce: Announce):
-        yield lock.acquire()
-        yield self.tm.send_announce(self.hop_dst, announce)
+    def _announce_op(self):
+        yield self._lock.acquire()
+        yield self._announce()
         if self.stripe is not None:
             # The stripe record is the rail's first body item: it names the
             # reassembly group this rail belongs to.  Gateways forward it
             # like any other record.
-            self._send_events.append(self._send(
-                Buffer.wrap(encode_stripe(self.stripe)),
-                meta={"type": "stripe"}))
+            yield from self._put(
+                "stripe", Buffer.wrap(encode_stripe(self.stripe)), None, 0)
 
     # -- public interface (mirrors OutgoingMessage) ----------------------------
     def pack(self, data, smode: SendMode = SendMode.CHEAPER,
@@ -138,6 +169,64 @@ class GTMOutgoing(_ExecutorMixin):
         self.tm.channel.fabric.blackhole_pending_sends(
             self.tm.channel.id, self.msg_id)
 
+    # -- the one wire primitive ---------------------------------------------------
+    def _put(self, kind: str, header: Optional[Buffer], payload, size: int):
+        """Send one wire item: ``header`` (a control record, or None)
+        followed by ``size`` payload bytes (``payload`` is None when
+        ``size`` is 0).  Returns False, with nothing sent, once the message
+        is aborted.
+
+        ``payload`` is a view of user memory or — the eager record, the one
+        payload that is always made contiguous — a list of pieces.  On a
+        static-buffer origin it is staged in a tx block, which goes back to
+        the pool when the item has left; headers are never staged.
+        """
+        if self.aborted:
+            return False
+        pool = self._pool
+        pieces = type(payload) is list
+        block = None
+        if size and (pieces or pool is not None):
+            if pool is None:
+                staged = Buffer.alloc(size, label="gtm.eager")
+            else:
+                block = yield pool.acquire()
+                if self.aborted:
+                    # Aborted during the wait: a send submitted now could
+                    # never match — recycle the block and stop.
+                    pool.release(block)
+                    return False
+                staged = block.view(0, size)
+            if pieces:
+                off = 0
+                for piece in payload:
+                    n = len(piece)
+                    if n:
+                        staged.view(off, off + n).copy_from(
+                            piece, self.accounting, self.sim.now, "gtm.eager")
+                    off += n
+            else:
+                staged.copy_from(payload, self.accounting, self.sim.now,
+                                 "gtm.stage")
+            payload = staged
+        ev = self.tm.send_item(
+            self.hop_dst,
+            payload if header is None else
+            header if payload is None else [header, payload],
+            meta={"type": kind}, msg_id=self.msg_id)
+        if block is not None:
+            ev.add_callback(lambda _e, pool=pool, block=block:
+                            pool.release(block))
+        self._send_events.append(ev)
+        return True
+
+    def _shadow(self, buf: Buffer) -> Buffer:
+        """SAFER: the caller may overwrite ``buf`` as soon as its pack
+        completes, so whatever is emitted later is emitted from a copy."""
+        shadow = Buffer.alloc(len(buf), label="gtm.safer")
+        shadow.copy_from(buf, self.accounting, self.sim.now, "gtm.safer")
+        return shadow
+
     # -- eager path (adaptive transport) -----------------------------------------
     def _pack_eager(self, buf: Buffer, smode: SendMode, rmode: RecvMode) -> Event:
         """Buffer a pack while the message is still an eager candidate.
@@ -150,10 +239,10 @@ class GTMOutgoing(_ExecutorMixin):
         if self._closed:
             raise MessageStateError("message already finalized")
         validate_modes(smode, rmode)
-        if smode == SendMode.SAFER and not self.tm.protocol.tx_static:
-            shadow = Buffer.alloc(len(buf), label="gtm.safer")
-            shadow.copy_from(buf, self.accounting, self.sim.now, "gtm.safer")
-            buf = shadow
+        if smode == SendMode.SAFER:
+            # Nothing is staged before end_packing (or the replay), on any
+            # origin, and the pack is accepted at once: shadow here, once.
+            buf = self._shadow(buf)
         self._eager_pending.append((buf, smode, rmode))
         if (eager_record_bytes(len(b) for b, _s, _r in self._eager_pending)
                 > self._eager_budget):
@@ -166,9 +255,9 @@ class GTMOutgoing(_ExecutorMixin):
 
     def _switch_to_rendezvous(self) -> None:
         pending, self._eager_pending = self._eager_pending, None
-        self._submit(self._announce_op(self._lock, self._rendezvous_announce()))
+        self._submit(self._announce_op())
         for buf, smode, rmode in pending:
-            ev = self._submit(self._op_pack(buf, smode, rmode))
+            ev = self._submit(self._op_pack(buf, smode, rmode, shadowed=True))
             # Nobody waits on replayed pack events; keep a failure (abort
             # during emission) from escaping through the kernel.
             ev.add_callback(lambda e: None if e.ok else e.defuse())
@@ -176,131 +265,55 @@ class GTMOutgoing(_ExecutorMixin):
     def _op_eager_finalize(self, pending):
         # The receiver consumes LATER unpacks at end_unpacking: order the
         # record the way the receiving side will read it.
-        pending = ([e for e in pending if e[1] != SendMode.LATER]
-                   + [e for e in pending if e[1] == SendMode.LATER])
+        pending.sort(key=lambda entry: entry[1] == SendMode.LATER)
         yield self._lock.acquire()
         if self.aborted:
             return
-        announce = Announce(mode=MODE_GTM, origin=self.src,
-                            final_dst=self.dst, mtu=self.mtu,
-                            msg_id=self.msg_id, hops_left=self._hops_left,
-                            eager=True)
-        yield self.tm.send_announce(self.hop_dst, announce)
+        yield self._announce(eager=True)
         table = encode_eager_table((len(buf), smode, rmode)
                                    for buf, smode, rmode in pending)
-        total = len(table) + sum(len(buf) for buf, _s, _r in pending)
-        if self.tm.protocol.tx_static:
-            block = yield self.tm.tx_pool.acquire()
-            if self.aborted:
-                self.tm.tx_pool.release(block)
-                return
-            target = block
-        else:
-            block = None
-            target = Buffer.alloc(total, label="gtm.eager")
-        target.view(0, len(table)).copy_from(
-            Buffer.wrap(table), self.accounting, self.sim.now, "gtm.eager")
-        off = len(table)
-        for buf, _smode, _rmode in pending:
-            if len(buf):
-                target.view(off, off + len(buf)).copy_from(
-                    buf, self.accounting, self.sim.now, "gtm.eager")
-            off += len(buf)
-        ev = self._send(target.view(0, total), meta={"type": "eagr"})
-        if block is not None:
-            pool = self.tm.tx_pool
-            ev.add_callback(lambda _e, b=block: pool.release(b))
-        self._send_events.append(ev)
+        pieces = [Buffer.wrap(table)] + [buf for buf, _s, _r in pending]
+        if not (yield from self._put("eagr", None, pieces,
+                                     sum(map(len, pieces)))):
+            return
         self.vchannel._m_eager_sends.inc()
         yield self.sim.all_of(self._send_events)
         self._send_events.clear()
 
     # -- ops ---------------------------------------------------------------------
-    def _op_pack(self, buf: Buffer, smode: SendMode, rmode: RecvMode):
+    def _op_pack(self, buf: Buffer, smode: SendMode, rmode: RecvMode,
+                 shadowed: bool = False):
         validate_modes(smode, rmode)
         if smode == SendMode.LATER:
             self._deferred.append((buf, rmode))
             return
-        yield from self._emit(buf, smode, rmode)
+        yield from self._emit(buf, smode, rmode, shadowed)
 
-    def _send(self, payload, meta: dict) -> Event:
-        return self.tm.send_item(self.hop_dst, payload, meta=meta,
-                                 msg_id=self.msg_id)
-
-    def _emit(self, buf: Buffer, smode: SendMode, rmode: RecvMode):
+    def _emit(self, buf: Buffer, smode: SendMode, rmode: RecvMode,
+              shadowed: bool = False):
+        """Put the wire items of one packed buffer, in plan order."""
         if self.aborted:
             return
-        desc = Descriptor(length=len(buf), smode=smode, rmode=rmode)
-        desc_buf = Buffer.wrap(encode_descriptor(desc))
-        if self.batched:
-            # Header batching (§2.3): the descriptor rides in the same wire
-            # record as the head of the buffer instead of costing its own
-            # send.  The head is shortened so the combined record still fits
-            # one MTU (gateways stage whole records in MTU-sized blocks).
-            head = min(len(buf), self.mtu - DESC_BYTES)
-        else:
-            head = 0
-            self._send_events.append(
-                self._send(desc_buf, meta={"type": "desc"}))
-        if smode == SendMode.SAFER and not self.tm.protocol.tx_static:
-            shadow = Buffer.alloc(len(buf), label="gtm.safer")
-            shadow.copy_from(buf, self.accounting, self.sim.now, "gtm.safer")
-            buf = shadow
-        if self.batched:
-            if self.aborted:
+        length = len(buf)
+        desc = Buffer.wrap(encode_descriptor(
+            Descriptor(length=length, smode=smode, rmode=rmode)))
+        if smode == SendMode.SAFER and not shadowed and self._pool is None:
+            # (a static origin stages every payload before the pack
+            # completes, which is the copy SAFER asks for)
+            buf = self._shadow(buf)
+        for kind, header_bytes, off, size in wire_items(length, self.mtu,
+                                                        self.batched):
+            if not (yield from self._put(
+                    kind, desc if header_bytes else None,
+                    buf.view(off, off + size) if size else None, size)):
                 return
-            if self.tm.protocol.tx_static and head:
-                block = yield self.tm.tx_pool.acquire()
-                if self.aborted:
-                    self.tm.tx_pool.release(block)
-                    return
-                block.view(0, head).copy_from(
-                    buf.view(0, head), self.accounting,
-                    self.sim.now, "gtm.stage")
-                ev = self._send([desc_buf, block.view(0, head)],
-                                meta={"type": "gtmh"})
-                pool = self.tm.tx_pool
-                ev.add_callback(lambda _e, b=block: pool.release(b))
-            elif head:
-                ev = self._send([desc_buf, buf.view(0, head)],
-                                meta={"type": "gtmh"})
-            else:
-                # Zero-length buffer: the record is just the descriptor.
-                ev = self._send([desc_buf], meta={"type": "gtmh"})
-            self._send_events.append(ev)
-        for off, size in split_fragments(len(buf) - head, self.mtu):
-            off += head
-            if self.aborted:
-                return
-            if self.tm.protocol.tx_static:
-                block = yield self.tm.tx_pool.acquire()
-                if self.aborted:
-                    # Aborted during the wait: a send submitted now could
-                    # never match — recycle the block and stop.
-                    self.tm.tx_pool.release(block)
-                    return
-                block.view(0, size).copy_from(
-                    buf.view(off, off + size), self.accounting,
-                    self.sim.now, "gtm.stage")
-                ev = self._send(block.view(0, size), meta={"type": "frag"})
-                pool = self.tm.tx_pool
-                ev.add_callback(lambda _e, b=block: pool.release(b))
-            else:
-                ev = self._send(buf.view(off, off + size),
-                                meta={"type": "frag"})
-            self._send_events.append(ev)
 
     def _op_finalize(self):
         for buf, rmode in self._deferred:
-            if self.aborted:
-                break
             yield from self._emit(buf, SendMode.CHEAPER, rmode)
         self._deferred.clear()
-        if not self.aborted:
-            terminator = Descriptor(length=0, terminator=True)
-            self._send_events.append(self._send(
-                Buffer.wrap(encode_descriptor(terminator)),
-                meta={"type": "desc"}))
+        yield from self._put("desc", Buffer.wrap(encode_descriptor(
+            Descriptor(length=0, terminator=True))), None, 0)
         yield self.sim.all_of(self._send_events)
         self._send_events.clear()
 
@@ -325,6 +338,9 @@ class GTMIncoming(_ExecutorMixin):
         self.batched = announce.batched
         self.msg_id = announce.msg_id
         self.tm = endpoint.tm
+        #: where items land: the rx pool of a static-buffer network, None
+        #: where the network receives into user memory.
+        self._pool = self.tm.rx_pool
         self.accounting = self.tm.channel.fabric.accounting
         self._deferred: list[Buffer] = []
         self.aborted = False
@@ -355,12 +371,7 @@ class GTMIncoming(_ExecutorMixin):
                smode: SendMode = SendMode.CHEAPER,
                rmode: RecvMode = RecvMode.CHEAPER,
                into: Optional[Buffer] = None) -> tuple[Event, Buffer]:
-        if into is None:
-            if nbytes is None:
-                raise ValueError("unpack needs nbytes or a destination buffer")
-            into = Buffer.alloc(nbytes, label="gtm.unpack")
-        elif nbytes is not None and nbytes != len(into):
-            raise ValueError("nbytes disagrees with destination buffer size")
+        into = _landing(nbytes, into, "gtm.unpack")
         ev = self._submit(self._op_unpack(into, SendMode(smode),
                                           RecvMode(rmode)))
         return ev, into
@@ -384,7 +395,44 @@ class GTMIncoming(_ExecutorMixin):
         if not self._abort_ev.triggered:
             self._abort_ev.succeed()
 
-    # -- abort-aware waits --------------------------------------------------------
+    # -- the one wire primitive, and its abort-aware waits ------------------------
+    def _get(self, kind: str, header_len: int, into: Optional[Buffer],
+             size: int, exact: bool = True):
+        """Receive one wire item of ``kind``: ``header_len`` bytes of
+        control record, returned raw (None without one), followed by
+        ``size`` payload bytes delivered into ``into`` (None when ``size``
+        is 0).  ``exact=False`` accepts a record of *up to* ``header_len``
+        bytes.
+
+        On a static-buffer network the item lands in an rx block and the
+        payload is copied out; otherwise it lands in place.
+        """
+        pool = self._pool
+        if pool is not None:
+            record = landing = yield from self._wait_acquire(pool)
+        else:
+            record = (Buffer.alloc(header_len, label="gtm." + kind)
+                      if header_len else None)
+            landing = (into if record is None else
+                       record if into is None else [record, into])
+        post = self.tm.post_item(self.hop_src, landing, msg_id=self.msg_id)
+        meta, n = yield from self._wait_post(post, record, pool)
+        try:
+            if meta.get("type") != kind:
+                raise UnpackMismatch(
+                    f"expected a {kind!r} item, got {meta.get('type')!r} — "
+                    f"unpack sequence does not mirror the pack sequence")
+            if exact and n != header_len + size:
+                raise UnpackMismatch(
+                    f"expected {header_len + size}B {kind}, received {n}B")
+            if pool is not None and size:
+                into.copy_from(record.view(n - size, n), self.accounting,
+                               self.sim.now, "gtm.deliver")
+            return record.data[:n - size].tobytes() if header_len else None
+        finally:
+            if pool is not None:
+                pool.release(record)
+
     def _wait_acquire(self, pool):
         """Pool acquire racing the abort switch; never strands a block."""
         acq = pool.acquire()
@@ -427,36 +475,15 @@ class GTMIncoming(_ExecutorMixin):
 
     def _op_recv_eager(self):
         """Receive the single eager wire record (entry table + payloads)."""
-        if self.tm.protocol.rx_static:
-            block = yield from self._wait_acquire(self.tm.rx_pool)
-            post = self.tm.post_item(self.hop_src, block,
-                                     capacity=len(block),
-                                     msg_id=self.msg_id)
-            meta, n = yield from self._wait_post(post, block,
-                                                 self.tm.rx_pool)
-            try:
-                if meta.get("type") != "eagr":
-                    raise UnpackMismatch(
-                        f"expected an 'eagr' item, got {meta.get('type')!r}")
-                raw = block.view(0, n).tobytes()
-            finally:
-                self.tm.rx_pool.release(block)
-        else:
-            cap = max(self.mtu, EAGER_HDR_BYTES)
-            dbuf = Buffer.alloc(cap, label="gtm.eager")
-            post = self.tm.post_item(self.hop_src, dbuf, capacity=cap,
-                                     msg_id=self.msg_id)
-            meta, n = yield from self._wait_post(post, None, None)
-            if meta.get("type") != "eagr":
-                raise UnpackMismatch(
-                    f"expected an 'eagr' item, got {meta.get('type')!r}")
-            raw = dbuf.view(0, n).tobytes()
+        raw = yield from self._get("eagr", max(self.mtu, EAGER_HDR_BYTES),
+                                   None, 0, exact=False)
         try:
             self._eager_rec = decode_eager(raw)
         except ValueError as exc:
             raise UnpackMismatch(f"malformed eager record: {exc}") from exc
 
-    def _consume_eager(self, buf: Buffer):
+    def _take_eager(self, buf: Buffer) -> None:
+        """Deliver the next entry of the fetched eager record into ``buf``."""
         rec = self._eager_rec
         if rec is None or self._eager_idx >= len(rec.entries):
             raise UnpackMismatch(
@@ -470,75 +497,34 @@ class GTMIncoming(_ExecutorMixin):
         if len(buf):
             buf.copy_from(Buffer.wrap(entry.data), self.accounting,
                           self.sim.now, "gtm.deliver")
-        return
-        yield  # pragma: no cover - generator form; consuming never waits
 
-    def _consume(self, buf: Buffer):
+    def _consume(self, buf: Buffer, described: bool = False):
+        """Get the wire items of one packed buffer into ``buf``, in plan
+        order — the plan the sender's :meth:`GTMOutgoing._emit` put.
+        ``described``: the descriptor item was already read (striped
+        rails, whose reassembly needs every rail's length first)."""
         if self.eager:
-            yield from self._consume_eager(buf)
+            self._take_eager(buf)
             return
-        if self.batched:
-            head = yield from self._recv_batched_head(buf)
-        else:
-            head = 0
-            desc = yield from self._recv_desc()
-            if desc.length != len(buf):
-                raise UnpackMismatch(
-                    f"descriptor announces {desc.length}B but unpack "
-                    f"expects {len(buf)}B")
-        yield from self._consume_fragments(buf, head)
-
-    def _consume_fragments(self, buf: Buffer, head: int = 0):
-        """Receive the fragments of one buffer into ``buf[head:]`` (its
-        descriptor — or batched head — has already been consumed)."""
-        for off, size in split_fragments(len(buf) - head, self.mtu):
-            off += head
-            if self.tm.protocol.rx_static:
-                block = yield from self._wait_acquire(self.tm.rx_pool)
-                post = self.tm.post_item(self.hop_src, block,
-                                         msg_id=self.msg_id)
-                meta, n = yield from self._wait_post(post, block,
-                                                     self.tm.rx_pool)
-                try:
-                    self._expect(meta, n, "frag", size)
-                    buf.view(off, off + size).copy_from(
-                        block.view(0, size), self.accounting, self.sim.now,
-                        "gtm.deliver")
-                finally:
-                    self.tm.rx_pool.release(block)
-            else:
-                post = self.tm.post_item(self.hop_src,
-                                         buf.view(off, off + size),
-                                         msg_id=self.msg_id)
-                meta, n = yield from self._wait_post(post, None, None)
-                self._expect(meta, n, "frag", size)
-
-    def _recv_record(self, wanted_type: str, nbytes: int):
-        """Receive one fixed-size control record; returns its raw bytes."""
-        if self.tm.protocol.rx_static:
-            block = yield from self._wait_acquire(self.tm.rx_pool)
-            post = self.tm.post_item(self.hop_src, block, msg_id=self.msg_id)
-            meta, n = yield from self._wait_post(post, block,
-                                                 self.tm.rx_pool)
-            try:
-                self._expect(meta, n, wanted_type, nbytes)
-                raw = block.view(0, nbytes).tobytes()
-            finally:
-                self.tm.rx_pool.release(block)
-        else:
-            dbuf = Buffer.alloc(nbytes, label=f"gtm.{wanted_type}")
-            post = self.tm.post_item(self.hop_src, dbuf, msg_id=self.msg_id)
-            meta, n = yield from self._wait_post(post, None, None)
-            self._expect(meta, n, wanted_type, nbytes)
-            raw = dbuf.tobytes()
-        return raw
+        length = len(buf)
+        plan = wire_items(length, self.mtu, self.batched)
+        for kind, header_bytes, off, size in plan[1:] if described else plan:
+            raw = yield from self._get(
+                kind, header_bytes,
+                buf.view(off, off + size) if size else None, size)
+            if header_bytes:
+                announced = decode_descriptor(raw).length
+                if announced != length:
+                    raise UnpackMismatch(
+                        f"descriptor announces {announced}B but unpack "
+                        f"expects {length}B")
 
     def _recv_desc(self):
-        raw = yield from self._recv_record("desc", DESC_BYTES)
+        raw = yield from self._get("desc", DESC_BYTES, None, 0)
         return decode_descriptor(raw)
 
     def _recv_stripe(self):
-        raw = yield from self._recv_record("stripe", STRIPE_BYTES)
+        raw = yield from self._get("stripe", STRIPE_BYTES, None, 0)
         return decode_stripe(raw)
 
     # -- striped-rail interface (driven by StripedIncoming) -------------------
@@ -554,58 +540,7 @@ class GTMIncoming(_ExecutorMixin):
     def read_into(self, view: Buffer) -> Event:
         """Consume this rail's stripe of one paquet into ``view`` (whose
         length the rail's descriptor announced)."""
-        return self._submit(self._consume_fragments(view))
-
-    def _recv_batched_head(self, buf: Buffer):
-        """Receive one header-batched record: descriptor + buffer head.
-
-        Mirrors the sender's batched :meth:`GTMOutgoing._emit`: the first
-        wire record of each buffer gathers the 16-byte descriptor with up to
-        ``mtu - DESC_BYTES`` bytes of payload.  Returns the number of payload
-        bytes delivered (the head), so the caller consumes the remainder as
-        plain fragments.
-        """
-        head = min(len(buf), self.mtu - DESC_BYTES)
-        if self.tm.protocol.rx_static:
-            block = yield from self._wait_acquire(self.tm.rx_pool)
-            post = self.tm.post_item(self.hop_src, block, msg_id=self.msg_id)
-            meta, n = yield from self._wait_post(post, block, self.tm.rx_pool)
-            try:
-                self._expect(meta, n, "gtmh", DESC_BYTES + head)
-                desc = decode_descriptor(block.view(0, DESC_BYTES).tobytes())
-                if desc.length != len(buf):
-                    raise UnpackMismatch(
-                        f"descriptor announces {desc.length}B but unpack "
-                        f"expects {len(buf)}B")
-                if head:
-                    buf.view(0, head).copy_from(
-                        block.view(DESC_BYTES, DESC_BYTES + head),
-                        self.accounting, self.sim.now, "gtm.deliver")
-            finally:
-                self.tm.rx_pool.release(block)
-        else:
-            dbuf = Buffer.alloc(DESC_BYTES, label="gtm.desc")
-            post = self.tm.post_item(self.hop_src,
-                                     [dbuf, buf.view(0, head)],
-                                     msg_id=self.msg_id)
-            meta, n = yield from self._wait_post(post, None, None)
-            self._expect(meta, n, "gtmh", DESC_BYTES + head)
-            desc = decode_descriptor(dbuf.tobytes())
-            if desc.length != len(buf):
-                raise UnpackMismatch(
-                    f"descriptor announces {desc.length}B but unpack "
-                    f"expects {len(buf)}B")
-        return head
-
-    @staticmethod
-    def _expect(meta: dict, n: int, wanted_type: str, wanted_size: int) -> None:
-        if meta.get("type") != wanted_type:
-            raise UnpackMismatch(
-                f"expected a {wanted_type!r} item, got {meta.get('type')!r} — "
-                f"unpack sequence does not mirror the pack sequence")
-        if n != wanted_size:
-            raise UnpackMismatch(
-                f"expected {wanted_size}B {wanted_type}, received {n}B")
+        return self._submit(self._consume(view, described=True))
 
     def _op_finalize(self):
         for buf in self._deferred:

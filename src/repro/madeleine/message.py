@@ -95,6 +95,19 @@ def _as_buffer(data: Union[Buffer, bytes, bytearray, np.ndarray]) -> Buffer:
     return data if isinstance(data, Buffer) else Buffer.wrap(data)
 
 
+def _landing(nbytes: Optional[int], into: Optional[Buffer],
+             label: str) -> Buffer:
+    """The destination of one ``unpack(nbytes, into=...)`` call: ``into``,
+    or a fresh ``nbytes`` buffer when the caller supplied none."""
+    if into is None:
+        if nbytes is None:
+            raise ValueError("unpack needs nbytes or a destination buffer")
+        return Buffer.alloc(nbytes, label=label)
+    if nbytes is not None and nbytes != len(into):
+        raise ValueError("nbytes disagrees with destination buffer size")
+    return into
+
+
 class OutgoingMessage(_ExecutorMixin):
     """A message being packed on a regular (single-network) channel."""
 
@@ -174,12 +187,7 @@ class IncomingMessage(_ExecutorMixin):
         triggers when the block's delivery guarantee holds (immediately for
         EXPRESS, possibly deferred for CHEAPER).
         """
-        if into is None:
-            if nbytes is None:
-                raise ValueError("unpack needs nbytes or a destination buffer")
-            into = Buffer.alloc(nbytes, label="unpack")
-        elif nbytes is not None and nbytes != len(into):
-            raise ValueError("nbytes disagrees with destination buffer size")
+        into = _landing(nbytes, into, "unpack")
         ev = self._submit(self.bmm.op_unpack(into, SendMode(smode),
                                              RecvMode(rmode)))
         return ev, into

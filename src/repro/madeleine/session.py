@@ -83,8 +83,8 @@ class Session:
                       telemetry: bool = True) -> "Session":
         """Build the whole stack a declarative scenario describes.
 
-        Constructs the world (on the scenario's scheduler), every real
-        channel of the topology, arms the fault plan (after the channels
+        Constructs the world and every real channel of the topology,
+        arms the fault plan (after the channels
         exist, so link-event targets validate; quiet plans stay unarmed to
         keep the injector-free hot path), and bundles the channels into one
         virtual channel with the scenario's policies.  The construction

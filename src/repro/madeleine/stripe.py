@@ -35,7 +35,7 @@ from ..sim import Event
 from .bmm import UnpackMismatch
 from .flags import RecvMode, SendMode, validate_modes
 from .gtm import GTMIncoming, GTMOutgoing
-from .message import _ExecutorMixin, _as_buffer
+from .message import _ExecutorMixin, _as_buffer, _landing
 from .wire import StripeRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -187,12 +187,7 @@ class StripedIncoming(_ExecutorMixin):
                smode: SendMode = SendMode.CHEAPER,
                rmode: RecvMode = RecvMode.CHEAPER,
                into: Optional[Buffer] = None) -> tuple[Event, Buffer]:
-        if into is None:
-            if nbytes is None:
-                raise ValueError("unpack needs nbytes or a destination buffer")
-            into = Buffer.alloc(nbytes, label="stripe.unpack")
-        elif nbytes is not None and nbytes != len(into):
-            raise ValueError("nbytes disagrees with destination buffer size")
+        into = _landing(nbytes, into, "stripe.unpack")
         ev = self._submit(self._op_unpack(into, SendMode(smode),
                                           RecvMode(rmode)))
         return ev, into

@@ -16,7 +16,7 @@ The application never sees the difference — the paper's transparency claim.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from dataclasses import replace as _dc_replace
 
@@ -34,9 +34,6 @@ from .gtm import GTMIncoming, GTMOutgoing
 from .message import IncomingMessage, OutgoingMessage
 from .stripe import StripedIncoming, StripedOutgoing
 from .wire import MODE_GTM, MODE_REGULAR
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 __all__ = ["VirtualChannel", "VChannelEndpoint"]
 
@@ -177,8 +174,8 @@ class VirtualChannel:
         if pipeline is not None:
             gp = _dc_replace(gp, pipeline=pipeline)
         self.gateway_params = gp
-        #: the resolved forwarding-pipeline config every worker runs.
-        self.pipeline = gp.resolved_pipeline
+        #: the forwarding-pipeline config every worker runs.
+        self.pipeline = gp.pipeline
         #: per-route tuned fragment sizes (adaptive MTU mode).
         self._mtu_cache: dict[tuple[str, ...], int] = {}
         #: probe-measured per-protocol host rates refining the tuner.

@@ -2,8 +2,8 @@
 
 A :class:`Scenario` describes a complete experiment — topology, traffic
 (explicit messages and/or a generated :class:`TrafficSpec`), policies
-(pipeline, striping, batching), the seeded fault plan, and the event
-scheduler — as one JSON/YAML-serializable value.  Benches
+(pipeline, striping, batching) and the seeded fault plan — as one
+JSON/YAML-serializable value.  Benches
 (``repro bench --scenario``), the fuzzer (``repro fuzz --replay``), the
 chaos harness, and the traffic engine (:mod:`repro.traffic`) all consume
 this one format.
@@ -12,7 +12,7 @@ Entry points:
 
 * :func:`load_scenario` / :func:`dump_scenario` — file I/O (YAML needs
   PyYAML; JSON always works);
-* :func:`build_world` — the scenario's world (nodes + scheduler);
+* :func:`build_world` — the scenario's world (its nodes);
 * :meth:`repro.madeleine.Session.from_scenario` — the whole stack: world,
   channels, armed faults, virtual channel.
 """

@@ -14,12 +14,10 @@ __all__ = ["build_world"]
 
 
 def build_world(scenario: Scenario) -> "World":
-    """Build the scenario's world: its nodes/adapters on its scheduler.
+    """Build the scenario's world: its nodes and their adapters.
 
     Channels, fault arming, and the virtual channel are the session's job —
     use :meth:`Session.from_scenario` for the whole stack, or build on the
     returned world by hand for custom harnesses.
     """
-    return _build_world(scenario.topology.node_spec(),
-                        scheduler=scenario.scheduler,
-                        bucket_width=scenario.bucket_width)
+    return _build_world(scenario.topology.node_spec())

@@ -2,9 +2,9 @@
 
 A :class:`Scenario` pins *everything* a run depends on — topology shape,
 virtual-channel configuration, traffic (an explicit message list and/or a
-generated :class:`TrafficSpec`), the seeded fault schedule, and the event
-scheduler — so the same scenario dict always replays the same simulated
-microseconds.  Channel and node names are deterministic functions of the
+generated :class:`TrafficSpec`) and the seeded fault schedule — so the
+same scenario dict always replays the same simulated microseconds.
+Channel and node names are deterministic functions of the
 topology, which is what lets a fault plan in a corpus file name its targets
 portably.
 
@@ -357,10 +357,6 @@ class Scenario:
     faults: FaultPlan = field(default_factory=FaultPlan)
     max_attempts: int = 8
     gw_stall_timeout: Optional[float] = 5_000.0
-    #: event-queue implementation: "heap" (default, bit-identical to the
-    #: historical kernel) or "calendar" (sub-linear at high flow counts).
-    scheduler: str = "heap"
-    bucket_width: Optional[float] = None
 
     # -- sanity -------------------------------------------------------------------
     def validate(self) -> None:
@@ -375,10 +371,6 @@ class Scenario:
             problems.append(f"packet_size too small: {self.packet_size}")
         if not self.messages and self.traffic is None:
             problems.append("scenario has no traffic")
-        if self.scheduler not in ("heap", "calendar"):
-            problems.append(f"unknown scheduler {self.scheduler!r}")
-        if self.bucket_width is not None and self.bucket_width <= 0:
-            problems.append(f"bucket_width must be > 0: {self.bucket_width}")
         for m in self.messages:
             for end in (m.src, m.dst):
                 if end not in endpoints:
@@ -463,8 +455,6 @@ class Scenario:
             "faults": self.faults.to_dict(),
             "max_attempts": self.max_attempts,
             "gw_stall_timeout": self.gw_stall_timeout,
-            "scheduler": self.scheduler,
-            "bucket_width": self.bucket_width,
         }
 
     @classmethod
@@ -476,7 +466,6 @@ class Scenario:
         stripe = d.get("stripe")
         adaptive = d.get("adaptive")
         traffic = d.get("traffic")
-        bucket_width = d.get("bucket_width")
         return cls(
             seed=int(d["seed"]),
             topology=Topology.from_dict(d["topology"]),
@@ -498,9 +487,6 @@ class Scenario:
             faults=FaultPlan.from_dict(d.get("faults", {})),
             max_attempts=int(d.get("max_attempts", 8)),
             gw_stall_timeout=d.get("gw_stall_timeout"),
-            scheduler=d.get("scheduler", "heap"),
-            bucket_width=None if bucket_width is None else float(
-                bucket_width),
         )
 
     def describe(self) -> str:
@@ -522,8 +508,6 @@ class Scenario:
             knobs.append("multirail")
         if self.header_batching:
             knobs.append("batch")
-        if self.scheduler != "heap":
-            knobs.append(self.scheduler)
         traffic = (f" traffic={self.traffic.pattern}x{self.traffic.flows}"
                    if self.traffic else "")
         return (f"seed={self.seed} {shape} msgs={len(self.messages)}"

@@ -335,35 +335,9 @@ class AnyOf(Event):
 
 
 class Simulator:
-    """The event loop: owns the clock, the heap, and process bookkeeping.
+    """The event loop: owns the clock, the heap, and process bookkeeping."""
 
-    Two interchangeable schedulers back the event queue:
-
-    * ``scheduler="heap"`` (default) — a single binary heap over all pending
-      events, bit-identical to the historical kernel.
-    * ``scheduler="calendar"`` — a calendar queue: pending events are binned
-      into fixed-width time buckets (sparse dict keyed by
-      ``int(time // bucket_width)``), with only the *active* bucket kept as a
-      heap.  Far-future events cost O(1) to insert and are heapified lazily
-      when their bucket activates, so per-event cost tracks the active-bucket
-      population instead of the total pending count — the property that keeps
-      events/MB flat when thousands of flows each park retransmit timers and
-      credit waits far in the future.
-
-    The calendar queue preserves the exact ``(time, priority, sequence)``
-    dispatch order of the heap: entries carry the full ordering tuple, a
-    bucket is merged into the active heap whenever its time range could
-    precede the current active top (including buckets *behind* the active one,
-    which can receive entries when a process schedules between ``peek()`` and
-    the clock catching up), and buckets activate in ascending key order.
-    Schedule-identity is enforced by ``tests/sim/test_calendar.py``.
-    """
-
-    def __init__(self, scheduler: str = "heap",
-                 bucket_width: Optional[float] = None) -> None:
-        if scheduler not in ("heap", "calendar"):
-            raise ValueError(f"unknown scheduler {scheduler!r}; "
-                             f"expected 'heap' or 'calendar'")
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
@@ -374,19 +348,6 @@ class Simulator:
         #: lazily cancelled events discarded off the heap without dispatch.
         self.events_cancelled = 0
         self._timeout_pool: list[Timeout] = []
-        self.scheduler = scheduler
-        if scheduler == "calendar":
-            if bucket_width is not None and bucket_width <= 0:
-                raise ValueError(f"bucket_width must be > 0, got {bucket_width!r}")
-            self._bucket_width: float = bucket_width or 64.0
-            self._buckets: dict[int, list[tuple[float, int, int, Event]]] = {}
-            self._bucket_keys: list[int] = []
-            self._active_key = -1
-            # Shadow the hot-path methods on the instance so the default heap
-            # path stays untouched (and un-branched) for existing users.
-            self._enqueue = self._cal_enqueue  # type: ignore[method-assign]
-            self.peek = self._cal_peek  # type: ignore[method-assign]
-            self.step = self._cal_step  # type: ignore[method-assign]
 
     # -- event construction -------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -460,132 +421,6 @@ class Simulator:
             if len(callbacks) == 1:
                 # The overwhelmingly common case: one waiter (a process
                 # resume or a completion hook) — skip the loop machinery.
-                callbacks[0](event)
-            else:
-                for fn in callbacks:
-                    fn(event)
-        if event._ok is False and not event._defused:
-            exc = event._value
-            if isinstance(event, Process):
-                raise ProcessCrashed(event.name, str(exc)) from exc
-            raise exc
-        if isinstance(event, Timeout) and event._poolable:
-            self._timeout_pool.append(event)
-
-    # -- calendar-queue scheduler -------------------------------------------
-    #: a bucket activating with more entries than this triggers a re-bin with
-    #: a narrower width (targeting ~_CAL_TARGET entries per bucket).
-    _CAL_OVERFULL = 256
-    _CAL_TARGET = 16
-
-    def _cal_enqueue(self, at: float, priority: int, event: Event) -> None:
-        self._seq += 1
-        entry = (at, priority, self._seq, event)
-        key = int(at // self._bucket_width)
-        if key <= self._active_key:
-            # The bucket range is already (or was never) ahead of the drain
-            # point — goes straight into the active heap, whose entries carry
-            # the full ordering tuple, so earlier-than-active-top times are
-            # still dispatched first.
-            heapq.heappush(self._heap, entry)
-            return
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [entry]
-            heapq.heappush(self._bucket_keys, key)
-        else:
-            bucket.append(entry)
-
-    def _cal_refill(self) -> None:
-        """Merge every bucket whose time range could precede the active top.
-
-        Buckets activate in ascending key order; a bucket starting at or
-        before the active heap's top time may contain an earlier entry and is
-        merged before anything is popped, which is what makes the dispatch
-        order identical to a single global heap.
-        """
-        keys = self._bucket_keys
-        width = self._bucket_width
-        active = self._heap
-        while keys and (not active or keys[0] * width <= active[0][0]):
-            key = heapq.heappop(keys)
-            bucket = self._buckets.pop(key)
-            self._active_key = key
-            if (len(bucket) > self._CAL_OVERFULL and not active
-                    and self._cal_rebin(bucket)):
-                keys = self._bucket_keys
-                width = self._bucket_width
-                continue
-            if active:
-                for entry in bucket:
-                    heapq.heappush(active, entry)
-            else:
-                self._heap = active = bucket
-                heapq.heapify(active)
-
-    def _cal_rebin(self, bucket: list[tuple[float, int, int, Event]]) -> bool:
-        """Narrow the bucket width so an overfull bucket splits back into
-        ~:data:`_CAL_TARGET`-entry buckets, then re-bin all pending entries.
-
-        Returns False (leaving all state untouched) when narrowing would not
-        help — entries clustered at one instant, or the width would stop
-        shrinking — so the caller activates the oversized bucket as-is
-        instead of re-binning forever.
-        """
-        entries = list(bucket)
-        for other in self._buckets.values():
-            entries.extend(other)
-        lo = min(e[0] for e in entries)
-        hi = max(e[0] for e in entries)
-        want = max(len(entries) // self._CAL_TARGET, 2)
-        width = (hi - lo) / want
-        if width < 1e-9 or width >= self._bucket_width:
-            return False
-        self._bucket_width = width
-        self._buckets = {}
-        self._bucket_keys = []
-        self._active_key = -1
-        self._heap = []
-        for entry in entries:
-            key = int(entry[0] // width)
-            b = self._buckets.get(key)
-            if b is None:
-                self._buckets[key] = [entry]
-                heapq.heappush(self._bucket_keys, key)
-            else:
-                b.append(entry)
-        return True
-
-    def _cal_peek(self) -> float:
-        while True:
-            self._cal_refill()
-            active = self._heap
-            if not active:
-                if not self._bucket_keys:
-                    return float("inf")
-                continue
-            if active[0][3]._cancelled:
-                event = heapq.heappop(active)[3]
-                self.events_cancelled += 1
-                event.callbacks = None
-                if isinstance(event, Timeout) and event._poolable:
-                    self._timeout_pool.append(event)
-                continue
-            return active[0][0]
-
-    def _cal_step(self) -> None:
-        if self._cal_peek() == float("inf"):
-            raise SchedulingError(
-                f"step() on an empty event heap at t={self.now:.3f}µs — "
-                f"nothing is scheduled")
-        at, _prio, _seq, event = heapq.heappop(self._heap)
-        if at < self.now - 1e-9:
-            raise SchedulingError(f"time went backwards: {at} < {self.now}")
-        self.now = max(self.now, at)
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            if len(callbacks) == 1:
                 callbacks[0](event)
             else:
                 for fn in callbacks:

@@ -93,7 +93,7 @@ class SolverNetwork:
             self.pipeline = PipelineConfig(depth=depth, credits=credits,
                                            lockstep=lockstep)
         else:
-            self.pipeline = self.gateway.resolved_pipeline
+            self.pipeline = self.gateway.pipeline
         self.stripe = (StripePolicy(max_rails=scenario.stripe[0],
                                     min_stripe=scenario.stripe[1])
                        if scenario.stripe is not None else None)

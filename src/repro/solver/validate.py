@@ -89,7 +89,7 @@ def multirail_scenario(packet: int, message: int, rails: int) -> Scenario:
 
 def traffic_scenario(kind: str, flows: int, seed: int = 11) -> Scenario:
     """One open-loop traffic cell (the ``sweep-nodes`` shape): 32 KB flows,
-    200 µs mean interarrival, calendar scheduler."""
+    200 µs mean interarrival."""
     if kind == "torus":
         topo = Topology(kind="torus", protocols=("myrinet",), dims=(4, 4))
     else:
@@ -98,7 +98,7 @@ def traffic_scenario(kind: str, flows: int, seed: int = 11) -> Scenario:
     return Scenario(seed=seed, topology=topo, packet_size=16 << 10,
                     traffic=TrafficSpec(flows=flows, mean_interarrival=200.0,
                                         size=32 << 10),
-                    scheduler="calendar", gw_stall_timeout=None)
+                    gw_stall_timeout=None)
 
 
 # -- sampled cells -----------------------------------------------------------
@@ -291,7 +291,7 @@ def run_validate(progress: Optional[Callable[[str], None]] = None,
     # fig8: pipeline shape — send/recv ratio and steady period, both
     # directions, solver side straight from the _rail_period kernel.
     cells = []
-    pipe = DEFAULT_GATEWAY.resolved_pipeline
+    pipe = DEFAULT_GATEWAY.pipeline
     for direction, p_in, p_out in (
             ("myri->sci", PROTOCOLS["myrinet"], PROTOCOLS["sci"]),
             ("sci->myri", PROTOCOLS["sci"], PROTOCOLS["myrinet"])):

@@ -98,13 +98,16 @@ def test_discipline_ordering():
 
 
 def test_legacy_params_select_the_same_periods():
+    """The gateway's own pipeline and the ``pipeline=`` override are one
+    knob: the same config selects the same period either way."""
     from repro.hw import PipelineConfig
-    legacy = predict_forwarding(SCI, MYRINET, 64 << 10,
-                                gateway=GatewayParams(pipeline_depth=4,
-                                                      lockstep=False))
-    explicit = predict_forwarding(SCI, MYRINET, 64 << 10,
-                                  pipeline=PipelineConfig(depth=4))
-    assert legacy.period_us == explicit.period_us
+    deep = PipelineConfig(depth=4)
+    via_gateway = predict_forwarding(SCI, MYRINET, 64 << 10,
+                                     gateway=GatewayParams(pipeline=deep))
+    override = predict_forwarding(SCI, MYRINET, 64 << 10, pipeline=deep)
+    assert via_gateway.period_us == override.period_us
+    assert via_gateway.period_us != predict_forwarding(
+        SCI, MYRINET, 64 << 10).period_us
 
 
 def test_credit_model_matches_simulation():

@@ -4,7 +4,7 @@ virtual channels."""
 import pytest
 
 from repro.hw import PROTOCOLS, SCI, build_world, register_protocol, scaled
-from repro.hw import GatewayParams
+from repro.hw import GatewayParams, PipelineConfig
 from repro.madeleine import Session
 from tests.conftest import payload, transfer_once
 
@@ -37,7 +37,7 @@ def test_minimal_pools_with_deep_decoupled_pipeline():
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci_tinypool", ["gw", "s0"]),
     ], packet_size=16 << 10,
-        gateway_params=GatewayParams(pipeline_depth=4, lockstep=False))
+        gateway_params=GatewayParams(pipeline=PipelineConfig(depth=4)))
     data = payload(300_000)
     out = transfer_once(s, vch, 0, 2, data)
     assert out["buf"].tobytes() == data.tobytes()

@@ -1,7 +1,7 @@
 """Gateway forwarding: the zero-copy matrix of §2.3, pipeline behaviour."""
 
 
-from repro.hw import GatewayParams, build_world
+from repro.hw import GatewayParams, PipelineConfig, build_world
 from repro.madeleine import Session
 from tests.conftest import payload, transfer_once
 
@@ -103,10 +103,10 @@ def test_pipelining_beats_store_and_forward():
     """Depth 2 (the paper's double buffering) must beat depth 1."""
     data = payload(1_000_000)
     _w1, s1, v1 = chain("sci", "myrinet",
-                        gateway_params=GatewayParams(pipeline_depth=1))
+                        gateway_params=GatewayParams(
+                            pipeline=PipelineConfig(depth=1)))
     t1 = transfer_once(s1, v1, 0, 2, data)["t"]
-    _w2, s2, v2 = chain("sci", "myrinet",
-                        gateway_params=GatewayParams(pipeline_depth=2))
+    _w2, s2, v2 = chain("sci", "myrinet")
     t2 = transfer_once(s2, v2, 0, 2, data)["t"]
     assert t2 < t1 * 0.75
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw import GatewayParams, build_world
+from repro.hw import GatewayParams, PipelineConfig, build_world
 from repro.madeleine import Session
 from tests.conftest import payload, transfer_once
 
@@ -22,7 +22,7 @@ def forward(packet=64 << 10, size=1_000_000, gateway_params=None,
 
 
 def test_lockstep_is_default():
-    assert GatewayParams().lockstep
+    assert GatewayParams().pipeline.is_lockstep
 
 
 def test_lockstep_period_is_max_plus_overhead():
@@ -37,8 +37,9 @@ def test_lockstep_period_is_max_plus_overhead():
 def test_decoupled_can_hide_switch_overhead():
     """With the decoupled queue, a swap overhead smaller than the slack
     between the two steps costs nothing; in lockstep it always costs."""
-    slow = GatewayParams(switch_overhead=40.0, lockstep=True)
-    fast = GatewayParams(switch_overhead=40.0, lockstep=False)
+    slow = GatewayParams(switch_overhead=40.0)
+    fast = GatewayParams(switch_overhead=40.0,
+                         pipeline=PipelineConfig(lockstep=False))
     _w1, out1 = forward(gateway_params=slow)
     _w2, out2 = forward(gateway_params=fast)
     assert out2["t"] <= out1["t"]
@@ -47,8 +48,8 @@ def test_decoupled_can_hide_switch_overhead():
 def test_lockstep_and_decoupled_same_payload():
     data = payload(300_000)
     for lockstep in (True, False):
-        w, out = forward(size=300_000,
-                         gateway_params=GatewayParams(lockstep=lockstep))
+        w, out = forward(size=300_000, gateway_params=GatewayParams(
+            pipeline=PipelineConfig(lockstep=lockstep)))
         assert out["buf"].tobytes() == data.tobytes()
 
 
@@ -57,8 +58,8 @@ def test_depth_one_serializes_steps():
     (store-and-forward per fragment)."""
     from repro.analysis import extract_timeline
     w, _out = forward(size=500_000,
-                      gateway_params=GatewayParams(pipeline_depth=1,
-                                                   lockstep=False))
+                      gateway_params=GatewayParams(
+                          pipeline=PipelineConfig(depth=1)))
     steps = [s for s in extract_timeline(w.trace) if s.kind == "frag"]
     for a, b in zip(steps, steps[1:]):
         assert b.recv_start >= a.send_end - 1e-9

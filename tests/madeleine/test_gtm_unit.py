@@ -1,21 +1,24 @@
 """Unit-level tests of the Generic Transmission Module behaviour."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hw import build_world
-from repro.madeleine import GTMOutgoing, RecvMode, SendMode, Session
+from repro.madeleine import (DESC_BYTES, GTMOutgoing, RecvMode, SendMode,
+                             Session, TransportPolicy)
 from repro.madeleine.bmm import split_fragments
+from repro.madeleine.gtm import wire_items
 from tests.conftest import payload, transfer_once
 
 
-def paper_vch(packet_size=16 << 10):
+def paper_vch(packet_size=16 << 10, **vch_kwargs):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     s = Session(w)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=packet_size)
+    ], packet_size=packet_size, **vch_kwargs)
     return w, s, vch
 
 
@@ -53,6 +56,35 @@ def test_split_covers_everything(length, mtu):
         assert off == pos
         pos += size
 
+
+
+# -- wire_items: the plan both ends execute -------------------------------------
+
+@given(length=st.integers(0, 300_000),
+       mtu=st.sampled_from([1 << 10, 8 << 10, 16 << 10, 64 << 10]),
+       batched=st.booleans())
+def test_wire_items_tile_the_buffer_in_order(length, mtu, batched):
+    items = wire_items(length, mtu, batched)
+    # the first item, and only it, carries the 16-byte descriptor
+    assert [hdr for _k, hdr, _o, _n in items] \
+        == [DESC_BYTES] + [0] * (len(items) - 1)
+    # payloads tile [0, length) in order, every item fits one MTU
+    end = 0
+    for kind, hdr, off, size in items:
+        assert off == end and size >= 0 and hdr + size <= mtu
+        end = off + size
+    assert end == length
+    assert [k for k, *_ in items[1:]] == ["frag"] * (len(items) - 1)
+    assert all(size > 0 for _k, _h, _o, size in items[1:])
+    if not batched:
+        assert items[0] == ("desc", DESC_BYTES, 0, 0)
+        assert [(off, size) for _k, _h, off, size in items[1:]] \
+            == split_fragments(length, mtu)
+    else:
+        assert items[0] == ("gtmh", DESC_BYTES, 0,
+                            min(length, mtu - DESC_BYTES))
+    if length == 0:
+        assert len(items) == 1    # the header item alone
 
 # -- GTM wire behaviour ------------------------------------------------------------
 
@@ -182,3 +214,50 @@ def test_gtm_mtu_encoded_in_announce():
     _w, _s, vch = paper_vch(packet_size=32 << 10)
     msg = vch.endpoint(0).begin_packing(2)
     assert msg.mtu == 32 << 10
+
+
+
+# -- eager + SAFER (two defects fixed with the one send path) ---------------------
+
+def _safer_eager_roundtrip(src, dst, sizes):
+    """Pack ``sizes`` SAFER with eager on, overwriting each buffer as soon
+    as its pack completes; returns (world, sent bytes, received bytes)."""
+    w, s, vch = paper_vch(transport_policy=TransportPolicy(
+        eager_threshold=4096, gateway_balance=False))
+    bufs = [payload(n, seed=n) for n in sizes]
+    want = [b.tobytes() for b in bufs]
+    got = {}
+
+    def snd():
+        m = vch.endpoint(src).begin_packing(dst)
+        for b in bufs:
+            yield m.pack(b, SendMode.SAFER)
+            b[:] = 0
+        yield m.end_packing()
+
+    def rcv():
+        inc = yield vch.endpoint(dst).begin_unpacking()
+        out = [inc.unpack(n, SendMode.SAFER)[1] for n in sizes]
+        yield inc.end_unpacking()
+        got["bytes"] = [b.tobytes() for b in out]
+
+    s.spawn(snd()); s.spawn(rcv()); s.run()
+    return w, want, got["bytes"]
+
+
+@pytest.mark.parametrize("sizes", [(1000,), (3000, 3000)],
+                         ids=["eager", "replayed"])
+def test_safer_eager_candidate_is_shadowed_on_static_origin(sizes):
+    """An SCI origin stages nothing before end_packing while the message is
+    an eager candidate, so SAFER must shadow there too: the receiver gets
+    the bytes packed, not the caller's overwrite."""
+    _w, want, got = _safer_eager_roundtrip(2, 0, sizes)    # SCI -> Myrinet
+    assert got == want
+
+
+def test_safer_replay_shadows_once():
+    """Two 3000 B SAFER packs overflow the 4096 B eager budget and are
+    replayed as rendezvous: 6000 B of data is shadowed once, not twice."""
+    w, want, got = _safer_eager_roundtrip(0, 2, (3000, 3000))
+    assert got == want
+    assert w.accounting.by_label()["gtm.safer"] == (2, 6000)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw import GatewayParams, PipelineConfig, build_world
+from repro.hw import PipelineConfig, build_world
 from repro.madeleine import Session
 from tests.conftest import payload, transfer_once
 
@@ -43,19 +43,33 @@ def test_config_defaults_are_paper_faithful():
 
 
 def test_legacy_params_map_onto_pipeline_config():
-    assert GatewayParams().resolved_pipeline.is_lockstep
-    legacy = GatewayParams(pipeline_depth=4, lockstep=False).resolved_pipeline
-    assert legacy.depth == 4 and not legacy.is_lockstep
-    # a legacy non-depth-2 "lockstep" silently ran the decoupled queue
-    assert not GatewayParams(pipeline_depth=3).resolved_pipeline.is_lockstep
-    explicit = PipelineConfig(depth=8, credits=3)
-    assert GatewayParams(pipeline=explicit).resolved_pipeline is explicit
+    """``pipeline_depth``/``lockstep`` survive as keys of the JSON session
+    config, an input format; they land in the one PipelineConfig."""
+    from repro.madeleine.config import load_config
+
+    def pipeline_of(gateway: dict) -> PipelineConfig:
+        _s, _chs, vchs = load_config({
+            "nodes": {"m0": ["myrinet"], "gw": ["myrinet", "sci"],
+                      "s0": ["sci"]},
+            "channels": {
+                "myri": {"protocol": "myrinet", "members": ["m0", "gw"]},
+                "sci": {"protocol": "sci", "members": ["gw", "s0"]}},
+            "virtual_channels": {"w": {"channels": ["myri", "sci"],
+                                       "gateway": gateway}}})
+        return vchs["w"].pipeline
+
+    assert pipeline_of({"switch_overhead": 40.0}).is_lockstep
+    deep = pipeline_of({"pipeline_depth": 4, "lockstep": False})
+    assert deep.depth == 4 and not deep.is_lockstep
+    # "lockstep" at any other depth than 2 has always run the credit queue
+    assert not pipeline_of({"pipeline_depth": 3}).is_lockstep
+    assert not pipeline_of({"lockstep": False}).is_lockstep
 
 
 # -- schedule preservation ---------------------------------------------------
 
 def test_depth2_config_reduces_to_lockstep_schedule():
-    """PipelineConfig(depth=2) must be bit-identical to the legacy default."""
+    """PipelineConfig(depth=2) must be bit-identical to the default."""
     _w1, _s1, legacy = forward()
     _w2, _s2, cfg = forward(pipeline=PipelineConfig(depth=2))
     assert cfg["t"] == legacy["t"]

@@ -25,7 +25,7 @@ def _traffic_scenario() -> Scenario:
     return Scenario(seed=4, topology=topo,
                     traffic=TrafficSpec(pattern="incast", flows=6,
                                         size=8 << 10),
-                    scheduler="calendar", gw_stall_timeout=None)
+                    gw_stall_timeout=None)
 
 
 def test_json_file_roundtrip(tmp_path):
@@ -76,13 +76,6 @@ def test_session_from_scenario_builds_full_stack():
     assert len(session.virtual_channels) == 1
     vch = session.virtual_channels[0]
     assert {session.rank("a0"), session.rank("b0")} <= set(vch.members)
-
-
-def test_from_scenario_respects_scheduler():
-    sc = _traffic_scenario()
-    reset_global_ids()
-    session = Session.from_scenario(sc)
-    assert session.sim.scheduler == "calendar"
 
 
 def test_from_scenario_rejects_invalid():

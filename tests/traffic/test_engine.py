@@ -49,14 +49,6 @@ def test_runs_are_deterministic():
         == [r.completed_at for r in e2.records]
 
 
-def test_calendar_scheduler_is_schedule_identical():
-    _sh, eh = _run(scheduler="heap")
-    _sc, ec = _run(scheduler="calendar")
-    assert eh.summary() == ec.summary()
-    assert [(r.flow.index, r.completed_at) for r in eh.records] \
-        == [(r.flow.index, r.completed_at) for r in ec.records]
-
-
 def test_reliable_traffic_completes():
     session, engine = _run(
         traffic=TrafficSpec(pattern="permutation", flows=6,
