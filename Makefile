@@ -1,4 +1,4 @@
-.PHONY: install test bench figures examples clean
+.PHONY: install test bench perf figures examples clean
 
 install:
 	pip install -e .
@@ -8,6 +8,10 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# the wall-clock benchmark of BENCHMARK.json (benchmarks/perf/README.md)
+perf:
+	python3 benchmarks/perf/run.py
 
 # regenerate every paper figure/table into benchmarks/results/
 figures: bench

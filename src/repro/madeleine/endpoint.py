@@ -7,16 +7,13 @@ Madeleine's user interface is the packing/unpacking state machine (§2.1.1):
 * receiver: ``begin_unpacking()`` → message, then ``unpack(...)`` mirroring
   the sender's pack calls, then ``end_unpacking()``.
 
-Historically the two endpoint flavors exposed divergent shapes: a
-:class:`~repro.madeleine.channel.Endpoint` (one rank on one real channel)
-had ``begin_packing(dst)``, while a virtual channel was driven through
-``VirtualChannel.begin_packing(src, dst)`` — application code had to know
-which kind of channel it was holding.  :class:`MessageEndpoint` is the
-single protocol both now implement: obtain an endpoint with
-``channel.endpoint(rank)`` (real or virtual, same spelling) and the rest of
-the message lifecycle is identical.  The messages an endpoint hands out
-differ in concrete type (:class:`~repro.madeleine.message.OutgoingMessage`
-vs :class:`~repro.madeleine.gtm.GTMOutgoing`, and their incoming twins) but
+A :class:`~repro.madeleine.channel.Endpoint` (one rank on one real
+channel) and a virtual channel's endpoint both implement
+:class:`MessageEndpoint`: obtain one with ``channel.endpoint(rank)`` (real
+or virtual, same spelling) and the rest of the message lifecycle is
+identical.  The messages an endpoint hands out differ in concrete type
+(:class:`~repro.madeleine.message.OutgoingMessage` vs
+:class:`~repro.madeleine.gtm.GTMOutgoing`, and their incoming twins) but
 share the pack/unpack surface, so callers never branch on channel kind —
 the paper's transparency claim, stated as an interface.
 """

@@ -38,6 +38,11 @@ this two ways:
   component each epoch; both modes are bit-identical because re-filling an
   untouched component reproduces its previous rates exactly.
 
+Finding a component (:func:`component`) reads each resource's member list
+once, so the walk costs O(footprint entries of the component + members of
+its resources): linear in the giant component of a dense fabric, where one
+member scan per (flow, resource) crossing would be quadratic.
+
 Work done is observable on the network (``recompute_epochs``,
 ``recomputed_flows``, ``live_flow_epochs``) and, when a metrics registry is
 attached, as ``fluid.recomputes``/``fluid.recompute_flows``/
@@ -252,21 +257,23 @@ def fill(ceilings: Sequence[float], footprints: Sequence[Sequence[tuple]],
 def component(seed, visited: set, members_of: Callable) -> list:
     """The flows reachable from ``seed`` over shared resources (discovery
     order), grown breadth-first; ``members_of(key)`` iterates the flows on
-    a resource and every flow carries a ``footprint``.  Marks them in
-    ``visited``."""
+    a resource (keys are hashable) and every flow carries a ``footprint``.
+    Marks them in ``visited``.
+
+    Each resource's members are read once per walk: after that first scan
+    they are all in ``visited``, so a later flow crossing the same
+    resource has nothing to add."""
     visited.add(seed)
     comp = [seed]
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for key, _w in f.footprint:
+    scanned: set = set()
+    for f in comp:                # ``comp`` is the queue: it grows here
+        for key, _w in f.footprint:
+            if key not in scanned:
+                scanned.add(key)
                 for o in members_of(key):
                     if o not in visited:
                         visited.add(o)
                         comp.append(o)
-                        nxt.append(o)
-        frontier = nxt
     return comp
 
 

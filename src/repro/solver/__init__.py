@@ -6,11 +6,11 @@ running the discrete-event simulator; ``repro solve --validate``
 cross-checks it against the DES and enforces the committed error floor.
 """
 
-from .core import (FlowEstimate, SolverResult, max_min_rates, solve,
-                   solve_bandwidth)
+from .core import (FlowEstimate, FlowStarved, SolverResult, max_min_rates,
+                   solve, solve_bandwidth)
 from .network import Resource, RoutedFlow, SolverNetwork
 
 __all__ = [
-    "FlowEstimate", "Resource", "RoutedFlow", "SolverNetwork",
+    "FlowEstimate", "FlowStarved", "Resource", "RoutedFlow", "SolverNetwork",
     "SolverResult", "max_min_rates", "solve", "solve_bandwidth",
 ]

@@ -32,14 +32,31 @@ from typing import Sequence
 import numpy as np
 
 from ..scenario import Scenario
+from ..sim.errors import SimError
 from ..sim.fluid import component, departure_seeds, fill
 from .network import RoutedFlow, SolverNetwork
 
-__all__ = ["FlowEstimate", "SolverResult", "max_min_rates", "solve",
-           "solve_bandwidth"]
+__all__ = ["FlowEstimate", "FlowStarved", "SolverResult", "max_min_rates",
+           "solve", "solve_bandwidth"]
 
 _REL_EPS = 1e-9
 _arrival = operator.attrgetter("seq")      # sort key: rails in arrival order
+#: the finish heap is rebuilt from its live entries (one per active rail)
+#: once it holds more than this many times ``len(active)``: amortised O(1)
+#: per push, and memory stays O(active) on a dense fabric, where every
+#: epoch supersedes one prediction per rail of the giant component.
+_HEAP_SLACK = 4
+
+
+class FlowStarved(SimError):
+    """The fill left a rail flow with rate 0: some resource on its route
+    has no capacity to share, so the flow would never finish."""
+
+    def __init__(self, rail_id: tuple) -> None:
+        super().__init__(f"fluid flow {rail_id} starved (rate 0); resource "
+                         f"capacities leave it no share")
+        #: ``(application flow index, rail index)``
+        self.rail_id = rail_id
 
 
 def max_min_rates(flows: Sequence[RoutedFlow],
@@ -309,9 +326,7 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
                          capacities.__getitem__)
             for rail, r in zip(comp, rates):
                 if r <= 0.0:
-                    raise RuntimeError(
-                        f"fluid flow {rail.rf.id} starved (rate 0); resource "
-                        f"capacities leave it no share")
+                    raise FlowStarved(rail.rf.id)
                 if r != rail.rate:
                     # settle progress at the old rate, then switch
                     dt = now - rail.t_last
@@ -325,6 +340,12 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
                     rail.version += 1
                     heapq.heappush(heap, (now + rail.rem / r, rail.seq,
                                           rail.rf.id, rail.version))
+        if len(heap) > _HEAP_SLACK * len(active):
+            # entries are totally ordered (seq is unique per rail), so the
+            # pop order of the live ones survives the rebuild
+            heap[:] = [e for e in heap
+                       if e[2] in active and active[e[2]].version == e[3]]
+            heapq.heapify(heap)
         recomputes += 1
         epoch_flows += touched
         live_flow_epochs += len(active)

@@ -113,6 +113,12 @@ class SolverNetwork:
         self.routes = RouteTable(self.channels)
         self._resources: dict[tuple, Resource] = {}
         self._res_index: dict[tuple, int] = {}
+        #: per-route kernel results.  Packet size, gateway, node and
+        #: pipeline are fixed for this network and a channel's protocol is
+        #: ``PROTOCOLS[name]``, so :meth:`ceiling` is a function of
+        #: ``(protocol names along the route, end_share)`` and
+        #: :meth:`setup_time` of those plus ``rails`` — the two key shapes.
+        self._kernels: dict[tuple, float] = {}
         for ch in self.channels:
             self._add_resource(("link", ch.id), ch.protocol.link_bandwidth)
             for rank in ch.members:
@@ -170,8 +176,15 @@ class SolverNetwork:
         ``_rail_period`` kernel the closed-form predictions use — a 2-hop
         route therefore reproduces :func:`predict_forwarding` exactly, and
         an ``end_share``-capped rail reproduces :func:`predict_multirail`'s
-        per-rail figure.
+        per-rail figure.  Memoised per protocol sequence and ``end_share``.
         """
+        key = (tuple([h.channel.protocol.name for h in route]), end_share)
+        rate = self._kernels.get(key)
+        if rate is None:
+            rate = self._kernels[key] = self._ceiling(route, end_share)
+        return rate
+
+    def _ceiling(self, route: Sequence[Hop], end_share: float) -> float:
         packet = self.packet_for(route)
         protos = self.route_protocols(route)
         if len(protos) == 1:
@@ -195,10 +208,17 @@ class SolverNetwork:
                    end_share: float = float("inf")) -> float:
         """Route-aware pre-streaming setup (announce, stripe record,
         per-gateway switch, pipeline fill) — the shared
-        :func:`~repro.analysis.model.route_setup_time` helper."""
-        return route_setup_time(self.route_protocols(route),
-                                self.steady_period(route, end_share),
-                                gateway=self.gateway, rails=rails)
+        :func:`~repro.analysis.model.route_setup_time` helper.  Memoised
+        per protocol sequence, ``end_share`` and ``rails``."""
+        key = (tuple([h.channel.protocol.name for h in route]), end_share,
+               rails)
+        setup = self._kernels.get(key)
+        if setup is None:
+            setup = self._kernels[key] = route_setup_time(
+                self.route_protocols(route),
+                self.steady_period(route, end_share),
+                gateway=self.gateway, rails=rails)
+        return setup
 
     def footprint(self, route: Sequence[Hop]) -> tuple:
         """``((resource key, weight), ...)`` of one unit-rate flow on

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import DMA, PIO, FluidNetwork, FluidResource, Simulator
-from repro.sim.fluid import Flow, fill
+from repro.sim.fluid import Flow, component, fill
 from repro.solver import RoutedFlow, max_min_rates
 
 
@@ -349,3 +349,94 @@ def test_fill_frozen_vectors(case):
     _what, ceilings, paths, capacities, expected = case
     footprints = [tuple((key, 1) for key in path) for path in paths]
     assert fill(ceilings, footprints, capacities.__getitem__) == expected
+
+
+# -- the contention walk -------------------------------------------------------
+
+class _Walker:
+    """What :func:`component` needs of a flow: identity and a footprint."""
+
+    def __init__(self, name, keys):
+        self.name = name
+        self.footprint = tuple((key, 1) for key in keys)
+
+    def __repr__(self):  # pragma: no cover
+        return f"<{self.name}>"
+
+
+def _incidence(flows):
+    """resource key -> its flows, one entry per footprint entry (a flow
+    crossing a resource twice is listed twice, as ``solve_rates`` does)."""
+    members = {}
+    for f in flows:
+        for key, _w in f.footprint:
+            members.setdefault(key, []).append(f)
+    return members
+
+
+def _level_walk(seed, visited, members_of):
+    """The walk as it stood before it learned to skip scanned resources:
+    level by level, every member list re-read for every flow crossing it.
+    Kept as the reference :func:`component` must reproduce exactly."""
+    visited.add(seed)
+    comp = [seed]
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for key, _w in f.footprint:
+                for o in members_of(key):
+                    if o not in visited:
+                        visited.add(o)
+                        comp.append(o)
+                        nxt.append(o)
+        frontier = nxt
+    return comp
+
+
+_STAR = [_Walker(f"s{i}", ("hub", f"leaf{i}", "hub")) for i in range(64)]
+_CHAIN = [_Walker(f"c{i}", (i, i + 1)) for i in range(64)]
+
+
+@pytest.mark.parametrize("flows", [_STAR, _CHAIN], ids=["star", "chain"])
+def test_component_reads_each_resource_once(flows):
+    members = _incidence(flows)
+    asked = []
+
+    def members_of(key):
+        asked.append(key)
+        return members[key]
+
+    comp = component(flows[0], set(), members_of)
+    assert sorted(asked, key=str) == sorted(members, key=str)  # once each
+    assert comp == _level_walk(flows[0], set(), members.__getitem__)
+    assert len(comp) == len(flows)
+
+
+@st.composite
+def incidences(draw):
+    """(flows, seed index, pre-visited indices): 1-40 flows over up to 30
+    resources, so one draw holds several components; footprints may repeat
+    a resource."""
+    n_res = draw(st.integers(1, 30))
+    n_flows = draw(st.integers(1, 40))
+    flows = [_Walker(f"f{i}", draw(st.lists(st.integers(0, n_res - 1),
+                                            min_size=1, max_size=4)))
+             for i in range(n_flows)]
+    seed = draw(st.integers(0, n_flows - 1))
+    before = draw(st.sets(st.integers(0, n_flows - 1))) - {seed}
+    return flows, seed, before
+
+
+@given(incidences())
+@settings(max_examples=300, deadline=None)
+def test_component_matches_level_by_level_walk(data):
+    flows, seed, before = data
+    members = _incidence(flows)
+    before = {flows[i] for i in before}
+    visited = set(before)
+    comp = component(flows[seed], visited, members.__getitem__)
+    assert comp == _level_walk(flows[seed], set(before),
+                               members.__getitem__)
+    assert len(set(comp)) == len(comp) and not before & set(comp)
+    assert visited == before | set(comp)

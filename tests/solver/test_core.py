@@ -2,13 +2,17 @@
 with the closed-form §3.3.1 predictions."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.model import predict_forwarding, predict_multirail
-from repro.hw.params import PROTOCOLS
-from repro.solver import (RoutedFlow, SolverNetwork, max_min_rates, solve,
-                          solve_bandwidth)
+from repro.hw.params import PROTOCOLS, NodeParams, PCIParams
+from repro.scenario import load_scenario
+from repro.sim import SimError
+from repro.solver import (FlowStarved, RoutedFlow, SolverNetwork,
+                          max_min_rates, solve, solve_bandwidth)
+from repro.solver.core import _application_flows
 from repro.solver.validate import (multirail_scenario, ping_scenario,
                                    traffic_scenario)
 
@@ -156,3 +160,38 @@ def test_solve_rejects_empty_scenarios():
                                     dims=(2, 2)))
     with pytest.raises(ValueError):
         solve(sc)
+
+
+def test_starved_rail_raises_a_typed_error():
+    # a PCI bus with no usable bandwidth: the fill hands the flow nothing
+    dead_bus = NodeParams(pci=PCIParams(duplex_efficiency=1e-12))
+    with pytest.raises(FlowStarved) as caught:
+        solve(ping_scenario(64 << 10, 1 << 20), node_params=dead_bus)
+    assert isinstance(caught.value, SimError)
+    assert caught.value.rail_id == (0, 0)
+    assert "(0, 0)" in str(caught.value)
+
+
+# -- memoised per-route kernels ------------------------------------------------
+
+def test_memoised_kernels_equal_the_unmemoised_computation():
+    """Every route the 256-node torus scenario's flows take, unstriped and
+    as one of two striped rails (finite ``end_share``): the remembered
+    ``ceiling``/``setup_time`` are the values a cold network computes."""
+    scenario = load_scenario(Path(__file__).resolve().parents[2]
+                             / "benchmarks/perf/scenarios/solver_sparse.json")
+    warm, cold = SolverNetwork(scenario), SolverNetwork(scenario)
+    share = warm.node.pci.capacity / 2
+    pairs = {(src, dst) for _i, src, dst, _n, _t in
+             _application_flows(scenario)}
+    assert len(pairs) > 1000
+    for src, dst in sorted(pairs):
+        route = warm.routes.route(warm.rank[src], warm.rank[dst])
+        for rails, end_share in ((1, float("inf")), (2, share)):
+            got = (warm.ceiling(route, end_share),
+                   warm.setup_time(route, rails=rails, end_share=end_share))
+            cold._kernels.clear()
+            assert got == (cold.ceiling(route, end_share),
+                           cold.setup_time(route, rails=rails,
+                                           end_share=end_share))
+    assert len(warm._kernels) < len(pairs) / 10     # it did remember
