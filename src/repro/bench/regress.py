@@ -83,6 +83,39 @@ DEFAULT_FLOORS = {
     "adaptive_recovery_fraction": 0.7,
 }
 
+#: how each floor is checked: ``(floor key, scenario, metric, "min" |
+#: "max", failure message)`` — the metric must not fall below (``min``) or
+#: rise above (``max``) the committed floor.
+_FLOOR_CHECKS = (
+    ("pipeline_depth4_gain", "pipeline", "depth4_gain", "min",
+     "{cur:.1%} is below the committed floor ({floor:.0%}) — the depth-4 "
+     "tuned pipeline stopped beating depth-2/static-MTU"),
+    ("batching_record_reduction", "batching", "record_reduction", "min",
+     "{cur:.1%} is below the committed floor ({floor:.0%}) — header "
+     "batching stopped removing wire records"),
+    ("multirail_dual_gain", "multirail", "multirail_dual_gain", "min",
+     "{cur:.2f}x is below the committed floor ({floor:.1f}x) — dual-rail "
+     "striping stopped aggregating bandwidth"),
+    ("sweep_nodes_event_growth", "sweep_nodes", "event_growth", "max",
+     "{cur:.2f}x exceeds the committed ceiling ({floor:.1f}x) — kernel "
+     "cost per MB is no longer sub-linear in concurrent flow count"),
+    ("incremental_recompute_fraction", "incremental_rates",
+     "des_recompute_fraction", "max",
+     "{cur:.1%} exceeds the committed ceiling ({floor:.0%}) — rate epochs "
+     "are no longer local to their contention component"),
+    ("adaptive_mixed_gain", "adaptive", "adaptive_mixed_gain", "min",
+     "{cur:.2f}x is below the committed floor ({floor:.2f}x) — the "
+     "adaptive transport stopped beating the static configuration on the "
+     "mixed workload"),
+    ("adaptive_jain_fairness", "adaptive", "adaptive_jain_fairness", "min",
+     "{cur:.3f} is below the committed floor ({floor:.2f}) — the adaptive "
+     "policy is starving some flows to win its aggregate gain"),
+    ("adaptive_recovery_fraction", "adaptive", "adaptive_recovery_fraction",
+     "min",
+     "{cur:.2f} is below the committed floor ({floor:.2f}) — post-rail-loss "
+     "bandwidth fell away from the surviving-rail optimum"),
+)
+
 #: fig5/fig8 use the paper's balanced configuration: 2 MB over 64 KB paquets.
 _PACKET = 64 << 10
 _MESSAGE = 2 << 20
@@ -96,42 +129,50 @@ _SWEEP_SIZES = tuple(_SWEEP_SIZES)
 _LATENCY_SIZES = (8 << 10, 4 << 20)
 
 
-def _one_transfer(header_batching: bool = False):
-    """The figure 5 scenario: 2 MB from b0 (SCI) to a0 (Myrinet)."""
-    from ..analysis import extract_timeline, pipeline_stats
-    from ..hw.fabric import FRAGMENT_HEADER_BYTES
-
-    harness = PingHarness(packet_size=_PACKET,
-                          header_batching=header_batching)
-    world, session, vch, _ack = harness.build()
-    # Metrics create no simulator events, so enabling them is
-    # schedule-preserving; they expose the wire-record count header
-    # batching is actually about.
-    world.telemetry.metrics.enable()
-    data = np.zeros(_MESSAGE, dtype=np.uint8)
+def _one_message(session, vch, src: str, dst: str, buffers) -> float:
+    """Send ``buffers`` as one message ``src`` -> ``dst`` and run the
+    session dry; returns the instant the receiver had it all."""
     done = {}
 
     def snd():
-        m = vch.endpoint(session.rank("b0")).begin_packing(session.rank("a0"))
-        yield m.pack(data)
+        m = vch.endpoint(session.rank(src)).begin_packing(session.rank(dst))
+        for b in buffers:
+            yield m.pack(b)
         yield m.end_packing()
 
     def rcv():
-        inc = yield vch.endpoint(session.rank("a0")).begin_unpacking()
-        _ev, _b = inc.unpack(_MESSAGE)
+        inc = yield vch.endpoint(session.rank(dst)).begin_unpacking()
+        for b in buffers:
+            inc.unpack(len(b))
         yield inc.end_unpacking()
         done["t"] = session.now
 
     session.spawn(snd())
     session.spawn(rcv())
     session.run()
+    return done["t"]
+
+
+def _scenario_fig5() -> dict:
+    """The figure 5 scenario: 2 MB from b0 (SCI) to a0 (Myrinet)."""
+    from ..analysis import extract_timeline, pipeline_stats
+    from ..hw.fabric import FRAGMENT_HEADER_BYTES
+
+    harness = PingHarness(packet_size=_PACKET)
+    world, session, vch, _ack = harness.build()
+    # Metrics create no simulator events, so enabling them is
+    # schedule-preserving; they expose the wire-record count header
+    # batching is actually about.
+    world.telemetry.metrics.enable()
+    elapsed = _one_message(session, vch, "b0", "a0",
+                           [np.zeros(_MESSAGE, dtype=np.uint8)])
     stats = pipeline_stats(extract_timeline(world.trace))
     sim = session.sim
     mb = _MESSAGE / (1 << 20)
     records = world.telemetry.metrics.total("wire.fragments")
     return {
-        "elapsed_us": done["t"],
-        "bandwidth_mbs": _MESSAGE / done["t"],
+        "elapsed_us": elapsed,
+        "bandwidth_mbs": _MESSAGE / elapsed,
         "events_processed": float(sim.events_processed),
         "events_cancelled": float(sim.events_cancelled),
         "events_per_mb": sim.events_processed / mb,
@@ -143,17 +184,6 @@ def _one_transfer(header_batching: bool = False):
         "wire_records": float(records),
         "wire_header_bytes": float(records * FRAGMENT_HEADER_BYTES),
     }
-
-
-def _scenario_fig5() -> dict:
-    return _one_transfer(header_batching=False)
-
-
-def _scenario_fig5_batched() -> dict:
-    # Informational twin of fig5 with §2.3 header batching on: fewer wire
-    # records, so both the event cost and the elapsed time shift.  Tracked
-    # so a regression in the batched path is caught too.
-    return _one_transfer(header_batching=True)
 
 
 def _scenario_latency() -> dict:
@@ -192,24 +222,10 @@ def _scenario_fig8() -> dict:
     def ratios(direction: str):
         harness = PingHarness(packet_size=_PACKET)
         world, session, vch, _ack = harness.build()
-        data = np.zeros(_MESSAGE, dtype=np.uint8)
         src, dst = (("a0", "b0") if direction == "myri->sci"
                     else ("b0", "a0"))
-
-        def snd():
-            m = vch.endpoint(session.rank(src)).begin_packing(
-                session.rank(dst))
-            yield m.pack(data)
-            yield m.end_packing()
-
-        def rcv():
-            inc = yield vch.endpoint(session.rank(dst)).begin_unpacking()
-            _ev, _b = inc.unpack(_MESSAGE)
-            yield inc.end_unpacking()
-
-        session.spawn(snd())
-        session.spawn(rcv())
-        session.run()
+        _one_message(session, vch, src, dst,
+                     [np.zeros(_MESSAGE, dtype=np.uint8)])
         return pipeline_stats(extract_timeline(world.trace))
 
     stats_ms = ratios("myri->sci")
@@ -263,27 +279,11 @@ def _many_buffer_transfer(header_batching: bool):
                           header_batching=header_batching)
     world, session, vch, _ack = harness.build()
     world.telemetry.metrics.enable()
-    bufs = [np.zeros(8 << 10, dtype=np.uint8) for _ in range(32)]
-    done = {}
-
-    def snd():
-        m = vch.endpoint(session.rank("b0")).begin_packing(session.rank("a0"))
-        for b in bufs:
-            yield m.pack(b)
-        yield m.end_packing()
-
-    def rcv():
-        inc = yield vch.endpoint(session.rank("a0")).begin_unpacking()
-        for b in bufs:
-            _ev, _b = inc.unpack(len(b))
-        yield inc.end_unpacking()
-        done["t"] = session.now
-
-    session.spawn(snd())
-    session.spawn(rcv())
-    session.run()
+    elapsed = _one_message(
+        session, vch, "b0", "a0",
+        [np.zeros(8 << 10, dtype=np.uint8) for _ in range(32)])
     records = world.telemetry.metrics.total("wire.fragments")
-    return done["t"], float(records)
+    return elapsed, float(records)
 
 
 def _scenario_batching() -> dict:
@@ -359,7 +359,6 @@ def _scenario_adaptive() -> dict:
 
 _SCENARIOS = {
     "fig5": _scenario_fig5,
-    "fig5_batched": _scenario_fig5_batched,
     "fig8": _scenario_fig8,
     "latency": _scenario_latency,
     "pipeline": _scenario_pipeline,
@@ -374,9 +373,9 @@ _SCENARIOS = {
 
 #: --quick keeps the cheap single-transfer scenarios (the sweeps dominate
 #: the runtime); comparison then covers only the scenarios that ran.
-_QUICK_SCENARIOS = ("fig5", "fig5_batched", "fig8", "latency", "pipeline",
-                    "batching", "multirail", "sweep_nodes",
-                    "incremental_rates", "adaptive")
+_QUICK_SCENARIOS = ("fig5", "fig8", "latency", "pipeline", "batching",
+                    "multirail", "sweep_nodes", "incremental_rates",
+                    "adaptive")
 
 
 def _run_scenario(name: str):
@@ -467,78 +466,26 @@ def compare_to_baseline(current: dict, baseline: dict,
                 f"below the pre-optimisation kernel ({ref:.1f}); the "
                 f"hot-path pass guarantees >= {floor:.0%}")
     floors = baseline.get("floors", {})
-    gain_floor = floors.get("pipeline_depth4_gain")
-    if gain_floor is not None and "pipeline" in current:
-        gain = current["pipeline"].get("depth4_gain", 0.0)
-        if gain < gain_floor - 1e-9:
-            failures.append(
-                f"pipeline.depth4_gain: {gain:.1%} is below the committed "
-                f"floor ({gain_floor:.0%}) — the depth-4 tuned pipeline "
-                f"stopped beating depth-2/static-MTU")
-    red_floor = floors.get("batching_record_reduction")
-    if red_floor is not None and "batching" in current:
-        red = current["batching"].get("record_reduction", 0.0)
-        if red < red_floor - 1e-9:
-            failures.append(
-                f"batching.record_reduction: {red:.1%} is below the "
-                f"committed floor ({red_floor:.0%}) — header batching "
-                f"stopped removing wire records")
-    rail_floor = floors.get("multirail_dual_gain")
-    if rail_floor is not None and "multirail" in current:
-        gain = current["multirail"].get("multirail_dual_gain", 0.0)
-        if gain < rail_floor - 1e-9:
-            failures.append(
-                f"multirail.multirail_dual_gain: {gain:.2f}x is below the "
-                f"committed floor ({rail_floor:.1f}x) — dual-rail striping "
-                f"stopped aggregating bandwidth")
-    growth_cap = floors.get("sweep_nodes_event_growth")
-    if growth_cap is not None and "sweep_nodes" in current:
-        growth = current["sweep_nodes"].get("event_growth", float("inf"))
-        if growth > growth_cap + 1e-9:
-            failures.append(
-                f"sweep_nodes.event_growth: {growth:.2f}x exceeds the "
-                f"committed ceiling ({growth_cap:.1f}x) — kernel cost per "
-                f"MB is no longer sub-linear in concurrent flow count")
-    frac_cap = floors.get("incremental_recompute_fraction")
-    if frac_cap is not None and "incremental_rates" in current:
-        frac = current["incremental_rates"].get("des_recompute_fraction",
-                                                float("inf"))
-        if frac > frac_cap + 1e-9:
-            failures.append(
-                f"incremental_rates.des_recompute_fraction: {frac:.1%} "
-                f"exceeds the committed ceiling ({frac_cap:.0%}) — rate "
-                f"epochs are no longer local to their contention component")
+    for key, scenario, metric, bound, message in _FLOOR_CHECKS:
+        floor = floors.get(key)
+        if floor is None or scenario not in current:
+            continue   # floor not committed, or a --quick run skipped it
+        # A metric the scenario failed to report counts as its worst value.
+        if bound == "min":
+            cur = current[scenario].get(metric, 0.0)
+            broken = cur < floor - 1e-9
+        else:
+            cur = current[scenario].get(metric, float("inf"))
+            broken = cur > floor + 1e-9
+        if broken:
+            failures.append(f"{scenario}.{metric}: "
+                            + message.format(cur=cur, floor=floor))
     if current.get("incremental_rates", {}).get("fct_agreement_ok",
                                                 1.0) < 1.0:
         failures.append(
             "incremental_rates.fct_agreement_ok: the incremental solver's "
             "completion times diverged from the full recomputation, or its "
             "rates from the max_min_rates oracle")
-    mixed_floor = floors.get("adaptive_mixed_gain")
-    if mixed_floor is not None and "adaptive" in current:
-        gain = current["adaptive"].get("adaptive_mixed_gain", 0.0)
-        if gain < mixed_floor - 1e-9:
-            failures.append(
-                f"adaptive.adaptive_mixed_gain: {gain:.2f}x is below the "
-                f"committed floor ({mixed_floor:.2f}x) — the adaptive "
-                f"transport stopped beating the static configuration on "
-                f"the mixed workload")
-    jain_floor = floors.get("adaptive_jain_fairness")
-    if jain_floor is not None and "adaptive" in current:
-        jain = current["adaptive"].get("adaptive_jain_fairness", 0.0)
-        if jain < jain_floor - 1e-9:
-            failures.append(
-                f"adaptive.adaptive_jain_fairness: {jain:.3f} is below the "
-                f"committed floor ({jain_floor:.2f}) — the adaptive policy "
-                f"is starving some flows to win its aggregate gain")
-    rec_floor = floors.get("adaptive_recovery_fraction")
-    if rec_floor is not None and "adaptive" in current:
-        frac = current["adaptive"].get("adaptive_recovery_fraction", 0.0)
-        if frac < rec_floor - 1e-9:
-            failures.append(
-                f"adaptive.adaptive_recovery_fraction: {frac:.2f} is below "
-                f"the committed floor ({rec_floor:.2f}) — post-rail-loss "
-                f"bandwidth fell away from the surviving-rail optimum")
     return failures
 
 

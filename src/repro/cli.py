@@ -335,7 +335,7 @@ def _bench_scenario(args) -> int:
     print(f"scenario {args.scenario}: {scenario.describe()}")
     row = (solve_traffic_scenario(scenario) if args.mode == "solver"
            else run_traffic_scenario(scenario))
-    for key in ("flows", "completed", "peak_active", "p50_fct_us",
+    for key in ("flows", "completed", "failed", "peak_active", "p50_fct_us",
                 "p99_fct_us", "mean_fct_us", "duration_us", "goodput_mbs",
                 "gw_queue_hwm", "events", "events_per_mb"):
         if key not in row:

@@ -259,11 +259,15 @@ class _Run:
                                 f"heap drain"))
         if self.traffic_engine is not None:
             eng = self.traffic_engine
-            if len(eng.records) != len(eng.flows):
+            if len(eng.records) + len(eng.failed) != len(eng.flows):
                 self.failures.append(FuzzFailure(
                     "deadlock",
                     f"traffic: {len(eng.records)}/{len(eng.flows)} flows "
                     f"completed at heap drain"))
+            if scenario.quiet and eng.failed:
+                self.failures.append(FuzzFailure(
+                    "delivery", f"traffic: {len(eng.failed)} flow(s) failed "
+                                f"on a fault-free scenario"))
         if scenario.quiet:
             for i, outcome in self.outcomes.items():
                 if outcome is not None and outcome != "delivered":
@@ -370,9 +374,10 @@ class _Run:
                  f"adaptive:{scenario.adaptive is not None}"}
         if scenario.traffic is not None:
             feats.add(f"traffic:{scenario.traffic.pattern}")
-        if scenario.pipeline is not None:
-            depth, _credits, lockstep = scenario.pipeline
-            feats.add("pipe:lockstep" if lockstep else f"pipe:depth{depth}")
+        pipe = scenario.pipeline_config
+        if pipe is not None:
+            feats.add("pipe:lockstep" if pipe.lockstep
+                      else f"pipe:depth{pipe.depth}")
         for name in _FEATURE_COUNTERS:
             total = int(m.total(name))
             if total > 0:

@@ -1,8 +1,10 @@
 """Deterministic topology generation: hierarchies, fat-trees, tori.
 
 The paper's testbed is one Myrinet cluster joined to one SCI cluster by a
-single dual-adapter gateway.  This module generates the large shapes the
-scale-out benches and the traffic engine drive instead:
+single dual-adapter gateway — the smallest :func:`chain`; :func:`multirail`
+is the striping testbed.  Beyond those two small families this module
+generates the large shapes the scale-out benches and the traffic engine
+drive:
 
 * :func:`hierarchy` — a chain of homogeneous clusters with one or more
   gateway machines at every cluster boundary (the paper's shape generalized
@@ -33,6 +35,8 @@ from .params import PROTOCOLS
 __all__ = [
     "ChannelDef",
     "GeneratedTopology",
+    "chain",
+    "multirail",
     "hierarchy",
     "fat_tree",
     "torus",
@@ -120,16 +124,68 @@ class _Builder:
             name=name, protocol=protocol, members=tuple(members),
             adapter_index=adapter_index))
 
-    def build(self, endpoints: Sequence[str]) -> GeneratedTopology:
-        gateways = tuple(n for n, count in self._membership.items()
-                         if count >= 2)
+    def build(self, endpoints: Sequence[str],
+              gateways: Optional[Sequence[str]] = None) -> GeneratedTopology:
+        """``gateways`` defaults to every node on >= 2 channels."""
+        if gateways is None:
+            gateways = [n for n, count in self._membership.items()
+                        if count >= 2]
         return GeneratedTopology(
             kind=self.kind,
             nodes=tuple((n, tuple(p)) for n, p in self._nics.items()),
             channels=tuple(self._channels),
             endpoints=tuple(endpoints),
-            gateways=gateways,
+            gateways=tuple(gateways),
         )
+
+
+def _cluster_chain(kind: str, sizes: Sequence[int], gateways: Sequence[int],
+                   protocols: Sequence[str], node: str, gateway: str,
+                   channel: str) -> GeneratedTopology:
+    """Clusters of ``sizes[c]`` nodes, one shared channel each (protocols
+    cycle), with ``gateways[c]`` dedicated gateway machines between cluster
+    *c* and *c+1*, every one a member of both clusters' channels.  The
+    last three arguments are name templates over cluster ``c`` (``t`` as a
+    letter), node ``i`` and gateway ``g``."""
+    b = _Builder(kind)
+    members = [[b.node(node.format(c=c, t=chr(ord("a") + c), i=i))
+                for i in range(size)] for c, size in enumerate(sizes)]
+    endpoints = [name for cluster in members for name in cluster]
+    # Gateways are created after all endpoints so endpoint ranks are stable
+    # under gateway-count changes.
+    for c, count in enumerate(gateways):
+        for g in range(count):
+            gw = b.node(gateway.format(c=c, g=g))
+            members[c].append(gw)
+            members[c + 1].append(gw)
+    for c, cluster in enumerate(members):
+        b.channel(channel.format(c=c), protocols[c % len(protocols)], cluster)
+    return b.build(endpoints)
+
+
+def chain(protocols: Sequence[str], sizes: Sequence[int],
+          gateways: Sequence[int]) -> GeneratedTopology:
+    """The cluster-of-clusters testbed (§3): cluster *c* is ``sizes[c]``
+    nodes ``a0, a1, ...`` / ``b0, ...`` on channel ``c<c>`` over
+    ``protocols[c]``, bridged to the next by ``gateways[c]`` parallel
+    gateways ``gw<c><k>``."""
+    return _cluster_chain("chain", sizes, gateways, protocols,
+                          "{t}{i}", "gw{c}{g}", "c{c}")
+
+
+def multirail(protocols: Sequence[str], rails: int) -> GeneratedTopology:
+    """Two endpoints ``a0`` and ``b0`` with one NIC per rail, joined by
+    ``rails`` disjoint rails ``ca<r>`` → ``gw<r>`` → ``cb<r>``."""
+    pa, pb = protocols
+    b = _Builder("multirail")
+    b.node("a0")
+    gws = [b.node(f"gw{r}") for r in range(rails)]
+    b.node("b0")
+    for r, gw in enumerate(gws):
+        b.channel(f"ca{r}", pa, ["a0", gw])
+        b.channel(f"cb{r}", pb, [gw, "b0"])
+    # a0 and b0 sit on several channels without forwarding.
+    return b.build(["a0", "b0"], gateways=gws)
 
 
 def hierarchy(clusters: int = 3, cluster_size: int = 4,
@@ -150,24 +206,11 @@ def hierarchy(clusters: int = 3, cluster_size: int = 4,
         raise ValueError("cluster_size must be >= 1")
     if gateways_per_boundary < 1:
         raise ValueError("gateways_per_boundary must be >= 1")
-    protos = list(protocols or ("myrinet", "sci"))
-    b = _Builder("hierarchy")
-    members: list[list[str]] = []
-    endpoints: list[str] = []
-    for c in range(clusters):
-        names = [b.node(f"c{c}n{i}") for i in range(cluster_size)]
-        members.append(names)
-        endpoints.extend(names)
-    # Gateways are created after all endpoints so endpoint ranks are stable
-    # under gateways_per_boundary changes.
-    for c in range(clusters - 1):
-        for g in range(gateways_per_boundary):
-            gw = b.node(f"gw{c}_{g}")
-            members[c].append(gw)
-            members[c + 1].append(gw)
-    for c in range(clusters):
-        b.channel(f"cluster{c}", protos[c % len(protos)], members[c])
-    return b.build(endpoints)
+    return _cluster_chain(
+        "hierarchy", [cluster_size] * clusters,
+        [gateways_per_boundary] * (clusters - 1),
+        list(protocols or ("myrinet", "sci")),
+        "c{c}n{i}", "gw{c}_{g}", "cluster{c}")
 
 
 def fat_tree(leaves: int = 4, spines: int = 2, hosts_per_leaf: int = 4,

@@ -4,10 +4,11 @@ data-forwarding mechanism of the paper.
 Layering (Figure 1 + the paper's extension):
 
 * :mod:`~repro.madeleine.tm` — Transmission Modules (protocol-facing);
-* :mod:`~repro.madeleine.bmm` — Buffer Management Modules (dynamic eager /
-  static chunked);
+* :mod:`~repro.madeleine.message` — the ``mad_pack``/``mad_unpack``
+  interface: one packing state machine for every route;
+* :mod:`~repro.madeleine.bmm` — Buffer Management Modules (dynamic /
+  static chunked): how a buffer meets one network's wire;
 * :mod:`~repro.madeleine.channel` — regular channels and endpoints;
-* :mod:`~repro.madeleine.message` — the ``mad_pack``/``mad_unpack`` interface;
 * :mod:`~repro.madeleine.gtm` — the Generic Transmission Module
   (self-described, MTU-fragmented messages for heterogeneous routes);
 * :mod:`~repro.madeleine.vchannel` — virtual channels (regular + special

@@ -1,22 +1,30 @@
-"""Buffer Management Modules (§2.1.1).
+"""Buffer Management Modules (§2.1.1): how one buffer goes on, or comes
+off, one protocol's wire.
 
-Two BMM families are modelled, matching the two disciplines the paper
-describes:
+The packing state machine — flags, ``LATER``, ``SAFER``, abort — lives in
+:mod:`repro.madeleine.message`; a BMM is the per-protocol body it calls
+with one buffer at a time (``emit``/``flush`` when sending,
+``consume``/``finish``/``release_held`` when receiving).  Two disciplines,
+matching the two the paper describes:
 
-* :class:`EagerDynamicBMM` / :class:`EagerDynamicBMMRx` — dynamic buffers:
-  each packed user buffer is referenced directly (zero-copy) and transmitted
-  eagerly as its own fragment(s).  Used by BIP/Myrinet and TCP.
+* :class:`GatherDynamicBMM` / :class:`GatherDynamicBMMRx` — dynamic buffers:
+  user memory is referenced directly (zero-copy).  On a scatter/gather NIC
+  (BIP/Myrinet) consecutive small buffers share a wire fragment; with
+  grouping off (TCP) each buffer is sent eagerly as its own fragment(s).
+  :func:`grouping` is the decision, taken by the sender and replayed by the
+  receiver.
 * :class:`StaticChunkBMM` / :class:`StaticChunkBMMRx` — static buffers: user
   data is copied into protocol-provided chunks (mapped SCI segments, SBP
   kernel buffers) which are flushed when full or at an EXPRESS/end boundary.
   This is an *aggregation scheme*: consecutive small buffers share a chunk.
 
-The two families group buffers **differently**, which is precisely why raw
-inter-device forwarding is impossible and the Generic TM exists (§2.2.2).
+The two disciplines group buffers **differently**, which is precisely why
+raw inter-device forwarding is impossible and the Generic TM exists (§2.2.2).
 
-BMM methods are generators executed in pack/unpack order by the message's
-executor process (see :mod:`repro.madeleine.message`); they yield simulation
-events (pool acquisitions, fragment completions).
+``emit``, ``flush``, ``consume`` and ``finish`` run on the message's
+executor process, which ``yield from``s what they return: a generator
+yielding simulation events (pool acquisitions, fragment completions), or
+``()`` when the step is synchronous.
 
 Endpoint copies performed by the static BMM are *accounted* but charged no
 simulated time: the real SISCI module overlaps the copy into the mapped
@@ -31,17 +39,17 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..memory import Buffer
 from ..sim import Event
-from .flags import RecvMode, SendMode, validate_modes
+from .flags import RecvMode
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .tm import TransmissionModule
+    from .message import IncomingMessage, OutgoingMessage
 
 __all__ = [
     "UnpackMismatch",
-    "EagerDynamicBMM", "EagerDynamicBMMRx",
+    "GatherDynamicBMM", "GatherDynamicBMMRx",
     "StaticChunkBMM", "StaticChunkBMMRx",
     "make_sender_bmm", "make_receiver_bmm",
-    "split_fragments",
+    "split_fragments", "grouping",
 ]
 
 
@@ -60,194 +68,204 @@ def split_fragments(length: int, mtu: int) -> list[tuple[int, int]]:
     return [(off, min(mtu, length - off)) for off in range(0, length, mtu)]
 
 
-class _SenderBase:
-    def __init__(self, tm: "TransmissionModule", dst: int,
-                 msg_id: int = 0) -> None:
-        self.tm = tm
-        self.dst = dst
-        self.msg_id = msg_id
-        self.sim = tm.channel.sim
-        self.accounting = tm.channel.fabric.accounting
-        self.aborted = False
-        self._send_events: list[Event] = []
-        self._deferred: list[tuple[Buffer, SendMode, RecvMode]] = []
+def grouping(open_bytes: int, length: int, mtu: int, express: bool,
+             gather: bool = True) -> tuple[bool, bool, bool]:
+    """The scatter/gather decision for one ``length``-byte buffer arriving
+    at a group that holds ``open_bytes``: ``(close_first, solo,
+    close_after)``.
 
-    def _send(self, payload, meta: dict) -> Event:
-        return self.tm.send_item(self.dst, payload, meta=meta,
-                                 msg_id=self.msg_id)
-
-    def op_pack(self, buffer: Buffer, smode: SendMode,
-                rmode: RecvMode) -> Generator:
-        validate_modes(smode, rmode)
-        if smode == SendMode.LATER:
-            self._deferred.append((buffer, smode, rmode))
-            return
-        yield from self._emit(buffer, smode, rmode)
-
-    def op_finalize(self) -> Generator:
-        for buffer, _smode, rmode in self._deferred:
-            if self.aborted:
-                break
-            yield from self._emit(buffer, SendMode.CHEAPER, rmode)
-        self._deferred.clear()
-        yield from self._flush_tail()
-        if self._send_events:
-            yield self.sim.all_of(self._send_events)
-        self._send_events.clear()
-
-    # subclass hooks ---------------------------------------------------------
-    def _emit(self, buffer: Buffer, smode: SendMode,
-              rmode: RecvMode) -> Generator:
-        raise NotImplementedError
-
-    def _flush_tail(self) -> Generator:
-        return
-        yield  # pragma: no cover
+    Consecutive small buffers are grouped — zero-copy, as a gather list —
+    into one wire fragment of up to ``mtu`` bytes, saving the per-fragment
+    fixed cost.  The open group closes before a buffer that would not fit,
+    and after an EXPRESS one (its data must be on the wire when the
+    matching unpack runs).  A buffer of at least one MTU bypasses grouping:
+    it closes the group and goes *solo*, split into MTU-sized fragments.
+    With ``gather`` off every buffer is solo and no group ever opens.
+    """
+    if not gather:
+        return False, True, False
+    if length >= mtu:
+        return True, True, False
+    return open_bytes + length > mtu, False, express
 
 
-class EagerDynamicBMM(_SenderBase):
-    """Dynamic buffers, sent eagerly and zero-copy (one fragment per piece)."""
+class _GatherState:
+    """The open group, kept identically on both ends."""
 
-    def _emit(self, buffer: Buffer, smode: SendMode,
-              rmode: RecvMode) -> Generator:
-        if smode == SendMode.SAFER:
-            # The user may touch the buffer right after pack(): shadow it.
-            shadow = Buffer.alloc(len(buffer), label="bmm.safer")
-            shadow.copy_from(buffer, self.accounting, self.sim.now, "bmm.safer")
-            buffer = shadow
-        for off, size in split_fragments(len(buffer), self.tm.protocol.max_mtu):
-            if self.aborted:
+    def __init__(self, msg) -> None:
+        self.msg = msg
+        protocol = msg.tm.protocol
+        self.mtu = protocol.max_mtu
+        self.gather = protocol.gather
+        self._group: list[Buffer] = []
+        self._open_bytes = 0
+
+    def _plan(self, buffer: Buffer, rmode: RecvMode):
+        return grouping(self._open_bytes, len(buffer), self.mtu,
+                        rmode == RecvMode.EXPRESS, self.gather)
+
+    def _join(self, buffer: Buffer) -> None:
+        self._group.append(buffer)
+        self._open_bytes += len(buffer)
+
+    def _take_group(self) -> tuple[list[Buffer], int]:
+        taken = self._group, self._open_bytes
+        self._group, self._open_bytes = [], 0
+        return taken
+
+
+class GatherDynamicBMM(_GatherState):
+    """Dynamic buffers, sent zero-copy: as gather lists per
+    :func:`grouping`, or one by one where the NIC cannot gather."""
+
+    msg: "OutgoingMessage"
+
+    def emit(self, buffer: Buffer, rmode: RecvMode) -> tuple:
+        msg = self.msg
+        if not msg.aborted:
+            close_first, solo, close_after = self._plan(buffer, rmode)
+            if close_first:
+                self.flush()
+            if solo:
+                for off, size in split_fragments(len(buffer), self.mtu):
+                    msg._send(buffer.view(off, off + size), "frag")
+            else:
+                self._join(buffer)
+                if close_after:
+                    self.flush()
+        return ()
+
+    def flush(self) -> tuple:
+        group, _size = self._take_group()
+        if group and not self.msg.aborted:
+            self.msg._send(group, "frag")
+        return ()
+
+
+class GatherDynamicBMMRx(_GatherState):
+    """Receiver mirror of :class:`GatherDynamicBMM`: replays the same
+    grouping decisions over the unpack sequence and posts scatter lists.
+
+    Which completion events exist, and which of them ``finish`` waits on,
+    is part of every recorded event count (tests/data/gtm_wire_grid.json):
+    a gather receiver spends a zero-delay event wherever it has nothing to
+    wait for — closing an empty group, a CHEAPER buffer joining one — and
+    has ``finish`` wait on EXPRESS completions again; an eager one does
+    neither.
+    """
+
+    msg: "IncomingMessage"
+
+    def __init__(self, msg: "IncomingMessage") -> None:
+        super().__init__(msg)
+        #: completions ``finish`` waits on.
+        self._landed: list[Event] = []
+
+    def consume(self, buffer: Buffer, rmode: RecvMode) -> Generator:
+        msg = self.msg
+        express = rmode == RecvMode.EXPRESS
+        close_first, solo, close_after = self._plan(buffer, rmode)
+        if close_first:
+            self._close_group()
+        if solo:
+            done = msg.sim.all_of(
+                [self._post(buffer.view(off, off + size), size)
+                 for off, size in split_fragments(len(buffer), self.mtu)])
+            if self.gather or not express:
+                self._landed.append(done)
+        else:
+            self._join(buffer)
+            # CHEAPER: the group may still grow; completion is guaranteed
+            # by finish, which closes it and waits for everything.
+            done = self._close_group() if close_after else msg.sim.timeout(0)
+        if express:
+            yield from msg._wait(done)
+
+    def _post(self, landing, expected: int) -> Event:
+        """Post one slot; the event fails if the arriving fragment is not
+        ``expected`` bytes long."""
+        out = self.msg.sim.event()
+
+        def verify(ev: Event) -> None:
+            if not ev.ok:
+                ev.defuse()
+                out.fail(ev.value)
                 return
-            ev = self._send(buffer.view(off, off + size),
-                            meta={"type": "frag"})
-            self._send_events.append(ev)
-        return
-        yield  # pragma: no cover - purely synchronous emission
+            _meta, n = ev.value
+            if n != expected:
+                out.fail(UnpackMismatch(
+                    f"expected a {expected}B fragment, received {n}B — "
+                    f"unpack sequence does not mirror the pack sequence"))
+            else:
+                out.succeed(n)
+
+        self.msg._post(landing).add_callback(verify)
+        return out
+
+    def _close_group(self) -> Event:
+        group, size = self._take_group()
+        if not group:
+            return self.msg.sim.timeout(0)
+        done = self._post(group, size)
+        self._landed.append(done)
+        return done
+
+    def finish(self) -> Generator:
+        if self.gather:
+            self._close_group()
+        if self._landed:
+            yield from self.msg._wait(self.msg.sim.all_of(self._landed))
+        self._landed.clear()
+
+    def release_held(self) -> None:
+        """Nothing to hand back: fragments land in user memory."""
 
 
-class EagerDynamicBMMRx:
-    """Receiver mirror of :class:`EagerDynamicBMM`."""
-
-    def __init__(self, tm: "TransmissionModule", src: int,
-                 msg_id: int = 0) -> None:
-        self.tm = tm
-        self.src = src
-        self.msg_id = msg_id
-        self.sim = tm.channel.sim
-        self._recv_events: list[Event] = []
-        self._deferred: list[tuple[Buffer, RecvMode]] = []
-
-    def op_unpack(self, buffer: Buffer, smode: SendMode,
-                  rmode: RecvMode) -> Generator:
-        validate_modes(smode, rmode)
-        if smode == SendMode.LATER:
-            self._deferred.append((buffer, rmode))
-            return
-        done = self._post(buffer)
-        if rmode == RecvMode.EXPRESS:
-            yield done
-        else:
-            self._recv_events.append(done)
-
-    def op_finalize(self) -> Generator:
-        for buffer, _rmode in self._deferred:
-            self._recv_events.append(self._post(buffer))
-        self._deferred.clear()
-        if self._recv_events:
-            yield self.sim.all_of(self._recv_events)
-        self._recv_events.clear()
-
-    def _post(self, buffer: Buffer) -> Event:
-        pieces = split_fragments(len(buffer), self.tm.protocol.max_mtu)
-        events = []
-        for off, size in pieces:
-            slot_ev = self.tm.post_item(self.src, buffer.view(off, off + size),
-                                        msg_id=self.msg_id)
-            events.append(_checked(self.sim, slot_ev, size))
-        return self.sim.all_of(events) if events else self.sim.timeout(0)
-
-
-def _checked(sim, slot_ev: Event, expected: int) -> Event:
-    """Fail if the arriving fragment is shorter than the posted piece."""
-    out = sim.event()
-
-    def verify(ev: Event) -> None:
-        if not ev.ok:
-            ev.defuse()
-            out.fail(ev.value)
-            return
-        _meta, n = ev.value
-        if n != expected:
-            out.fail(UnpackMismatch(
-                f"expected a {expected}B fragment, received {n}B — unpack "
-                f"sequence does not mirror the pack sequence"))
-        else:
-            out.succeed(n)
-
-    slot_ev.add_callback(verify)
-    return out
-
-
-class StaticChunkBMM(_SenderBase):
+class StaticChunkBMM:
     """Static buffers: copy into protocol chunks, flush on boundaries."""
 
-    def __init__(self, tm: "TransmissionModule", dst: int,
-                 msg_id: int = 0) -> None:
-        super().__init__(tm, dst, msg_id)
-        if tm.tx_pool is None:
+    def __init__(self, msg: "OutgoingMessage") -> None:
+        protocol = msg.tm.protocol
+        if msg._pool is None:
             raise RuntimeError(
-                f"protocol {tm.protocol.name!r} has no static tx pool")
-        self.chunk_size = min(tm.protocol.chunk_size, tm.tx_pool.block_size)
+                f"protocol {protocol.name!r} has no static tx pool")
+        self.msg = msg
+        self.chunk_size = min(protocol.chunk_size, msg._pool.block_size)
         self._block: Optional[Buffer] = None
         self._offset = 0
 
-    def _emit(self, buffer: Buffer, smode: SendMode,
-              rmode: RecvMode) -> Generator:
-        remaining = len(buffer)
-        pos = 0
-        while remaining > 0 and not self.aborted:
+    def emit(self, buffer: Buffer, rmode: RecvMode) -> Generator:
+        msg = self.msg
+        pos, end = 0, len(buffer)
+        while pos < end and not msg.aborted:
             if self._block is None:
-                block = yield self.tm.tx_pool.acquire()
-                if self.aborted:
-                    # Aborted while waiting for the block: nothing staged in
-                    # it yet, hand it straight back.
-                    self.tm.tx_pool.release(block)
+                self._block = yield from msg._stage()
+                if self._block is None:
                     return
-                self._block = block
                 self._offset = 0
-            space = self.chunk_size - self._offset
-            take = min(space, remaining)
-            dst_view = self._block.view(self._offset, self._offset + take)
-            dst_view.copy_from(buffer.view(pos, pos + take), self.accounting,
-                               self.sim.now, "bmm.chunk_in")
+            take = min(self.chunk_size - self._offset, end - pos)
+            self._block.view(self._offset, self._offset + take).copy_from(
+                buffer.view(pos, pos + take), msg.accounting, msg.sim.now,
+                "bmm.chunk_in")
             self._offset += take
             pos += take
-            remaining -= take
             if self._offset >= self.chunk_size:
-                self._flush()
+                self.flush()
         if rmode == RecvMode.EXPRESS:
             # EXPRESS data must be on the wire when the matching unpack runs.
-            self._flush()
+            self.flush()
 
-    def _flush(self) -> None:
-        if self._block is None or self._offset == 0:
-            return
-        block, used = self._block, self._offset
-        self._block, self._offset = None, 0
-        if self.aborted:
-            # A post-abort send would never match and would wedge the
-            # executor's final all_of; just recycle the block.
-            self.tm.tx_pool.release(block)
-            return
-        ev = self._send(block.view(0, used), meta={"type": "chunk"})
-        pool = self.tm.tx_pool
-        ev.add_callback(lambda _e: pool.release(block))
-        self._send_events.append(ev)
-
-    def _flush_tail(self) -> Generator:
-        self._flush()
-        return
-        yield  # pragma: no cover
+    def flush(self) -> tuple:
+        if self._block is not None:
+            block, used = self._block, self._offset
+            self._block, self._offset = None, 0
+            if self.msg.aborted:
+                # A post-abort send would never match and would wedge the
+                # executor's final all_of; just recycle the block.
+                self.msg._pool.release(block)
+            else:
+                self.msg._send(block.view(0, used), "chunk", block)
+        return ()
 
 
 class StaticChunkBMMRx:
@@ -255,211 +273,63 @@ class StaticChunkBMMRx:
 
     Consumes inbound chunks sequentially; does not need to predict the
     sender's flush points because each posted pool block accepts whatever
-    chunk length actually arrives.
+    chunk length actually arrives.  The one body that holds a landing
+    block *between* ops: :meth:`release_held` hands it back on abort.
     """
 
-    def __init__(self, tm: "TransmissionModule", src: int,
-                 msg_id: int = 0) -> None:
-        self.tm = tm
-        self.src = src
-        self.msg_id = msg_id
-        self.sim = tm.channel.sim
-        self.accounting = tm.channel.fabric.accounting
-        if tm.rx_pool is None:
+    def __init__(self, msg: "IncomingMessage") -> None:
+        self.pool = msg.tm.rx_pool
+        if self.pool is None:
             raise RuntimeError(
-                f"protocol {tm.protocol.name!r} has no static rx pool")
+                f"protocol {msg.tm.protocol.name!r} has no static rx pool")
+        self.msg = msg
         self._block: Optional[Buffer] = None
         self._length = 0
         self._offset = 0
-        self._deferred: list[tuple[Buffer, RecvMode]] = []
 
-    def op_unpack(self, buffer: Buffer, smode: SendMode,
-                  rmode: RecvMode) -> Generator:
-        validate_modes(smode, rmode)
-        if smode == SendMode.LATER:
-            self._deferred.append((buffer, rmode))
-            return
-        yield from self._consume(buffer)
-
-    def op_finalize(self) -> Generator:
-        for buffer, _rmode in self._deferred:
-            yield from self._consume(buffer)
-        self._deferred.clear()
-        if self._block is not None and self._offset < self._length:
-            leftover = self._length - self._offset
-            raise UnpackMismatch(
-                f"{leftover}B left in the final chunk: unpack sequence does "
-                f"not mirror the pack sequence")
-        self._release()
-
-    def _consume(self, buffer: Buffer) -> Generator:
-        remaining = len(buffer)
-        pos = 0
-        while remaining > 0:
-            if self._block is None or self._offset >= self._length:
-                self._release()
-                self._block = yield self.tm.rx_pool.acquire()
-                ev = self.tm.post_item(self.src, self._block,
-                                       msg_id=self.msg_id)
-                _meta, n = yield ev
-                self._length = n
-                self._offset = 0
-            take = min(self._length - self._offset, remaining)
-            dst_view = buffer.view(pos, pos + take)
-            dst_view.copy_from(
+    def consume(self, buffer: Buffer, rmode: RecvMode) -> Generator:
+        msg = self.msg
+        pos, end = 0, len(buffer)
+        while pos < end:
+            if self._offset >= self._length:
+                # Hand the drained block back *before* the waits: they
+                # reclaim only what they themselves acquired.
+                self.release_held()
+                block = yield from msg._wait_acquire(self.pool)
+                _meta, n = yield from msg._wait_post(msg._post(block), block,
+                                                     self.pool)
+                self._block, self._length = block, n
+            take = min(self._length - self._offset, end - pos)
+            buffer.view(pos, pos + take).copy_from(
                 self._block.view(self._offset, self._offset + take),
-                self.accounting, self.sim.now, "bmm.chunk_out")
+                msg.accounting, msg.sim.now, "bmm.chunk_out")
             self._offset += take
             pos += take
-            remaining -= take
 
-    def _release(self) -> None:
-        if self._block is not None and (self._offset >= self._length):
-            self.tm.rx_pool.release(self._block)
+    def finish(self) -> tuple:
+        if self._offset < self._length:
+            raise UnpackMismatch(
+                f"{self._length - self._offset}B left in the final chunk: "
+                f"unpack sequence does not mirror the pack sequence")
+        self.release_held()
+        return ()
+
+    def release_held(self) -> None:
+        if self._block is not None:
+            self.pool.release(self._block)
             self._block = None
-            self._length = self._offset = 0
+        self._length = self._offset = 0
 
 
-class GatherDynamicBMM(_SenderBase):
-    """Dynamic buffers with scatter/gather aggregation (§2.1.1).
-
-    Consecutive small buffers are grouped — zero-copy, as a gather list —
-    into one wire fragment of up to ``max_mtu`` bytes, saving the
-    per-fragment fixed cost.  Groups close when the next buffer would not
-    fit, at an EXPRESS boundary, or at end_packing.  Buffers of at least
-    one MTU bypass grouping and are sent as solo fragments.
-    """
-
-    def __init__(self, tm: "TransmissionModule", dst: int,
-                 msg_id: int = 0) -> None:
-        super().__init__(tm, dst, msg_id)
-        self.mtu = tm.protocol.max_mtu
-        self._group: list[Buffer] = []
-        self._group_bytes = 0
-
-    def _emit(self, buffer: Buffer, smode: SendMode,
-              rmode: RecvMode) -> Generator:
-        if self.aborted:
-            return
-        if smode == SendMode.SAFER:
-            shadow = Buffer.alloc(len(buffer), label="bmm.safer")
-            shadow.copy_from(buffer, self.accounting, self.sim.now, "bmm.safer")
-            buffer = shadow
-        if len(buffer) >= self.mtu:
-            self._flush_group()
-            for off, size in split_fragments(len(buffer), self.mtu):
-                ev = self._send(buffer.view(off, off + size),
-                                meta={"type": "frag"})
-                self._send_events.append(ev)
-        else:
-            if self._group_bytes + len(buffer) > self.mtu:
-                self._flush_group()
-            self._group.append(buffer)
-            self._group_bytes += len(buffer)
-            if rmode == RecvMode.EXPRESS:
-                self._flush_group()
-        return
-        yield  # pragma: no cover - purely synchronous emission
-
-    def _flush_group(self) -> None:
-        if not self._group:
-            return
-        group, self._group = self._group, []
-        self._group_bytes = 0
-        if self.aborted:
-            return
-        ev = self._send(group, meta={"type": "frag"})
-        self._send_events.append(ev)
-
-    def _flush_tail(self) -> Generator:
-        self._flush_group()
-        return
-        yield  # pragma: no cover
+def make_sender_bmm(msg: "OutgoingMessage"):
+    if msg.tm.protocol.tx_static:
+        return StaticChunkBMM(msg)
+    return GatherDynamicBMM(msg)
 
 
-class GatherDynamicBMMRx:
-    """Receiver mirror of :class:`GatherDynamicBMM`: replays the same
-    grouping decisions over the unpack sequence and posts scatter lists."""
-
-    def __init__(self, tm: "TransmissionModule", src: int,
-                 msg_id: int = 0) -> None:
-        self.tm = tm
-        self.src = src
-        self.msg_id = msg_id
-        self.sim = tm.channel.sim
-        self.mtu = tm.protocol.max_mtu
-        self._recv_events: list[Event] = []
-        self._deferred: list[tuple[Buffer, RecvMode]] = []
-        self._group: list[Buffer] = []
-        self._group_bytes = 0
-
-    def op_unpack(self, buffer: Buffer, smode: SendMode,
-                  rmode: RecvMode) -> Generator:
-        validate_modes(smode, rmode)
-        if smode == SendMode.LATER:
-            self._deferred.append((buffer, rmode))
-            return
-        ev = self._mirror(buffer, rmode)
-        if rmode == RecvMode.EXPRESS:
-            yield ev
-
-    def op_finalize(self) -> Generator:
-        for buffer, rmode in self._deferred:
-            self._mirror(buffer, rmode)
-        self._deferred.clear()
-        self._flush_group()
-        if self._recv_events:
-            yield self.sim.all_of(self._recv_events)
-        self._recv_events.clear()
-
-    def _mirror(self, buffer: Buffer, rmode: RecvMode) -> Event:
-        """Apply the sender's grouping rule; returns an event that triggers
-        once this buffer's group (or solo fragments) have landed."""
-        if len(buffer) >= self.mtu:
-            self._flush_group()
-            events = []
-            for off, size in split_fragments(len(buffer), self.mtu):
-                slot_ev = self.tm.post_item(self.src,
-                                            buffer.view(off, off + size),
-                                            msg_id=self.msg_id)
-                events.append(_checked(self.sim, slot_ev, size))
-            done = self.sim.all_of(events)
-            self._recv_events.append(done)
-            return done
-        if self._group_bytes + len(buffer) > self.mtu:
-            self._flush_group()
-        self._group.append(buffer)
-        self._group_bytes += len(buffer)
-        if rmode == RecvMode.EXPRESS:
-            return self._flush_group()
-        # CHEAPER: the group may still grow; completion is guaranteed by
-        # op_finalize, which flushes and waits for everything.
-        return self.sim.timeout(0)
-
-    def _flush_group(self) -> Event:
-        if not self._group:
-            return self.sim.timeout(0)
-        group, self._group = self._group, []
-        expected, self._group_bytes = self._group_bytes, 0
-        slot_ev = self.tm.post_item(self.src, group, msg_id=self.msg_id)
-        done = _checked(self.sim, slot_ev, expected)
-        self._recv_events.append(done)
-        return done
-
-
-def make_sender_bmm(tm: "TransmissionModule", dst: int, msg_id: int = 0):
-    if tm.protocol.tx_static:
-        return StaticChunkBMM(tm, dst, msg_id)
-    if tm.protocol.gather:
-        return GatherDynamicBMM(tm, dst, msg_id)
-    return EagerDynamicBMM(tm, dst, msg_id)
-
-
-def make_receiver_bmm(tm: "TransmissionModule", src: int, msg_id: int = 0):
+def make_receiver_bmm(msg: "IncomingMessage"):
     # Grouping is a *sender-side* decision: mirror what the peer's sender
     # BMM does, which is determined by the (shared) protocol parameters.
-    if tm.protocol.tx_static:
-        return StaticChunkBMMRx(tm, src, msg_id)
-    if tm.protocol.gather:
-        return GatherDynamicBMMRx(tm, src, msg_id)
-    return EagerDynamicBMMRx(tm, src, msg_id)
+    if msg.tm.protocol.tx_static:
+        return StaticChunkBMMRx(msg)
+    return GatherDynamicBMMRx(msg)

@@ -11,11 +11,14 @@ A :class:`~repro.madeleine.channel.Endpoint` (one rank on one real
 channel) and a virtual channel's endpoint both implement
 :class:`MessageEndpoint`: obtain one with ``channel.endpoint(rank)`` (real
 or virtual, same spelling) and the rest of the message lifecycle is
-identical.  The messages an endpoint hands out differ in concrete type
-(:class:`~repro.madeleine.message.OutgoingMessage` vs
-:class:`~repro.madeleine.gtm.GTMOutgoing`, and their incoming twins) but
-share the pack/unpack surface, so callers never branch on channel kind —
-the paper's transparency claim, stated as an interface.
+identical.  The messages an endpoint hands out differ in concrete type by
+route — :class:`~repro.madeleine.message.OutgoingMessage` direct,
+:class:`~repro.madeleine.gtm.GTMOutgoing` forwarded,
+:class:`~repro.madeleine.stripe.StripedOutgoing` striped, and their
+incoming twins — but all are the one packing state machine of
+:mod:`repro.madeleine.message` over a different wire plan: same
+pack/unpack surface, same ``abort()``, so callers never branch on channel
+kind — the paper's transparency claim, stated as an interface.
 """
 
 from __future__ import annotations

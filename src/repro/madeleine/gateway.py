@@ -225,18 +225,12 @@ class ForwardingWorker:
         return ring
 
     def _bounded_acquire(self, pool: StaticBufferPool):
-        """Pool acquire under the stall bound; never strands a block.
-
-        A stalled acquire is withdrawn; if it was granted in the very
-        instant the bound expired, the block is handed straight back.
-        """
+        """Pool acquire under the stall bound; never strands a block."""
         acq = pool.acquire()
         try:
             block = yield from self._yield_bounded(acq)
         except _Stalled:
-            if not pool.cancel_acquire(acq):
-                acq.add_callback(
-                    lambda ev, p=pool: p.release(ev.value) if ev.ok else None)
+            pool.abandon_acquire(acq)
             raise
         return block
 
@@ -359,11 +353,8 @@ class ForwardingWorker:
                       announce: Announce):
         """Yields; returns the received :class:`_Item`.
 
-        On a stall the staging buffer is reclaimed, not leaked: an
-        unmatched posted receive is withdrawn from the fabric and the
-        buffer recycled at once; a matched one is recycled only when its
-        (late or blackholed) transfer completes, so reused memory can
-        never be written by a straggler.
+        On a stall the staging buffer is reclaimed, not leaked
+        (:meth:`~repro.madeleine.tm.TransmissionModule.abandon_item`).
         """
         staging, pool = yield from self._acquire_staging(
             in_tm, out_tm, announce.mtu)
@@ -382,14 +373,9 @@ class ForwardingWorker:
         try:
             meta, n = yield from self._yield_bounded(post_ev)
         except _Stalled:
-            fabric = in_tm.channel.fabric
-            tag = in_tm.body_tag(hop_src, announce.msg_id)
-            if fabric.cancel_recv(in_tm.nic, tag, post_ev):
-                self._release_staging(staging, pool)
-            else:
-                post_ev.add_callback(
-                    lambda ev, b=staging, p=pool:
-                    self._release_staging(b, p) if ev.ok else None)
+            in_tm.abandon_item(
+                hop_src, announce.msg_id, post_ev,
+                lambda b=staging, p=pool: self._release_staging(b, p))
             raise
         if limit is not None:
             self._ingress_next = self.sim.now + max(0.0, n / limit

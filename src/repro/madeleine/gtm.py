@@ -13,7 +13,9 @@ Wire protocol per message (§2.3):
    reception constraints), then the buffer fragmented into MTU-sized pieces;
 3. an empty descriptor terminating the message.
 
-One send path.  :func:`wire_items` is the plan: the ordered wire items of
+One send path.  The packing state machine is inherited from
+:mod:`repro.madeleine.message`; this module supplies only how a buffer
+meets the wire.  :func:`wire_items` is the plan: the ordered wire items of
 one packed buffer, computed by the same code on both ends.  A send mode is
 a plan — plain and header-batched differ in their first item, a striped
 rail is the plain plan behind one ``stripe`` item, an eager message is a
@@ -36,8 +38,9 @@ from typing import TYPE_CHECKING, Optional
 from ..memory import Buffer
 from ..sim import Event
 from .bmm import UnpackMismatch, split_fragments
-from .flags import RecvMode, SendMode, validate_modes
-from .message import MessageStateError, _ExecutorMixin, _as_buffer, _landing
+from .flags import RecvMode, SendMode
+from .message import (IncomingMessage, MessageStateError, OutgoingMessage,
+                      _Aborted, _as_buffer)
 from .wire import (DESC_BYTES, EAGER_HDR_BYTES, MODE_GTM, STRIPE_BYTES,
                    Announce, Descriptor, StripeRecord, decode_descriptor,
                    decode_eager, decode_stripe, eager_record_bytes,
@@ -45,7 +48,6 @@ from .wire import (DESC_BYTES, EAGER_HDR_BYTES, MODE_GTM, STRIPE_BYTES,
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import Endpoint
-    from .tm import TransmissionModule
     from .vchannel import VirtualChannel
 
 __all__ = ["GTMOutgoing", "GTMIncoming", "wire_items"]
@@ -72,12 +74,10 @@ def wire_items(length: int, mtu: int,
     return items
 
 
-class _UnpackAborted(Exception):
-    """Internal: the incoming message was abandoned by recovery code."""
-
-
-class GTMOutgoing(_ExecutorMixin):
+class GTMOutgoing(OutgoingMessage):
     """Packs a message onto the first hop of a multi-network route."""
+
+    _SAFER = "gtm.safer"
 
     def __init__(self, vchannel: "VirtualChannel", src: int, dst: int,
                  route=None, stripe: Optional[StripeRecord] = None,
@@ -104,22 +104,10 @@ class GTMOutgoing(_ExecutorMixin):
         # ahead and stays on the regular channel.
         wire_channel = (vchannel.special_twin(hop0.channel)
                         if len(route) > 1 else hop0.channel)
-        self.tm: "TransmissionModule" = wire_channel.tm(src)
-        #: where payloads are staged: the tx pool of a static-buffer
-        #: origin, None where the network sends from user memory.
-        self._pool = self.tm.tx_pool
-        self.hop_dst = hop0.dst
-        self.msg_id = next(_msg_ids)
-        self.accounting = self.tm.channel.fabric.accounting
-        self.aborted = False
-        self._send_events: list[Event] = []
-        self._deferred: list[tuple[Buffer, RecvMode]] = []
-        self._init_executor(self.tm.channel.sim, f"gtm-out:{self.msg_id}")
-        # One in-flight message per (first-hop) connection, as in Madeleine.
-        lock = wire_channel.endpoint(src).connection_lock(hop0.dst)
-        self._lock = lock
         self._hops_left = len(route) - 1
-        self._finished.add_callback(lambda _ev: lock.release())
+        # One in-flight message per (first-hop) connection, as in Madeleine.
+        self._open(wire_channel.tm(src), hop0.dst, next(_msg_ids), "gtm-out",
+                   wire_channel.endpoint(src).connection_lock(hop0.dst))
         #: adaptive eager/rendezvous switch: while this is a list the
         #: message has not committed to a wire path — packs accumulate here
         #: and the announce is withheld until the size decision is made.
@@ -139,35 +127,13 @@ class GTMOutgoing(_ExecutorMixin):
             striped=self.stripe is not None))
 
     def _announce_op(self):
-        yield self._lock.acquire()
-        yield self._announce()
+        yield from super()._announce_op()
         if self.stripe is not None:
             # The stripe record is the rail's first body item: it names the
             # reassembly group this rail belongs to.  Gateways forward it
             # like any other record.
             yield from self._put(
                 "stripe", Buffer.wrap(encode_stripe(self.stripe)), None, 0)
-
-    # -- public interface (mirrors OutgoingMessage) ----------------------------
-    def pack(self, data, smode: SendMode = SendMode.CHEAPER,
-             rmode: RecvMode = RecvMode.CHEAPER) -> Event:
-        buf = _as_buffer(data)
-        if self._eager_pending is not None:
-            return self._pack_eager(buf, SendMode(smode), RecvMode(rmode))
-        return self._submit(self._op_pack(buf, SendMode(smode), RecvMode(rmode)))
-
-    def end_packing(self) -> Event:
-        if self._eager_pending is not None:
-            pending, self._eager_pending = self._eager_pending, None
-            return self._submit_final(self._op_eager_finalize(pending))
-        return self._submit_final(self._op_finalize())
-
-    def abort(self) -> None:
-        """Stop emitting; blackhole whatever is already queued on the fabric
-        so the executor drains and releases the first-hop connection lock."""
-        self.aborted = True
-        self.tm.channel.fabric.blackhole_pending_sends(
-            self.tm.channel.id, self.msg_id)
 
     # -- the one wire primitive ---------------------------------------------------
     def _put(self, kind: str, header: Optional[Buffer], payload, size: int):
@@ -183,18 +149,14 @@ class GTMOutgoing(_ExecutorMixin):
         """
         if self.aborted:
             return False
-        pool = self._pool
         pieces = type(payload) is list
         block = None
-        if size and (pieces or pool is not None):
-            if pool is None:
+        if size and (pieces or self._pool is not None):
+            if self._pool is None:
                 staged = Buffer.alloc(size, label="gtm.eager")
             else:
-                block = yield pool.acquire()
-                if self.aborted:
-                    # Aborted during the wait: a send submitted now could
-                    # never match — recycle the block and stop.
-                    pool.release(block)
+                block = yield from self._stage()
+                if block is None:
                     return False
                 staged = block.view(0, size)
             if pieces:
@@ -209,46 +171,36 @@ class GTMOutgoing(_ExecutorMixin):
                 staged.copy_from(payload, self.accounting, self.sim.now,
                                  "gtm.stage")
             payload = staged
-        ev = self.tm.send_item(
-            self.hop_dst,
-            payload if header is None else
-            header if payload is None else [header, payload],
-            meta={"type": kind}, msg_id=self.msg_id)
-        if block is not None:
-            ev.add_callback(lambda _e, pool=pool, block=block:
-                            pool.release(block))
-        self._send_events.append(ev)
+        self._send(payload if header is None else
+                   header if payload is None else [header, payload],
+                   kind, block)
         return True
 
-    def _shadow(self, buf: Buffer) -> Buffer:
-        """SAFER: the caller may overwrite ``buf`` as soon as its pack
-        completes, so whatever is emitted later is emitted from a copy."""
-        shadow = Buffer.alloc(len(buf), label="gtm.safer")
-        shadow.copy_from(buf, self.accounting, self.sim.now, "gtm.safer")
-        return shadow
-
     # -- eager path (adaptive transport) -----------------------------------------
-    def _pack_eager(self, buf: Buffer, smode: SendMode, rmode: RecvMode) -> Event:
-        """Buffer a pack while the message is still an eager candidate.
+    def pack(self, data, smode: SendMode = SendMode.CHEAPER,
+             rmode: RecvMode = RecvMode.CHEAPER) -> Event:
+        """As inherited, except while the message is still an eager
+        candidate: then the pack is buffered and accepted at once.
 
         The bytes are emitted as one wire record at :meth:`end_packing`; if
         the accumulated record would outgrow the eager budget, the message
         commits to the rendezvous path instead and the buffered packs are
         replayed through the regular ops, in order.
         """
+        if self._eager_pending is None:
+            return super().pack(data, smode, rmode)
         if self._closed:
             raise MessageStateError("message already finalized")
-        validate_modes(smode, rmode)
-        if smode == SendMode.SAFER:
-            # Nothing is staged before end_packing (or the replay), on any
-            # origin, and the pack is accepted at once: shadow here, once.
-            buf = self._shadow(buf)
+        smode, rmode = SendMode(smode), RecvMode(rmode)
+        # Nothing is staged before end_packing (or the replay), on any
+        # origin: SAFER is shadowed here, once.
+        buf = self._admit(_as_buffer(data), smode, rmode, shadow=True)
         self._eager_pending.append((buf, smode, rmode))
         if (eager_record_bytes(len(b) for b, _s, _r in self._eager_pending)
                 > self._eager_budget):
             self._switch_to_rendezvous()
-        # The pack is accepted at once: emission happens at end_packing
-        # (eager) or was just replayed onto the executor (rendezvous).
+        # Emission happens at end_packing (eager) or was just replayed onto
+        # the executor (rendezvous).
         ev = self.sim.event(name=f"gtm-out:{self.msg_id}.eagerpack")
         ev.succeed()
         return ev
@@ -257,12 +209,34 @@ class GTMOutgoing(_ExecutorMixin):
         pending, self._eager_pending = self._eager_pending, None
         self._submit(self._announce_op())
         for buf, smode, rmode in pending:
-            ev = self._submit(self._op_pack(buf, smode, rmode, shadowed=True))
+            ev = self._submit(self._op_pack(buf, smode, rmode, admitted=True))
             # Nobody waits on replayed pack events; keep a failure (abort
             # during emission) from escaping through the kernel.
             ev.add_callback(lambda e: None if e.ok else e.defuse())
 
-    def _op_eager_finalize(self, pending):
+    # -- the wire plan -------------------------------------------------------------
+    def _emit(self, buf: Buffer, smode: SendMode, rmode: RecvMode):
+        """Put the wire items of one packed buffer, in plan order."""
+        if self.aborted:
+            return
+        length = len(buf)
+        desc = Buffer.wrap(encode_descriptor(
+            Descriptor(length=length, smode=smode, rmode=rmode)))
+        for kind, header_bytes, off, size in wire_items(length, self.mtu,
+                                                        self.batched):
+            if not (yield from self._put(
+                    kind, desc if header_bytes else None,
+                    buf.view(off, off + size) if size else None, size)):
+                return
+
+    def _close(self):
+        """Put the terminator — or, if the message is still an eager
+        candidate, all of it: the announce and one ``eagr`` item."""
+        pending, self._eager_pending = self._eager_pending, None
+        if pending is None:
+            yield from self._put("desc", Buffer.wrap(encode_descriptor(
+                Descriptor(length=0, terminator=True))), None, 0)
+            return
         # The receiver consumes LATER unpacks at end_unpacking: order the
         # record the way the receiving side will read it.
         pending.sort(key=lambda entry: entry[1] == SendMode.LATER)
@@ -273,52 +247,12 @@ class GTMOutgoing(_ExecutorMixin):
         table = encode_eager_table((len(buf), smode, rmode)
                                    for buf, smode, rmode in pending)
         pieces = [Buffer.wrap(table)] + [buf for buf, _s, _r in pending]
-        if not (yield from self._put("eagr", None, pieces,
-                                     sum(map(len, pieces)))):
-            return
-        self.vchannel._m_eager_sends.inc()
-        yield self.sim.all_of(self._send_events)
-        self._send_events.clear()
-
-    # -- ops ---------------------------------------------------------------------
-    def _op_pack(self, buf: Buffer, smode: SendMode, rmode: RecvMode,
-                 shadowed: bool = False):
-        validate_modes(smode, rmode)
-        if smode == SendMode.LATER:
-            self._deferred.append((buf, rmode))
-            return
-        yield from self._emit(buf, smode, rmode, shadowed)
-
-    def _emit(self, buf: Buffer, smode: SendMode, rmode: RecvMode,
-              shadowed: bool = False):
-        """Put the wire items of one packed buffer, in plan order."""
-        if self.aborted:
-            return
-        length = len(buf)
-        desc = Buffer.wrap(encode_descriptor(
-            Descriptor(length=length, smode=smode, rmode=rmode)))
-        if smode == SendMode.SAFER and not shadowed and self._pool is None:
-            # (a static origin stages every payload before the pack
-            # completes, which is the copy SAFER asks for)
-            buf = self._shadow(buf)
-        for kind, header_bytes, off, size in wire_items(length, self.mtu,
-                                                        self.batched):
-            if not (yield from self._put(
-                    kind, desc if header_bytes else None,
-                    buf.view(off, off + size) if size else None, size)):
-                return
-
-    def _op_finalize(self):
-        for buf, rmode in self._deferred:
-            yield from self._emit(buf, SendMode.CHEAPER, rmode)
-        self._deferred.clear()
-        yield from self._put("desc", Buffer.wrap(encode_descriptor(
-            Descriptor(length=0, terminator=True))), None, 0)
-        yield self.sim.all_of(self._send_events)
-        self._send_events.clear()
+        if (yield from self._put("eagr", None, pieces,
+                                 sum(map(len, pieces)))):
+            self.vchannel._m_eager_sends.inc()
 
 
-class GTMIncoming(_ExecutorMixin):
+class GTMIncoming(IncomingMessage):
     """Unpacks a forwarded message at its final receiver.
 
     The message arrives on a *regular* channel (the last gateway switches
@@ -330,22 +264,13 @@ class GTMIncoming(_ExecutorMixin):
                  hop_src: int) -> None:
         if announce.mode != MODE_GTM:
             raise ValueError("announce is not a GTM announce")
-        self.endpoint = endpoint
-        self.announce = announce
-        self.origin = announce.origin
-        self.hop_src = hop_src
+        # A forwarded message races the abort switch always.
+        self._arrived(endpoint, announce, hop_src, "gtm-in", True)
         self.mtu = announce.mtu
         self.batched = announce.batched
-        self.msg_id = announce.msg_id
-        self.tm = endpoint.tm
         #: where items land: the rx pool of a static-buffer network, None
         #: where the network receives into user memory.
         self._pool = self.tm.rx_pool
-        self.accounting = self.tm.channel.fabric.accounting
-        self._deferred: list[Buffer] = []
-        self.aborted = False
-        self._init_executor(self.tm.channel.sim, f"gtm-in:{self.msg_id}")
-        self._abort_ev = self.sim.event(name=f"gtm-in:{self.msg_id}.abort")
         self.eager = announce.eager
         self._eager_rec = None
         self._eager_idx = 0
@@ -359,43 +284,19 @@ class GTMIncoming(_ExecutorMixin):
     def _eager_fetched(self, ev: Event) -> None:
         if ev.ok:
             return
-        if self.aborted or isinstance(ev.value, _UnpackAborted):
-            # Recovery code abandoned the message; nobody waits on the
-            # constructor-submitted fetch, so swallow its failure.
+        if (self.aborted or isinstance(ev.value, _Aborted)
+                or self.tm.channel.fabric.injector is not None):
+            # Nobody waits on the constructor-submitted fetch, so swallow
+            # its failure when recovery code abandoned the message — or
+            # will: under an armed fault plan a malformed record is the
+            # wire's doing (a dropped one delivers stale staging memory),
+            # the dead executor answers no unpack, and the reliable layer's
+            # stall bound abandons the message.
             ev.defuse()
         # Otherwise (malformed record on a clean wire) the failure escapes
         # through the kernel — loud, like any other protocol mismatch.
 
-    # -- public interface ----------------------------------------------------
-    def unpack(self, nbytes: Optional[int] = None,
-               smode: SendMode = SendMode.CHEAPER,
-               rmode: RecvMode = RecvMode.CHEAPER,
-               into: Optional[Buffer] = None) -> tuple[Event, Buffer]:
-        into = _landing(nbytes, into, "gtm.unpack")
-        ev = self._submit(self._op_unpack(into, SendMode(smode),
-                                          RecvMode(rmode)))
-        return ev, into
-
-    def end_unpacking(self) -> Event:
-        return self._submit_final(self._op_finalize())
-
-    def abort(self) -> None:
-        """Abandon the rest of the message (fault recovery).
-
-        The peer gave up (or the stream is corrupt beyond repair):
-        remaining items will never arrive, so wake the executor out of any
-        pending receive or pool acquire, and reclaim the buffers those
-        operations hold.  Subsequent unpack events fail with an internal
-        abort error (callers that abandon a message have stopped waiting
-        on them).
-        """
-        if self.aborted:
-            return
-        self.aborted = True
-        if not self._abort_ev.triggered:
-            self._abort_ev.succeed()
-
-    # -- the one wire primitive, and its abort-aware waits ------------------------
+    # -- the one wire primitive -----------------------------------------------------
     def _get(self, kind: str, header_len: int, into: Optional[Buffer],
              size: int, exact: bool = True):
         """Receive one wire item of ``kind``: ``header_len`` bytes of
@@ -405,7 +306,8 @@ class GTMIncoming(_ExecutorMixin):
         bytes.
 
         On a static-buffer network the item lands in an rx block and the
-        payload is copied out; otherwise it lands in place.
+        payload is copied out; otherwise it lands in place.  Nothing stays
+        held between items.
         """
         pool = self._pool
         if pool is not None:
@@ -415,8 +317,8 @@ class GTMIncoming(_ExecutorMixin):
                       if header_len else None)
             landing = (into if record is None else
                        record if into is None else [record, into])
-        post = self.tm.post_item(self.hop_src, landing, msg_id=self.msg_id)
-        meta, n = yield from self._wait_post(post, record, pool)
+        meta, n = yield from self._wait_post(self._post(landing), record,
+                                             pool)
         try:
             if meta.get("type") != kind:
                 raise UnpackMismatch(
@@ -433,46 +335,10 @@ class GTMIncoming(_ExecutorMixin):
             if pool is not None:
                 pool.release(record)
 
-    def _wait_acquire(self, pool):
-        """Pool acquire racing the abort switch; never strands a block."""
-        acq = pool.acquire()
-        idx, value = yield self.sim.any_of([acq, self._abort_ev])
-        if idx == 1:
-            if not pool.cancel_acquire(acq):
-                acq.add_callback(
-                    lambda ev, p=pool: p.release(ev.value) if ev.ok else None)
-            raise _UnpackAborted()
-        return value
+    def _abandon(self) -> None:
+        """Nothing is held between ops (see :meth:`_get`)."""
 
-    def _wait_post(self, post_ev: Event, block, pool):
-        """Posted-receive wait racing the abort switch.
-
-        On abort, an unmatched slot is withdrawn from the fabric and its
-        landing block recycled at once; a matched one recycles when the
-        in-flight transfer completes.
-        """
-        idx, value = yield self.sim.any_of([post_ev, self._abort_ev])
-        if idx == 1:
-            fabric = self.tm.channel.fabric
-            tag = self.tm.body_tag(self.hop_src, self.msg_id)
-            if fabric.cancel_recv(self.tm.nic, tag, post_ev):
-                if pool is not None:
-                    pool.release(block)
-            elif pool is not None:
-                post_ev.add_callback(
-                    lambda ev, b=block, p=pool:
-                    p.release(b) if ev.ok else None)
-            raise _UnpackAborted()
-        return value
-
-    # -- ops --------------------------------------------------------------------
-    def _op_unpack(self, buf: Buffer, smode: SendMode, rmode: RecvMode):
-        validate_modes(smode, rmode)
-        if smode == SendMode.LATER:
-            self._deferred.append(buf)
-            return
-        yield from self._consume(buf)
-
+    # -- the wire plan, read back ----------------------------------------------------
     def _op_recv_eager(self):
         """Receive the single eager wire record (entry table + payloads)."""
         raw = yield from self._get("eagr", max(self.mtu, EAGER_HDR_BYTES),
@@ -498,7 +364,8 @@ class GTMIncoming(_ExecutorMixin):
             buf.copy_from(Buffer.wrap(entry.data), self.accounting,
                           self.sim.now, "gtm.deliver")
 
-    def _consume(self, buf: Buffer, described: bool = False):
+    def _consume(self, buf: Buffer, rmode: Optional[RecvMode] = None,
+                 described: bool = False):
         """Get the wire items of one packed buffer into ``buf``, in plan
         order — the plan the sender's :meth:`GTMOutgoing._emit` put.
         ``described``: the descriptor item was already read (striped
@@ -519,33 +386,11 @@ class GTMIncoming(_ExecutorMixin):
                         f"descriptor announces {announced}B but unpack "
                         f"expects {length}B")
 
-    def _recv_desc(self):
-        raw = yield from self._get("desc", DESC_BYTES, None, 0)
-        return decode_descriptor(raw)
+    def _recv(self, kind: str, nbytes: int, decode):
+        """Get one bare control record of ``kind``, decoded."""
+        return decode((yield from self._get(kind, nbytes, None, 0)))
 
-    def _recv_stripe(self):
-        raw = yield from self._get("stripe", STRIPE_BYTES, None, 0)
-        return decode_stripe(raw)
-
-    # -- striped-rail interface (driven by StripedIncoming) -------------------
-    def read_stripe_record(self) -> Event:
-        """Event carrying this rail's :class:`StripeRecord` — the first
-        body item of a striped message."""
-        return self._submit(self._recv_stripe())
-
-    def read_descriptor(self) -> Event:
-        """Event carrying the next :class:`Descriptor` on this rail."""
-        return self._submit(self._recv_desc())
-
-    def read_into(self, view: Buffer) -> Event:
-        """Consume this rail's stripe of one paquet into ``view`` (whose
-        length the rail's descriptor announced)."""
-        return self._submit(self._consume(view, described=True))
-
-    def _op_finalize(self):
-        for buf in self._deferred:
-            yield from self._consume(buf)
-        self._deferred.clear()
+    def _close(self):
         if self.eager:
             rec = self._eager_rec
             left = (len(rec.entries) if rec is not None else 0) - self._eager_idx
@@ -553,7 +398,24 @@ class GTMIncoming(_ExecutorMixin):
                 raise UnpackMismatch(
                     f"message carries {left} more buffers than were unpacked")
             return
-        desc = yield from self._recv_desc()
+        desc = yield from self._recv("desc", DESC_BYTES, decode_descriptor)
         if not desc.is_terminator:
             raise UnpackMismatch(
                 f"message carries {desc.length}B more data than was unpacked")
+
+    # -- striped-rail interface (driven by StripedIncoming) -------------------
+    def read_stripe_record(self) -> Event:
+        """Event carrying this rail's :class:`StripeRecord` — the first
+        body item of a striped message."""
+        return self._submit(self._recv("stripe", STRIPE_BYTES,
+                                        decode_stripe))
+
+    def read_descriptor(self) -> Event:
+        """Event carrying the next :class:`Descriptor` on this rail."""
+        return self._submit(self._recv("desc", DESC_BYTES,
+                                        decode_descriptor))
+
+    def read_into(self, view: Buffer) -> Event:
+        """Consume this rail's stripe of one paquet into ``view`` (whose
+        length the rail's descriptor announced)."""
+        return self._submit(self._consume(view, described=True))

@@ -40,6 +40,7 @@ from ..memory import Buffer
 from ..routing import NoRouteError
 from ..sim import Event, GatewayCrashed, Queue, RetryExhausted
 from .flags import RecvMode, SendMode
+from .message import MessageStateError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .vchannel import VChannelEndpoint
@@ -375,15 +376,26 @@ class ReliableEndpoint:
                             rank=self.rank, reason=str(exc))
 
     def _bounded(self, ev: Event):
-        """Wait for ``ev`` under the stall bound; returns (ok, value).  A
-        lost event is left behind safely (late failures auto-defuse via the
-        triggered ``any_of``)."""
-        idx, value = yield self.sim.any_of([
-            ev, self.sim.timeout(self.policy.stall_timeout,
-                                 name=f"rel.stall@{self.rank}")])
-        if idx == 1:
-            return False, None
-        return True, value
+        """Wait for ``ev`` under the stall bound; True iff it succeeded in
+        time.  A failed event (mismatched or aborted stream) is as good as
+        a stalled one, and one left behind is safe (late failures
+        auto-defuse via the triggered ``any_of``)."""
+        try:
+            idx, _value = yield self.sim.any_of([
+                ev, self.sim.timeout(self.policy.stall_timeout,
+                                     name=f"rel.stall@{self.rank}")])
+        except Exception:
+            return False
+        return idx == 0
+
+    def _closes(self, incoming):
+        """``end_unpacking`` under the stall bound; True iff the message
+        closed cleanly (GTM terminator / deferred data) in time."""
+        try:
+            ev = incoming.end_unpacking()
+        except MessageStateError:
+            return False    # a fail-fast abort closed it under us
+        return (yield from self._bounded(ev))
 
     def _handle(self, incoming):
         """Consume one incoming vchannel message (a DATA attempt or an ACK).
@@ -394,31 +406,20 @@ class ReliableEndpoint:
         """
         ev, hbuf = incoming.unpack(HEADER_BYTES, SendMode.SAFER,
                                    RecvMode.EXPRESS)
-        try:
-            ok, _ = yield from self._bounded(ev)
-        except Exception:
-            ok = False
-        if not ok:
-            self._abandon_incoming(incoming)
-            self.trace.emit(self.sim.now, "reliable", "attempt_abandoned",
-                            rank=self.rank, where="header")
+        if not (yield from self._bounded(ev)):
+            self._abandon_incoming(incoming, where="header")
             return
         try:
             kind, src, dst, transfer, attempt, start, nfrags, total, \
                 frag_size = _decode_header(hbuf.tobytes())
         except _BadHeader as exc:
-            self._abandon_incoming(incoming)
-            self.trace.emit(self.sim.now, "reliable", "attempt_abandoned",
-                            rank=self.rank, where="header",
-                            reason=str(exc))
+            self._abandon_incoming(incoming, where="header", reason=str(exc))
             return
         if dst != self.rank:
             # A corrupted announce routed someone else's message here;
             # drop it — the real destination's silence triggers a resend.
-            self._abandon_incoming(incoming)
-            self.trace.emit(self.sim.now, "reliable", "attempt_abandoned",
-                            rank=self.rank, where="misrouted", src=src,
-                            dst=dst, transfer=transfer)
+            self._abandon_incoming(incoming, where="misrouted", src=src,
+                                   dst=dst, transfer=transfer)
             return
         if kind == _KIND_ACK:
             st = self._sends.get(transfer)
@@ -432,24 +433,21 @@ class ReliableEndpoint:
                 waiter = self._ack_waiters.pop(transfer, None)
                 if waiter is not None and not waiter.triggered:
                     waiter.succeed(start)
-            try:
-                ok, _ = yield from self._bounded(incoming.end_unpacking())
-            except Exception:
-                ok = False
-            if not ok:
+            if not (yield from self._closes(incoming)):
                 self._abandon_incoming(incoming)
             return
         yield from self._handle_data(incoming, src, transfer, attempt, start,
                                      nfrags, total, frag_size)
 
-    @staticmethod
-    def _abandon_incoming(incoming) -> None:
+    def _abandon_incoming(self, incoming, **why) -> None:
         """Abort an incoming message we are walking away from, so its
         executor does not sit forever on receives that can no longer
-        complete (holding static-pool landing blocks hostage)."""
-        abort = getattr(incoming, "abort", None)
-        if abort is not None:
-            abort()
+        complete (holding static-pool landing blocks hostage); ``why``
+        goes to the trace."""
+        incoming.abort()
+        if why:
+            self.trace.emit(self.sim.now, "reliable", "attempt_abandoned",
+                            rank=self.rank, **why)
 
     def _handle_data(self, incoming, src: int, transfer: int, attempt: int,
                      start: int, nfrags: int, total: int, frag_size: int):
@@ -467,11 +465,7 @@ class ReliableEndpoint:
             size = min(frag_size, total - seq * frag_size)
             ev, fbuf = incoming.unpack(size + FRAG_CRC_BYTES, SendMode.SAFER,
                                        RecvMode.EXPRESS)
-            try:
-                ok, _ = yield from self._bounded(ev)
-            except Exception:
-                ok = False
-            if not ok:
+            if not (yield from self._bounded(ev)):
                 complete = False
                 break
             raw = fbuf.tobytes()
@@ -487,17 +481,10 @@ class ReliableEndpoint:
                 st.acked += 1
             # seq < st.acked: duplicate from an earlier attempt — ignore.
         if complete:
-            # Let the message close cleanly (GTM terminator / deferred data).
-            try:
-                ok, _ = yield from self._bounded(incoming.end_unpacking())
-                complete = ok
-            except Exception:
-                complete = False
+            complete = yield from self._closes(incoming)
         if not complete:
-            self._abandon_incoming(incoming)
-            self.trace.emit(self.sim.now, "reliable", "attempt_abandoned",
-                            rank=self.rank, transfer=transfer,
-                            attempt=attempt, acked=st.acked)
+            self._abandon_incoming(incoming, transfer=transfer,
+                                   attempt=attempt, acked=st.acked)
         if st.acked >= st.nfrags and not st.done:
             st.done = True
             self._m_delivered.inc()

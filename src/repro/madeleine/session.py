@@ -105,33 +105,15 @@ class Session:
                                             adapter_index=aidx))
         if not scenario.quiet:
             scenario.faults.arm(world)
-        pipeline = None
-        if scenario.pipeline is not None:
-            depth, credits, lockstep = scenario.pipeline
-            pipeline = PipelineConfig(depth=depth, credits=credits,
-                                      lockstep=lockstep)
-        stripe = None
-        if scenario.stripe is not None:
-            from ..routing import StripePolicy
-            stripe = StripePolicy(max_rails=scenario.stripe[0],
-                                  min_stripe=scenario.stripe[1])
-        adaptive = None
-        if scenario.adaptive is not None:
-            from .adaptive import TransportPolicy
-            eager, high, low, balance = scenario.adaptive
-            adaptive = TransportPolicy(eager_threshold=eager,
-                                       restripe_high=high,
-                                       restripe_low=low,
-                                       gateway_balance=balance)
         session.virtual_channel(
             channels,
             gateway_params=GatewayParams(
                 stall_timeout=scenario.gw_stall_timeout),
             multirail=scenario.multirail,
             header_batching=scenario.header_batching,
-            pipeline=pipeline,
-            stripe_policy=stripe,
-            transport_policy=adaptive)
+            pipeline=scenario.pipeline_config,
+            stripe_policy=scenario.stripe_policy,
+            transport_policy=scenario.transport_policy)
         return session
 
     # -- lifecycle ---------------------------------------------------------------

@@ -33,9 +33,9 @@ from typing import TYPE_CHECKING, Optional
 from ..memory import Buffer
 from ..sim import Event
 from .bmm import UnpackMismatch
-from .flags import RecvMode, SendMode, validate_modes
+from .flags import RecvMode, SendMode
 from .gtm import GTMIncoming, GTMOutgoing
-from .message import _ExecutorMixin, _as_buffer, _landing
+from .message import IncomingMessage, _Aborted, _as_buffer
 from .wire import StripeRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,19 +47,15 @@ __all__ = ["StripedOutgoing", "StripedIncoming"]
 _stripe_ids = itertools.count(1)
 
 
-class _StripeAborted(Exception):
-    """Internal: the striped message was abandoned by recovery code."""
-
-
 class StripedOutgoing:
     """Packs a message as K concurrent stripes, one per disjoint rail.
 
-    Mirrors the :class:`~repro.madeleine.message.OutgoingMessage` surface;
-    each op fans out to the per-rail GTM messages and completes when every
-    rail has accepted its stripe.  No executor of its own: the per-rail
-    executors already serialize each rail's stream, and the stripe plan is
-    computed synchronously at ``pack`` time from the scheduler's live
-    backlog.
+    Mirrors the :class:`~repro.madeleine.message.OutgoingMessage` surface
+    without inheriting its state machine: each call fans out to the
+    per-rail GTM messages, which run it, and completes when every rail has
+    accepted its stripe.  No executor of its own: the per-rail executors
+    already serialize each rail's stream, and the stripe plan is computed
+    synchronously at ``pack`` time from the scheduler's live backlog.
     """
 
     def __init__(self, vchannel: "VirtualChannel", src: int, dst: int,
@@ -127,7 +123,7 @@ class StripedOutgoing:
             rail.abort()
 
 
-class StripedIncoming(_ExecutorMixin):
+class StripedIncoming(IncomingMessage):
     """Reassembles one striped message from its per-rail GTM streams.
 
     Built by the receiving virtual-channel endpoint as soon as the first
@@ -145,16 +141,14 @@ class StripedIncoming(_ExecutorMixin):
         self.origin = origin
         self.stripe_id = stripe_id
         self.total = total
-        self.aborted = False
         self.msg_id = stripe_id
         self._rails: list[Optional[GTMIncoming]] = [None] * total
         sim = vchannel.sim
         self._attach_evs = [
             sim.event(name=f"stripe-in:{stripe_id}.rail{i}")
             for i in range(total)]
-        self._deferred: list[Buffer] = []
         self._h_depth = vchannel._h_stripe_depth
-        self._init_executor(sim, f"stripe-in:{origin}:{stripe_id}")
+        self._open(sim, f"stripe-in:{origin}:{stripe_id}", True)
 
     # -- rail arrival ---------------------------------------------------------
     def attach(self, record: StripeRecord, rail: GTMIncoming) -> None:
@@ -182,23 +176,9 @@ class StripedIncoming(_ExecutorMixin):
         """True once every rail of the group has attached."""
         return all(rail is not None for rail in self._rails)
 
-    # -- public interface (mirrors GTMIncoming) --------------------------------
-    def unpack(self, nbytes: Optional[int] = None,
-               smode: SendMode = SendMode.CHEAPER,
-               rmode: RecvMode = RecvMode.CHEAPER,
-               into: Optional[Buffer] = None) -> tuple[Event, Buffer]:
-        into = _landing(nbytes, into, "stripe.unpack")
-        ev = self._submit(self._op_unpack(into, SendMode(smode),
-                                          RecvMode(rmode)))
-        return ev, into
-
-    def end_unpacking(self) -> Event:
-        return self._submit_final(self._op_finalize())
-
-    def abort(self) -> None:
-        """Abandon the message: abort every attached rail (late-attaching
-        rails are aborted as they arrive) and unblock the reassembly
-        executor.
+    def _abandon(self) -> None:
+        """Abort every attached rail (late-attaching rails are aborted as
+        they arrive) and unblock the reassembly executor.
 
         Rails that never attach would otherwise strand the executor in
         :meth:`_wait_rails` forever — a process leak holding the group's op
@@ -208,9 +188,6 @@ class StripedIncoming(_ExecutorMixin):
         queued so the executor exits instead of waiting on ops that will
         never come.
         """
-        if self.aborted:
-            return
-        self.aborted = True
         for rail in self._rails:
             if rail is not None:
                 rail.abort()
@@ -222,28 +199,21 @@ class StripedIncoming(_ExecutorMixin):
         # kernel when the application has already walked away.
         self._finished.defuse()
         if not self._closed:
-            self._submit_final(self._abort_close())
+            self._submit(self._abort_close(), last=True)
 
     def _abort_close(self):
-        raise _StripeAborted()
+        raise _Aborted()
         yield  # pragma: no cover - makes this a generator
 
-    # -- ops --------------------------------------------------------------------
-    def _op_unpack(self, buf: Buffer, smode: SendMode, rmode: RecvMode):
-        validate_modes(smode, rmode)
-        if smode == SendMode.LATER:
-            self._deferred.append(buf)
-            return
-        yield from self._gather(buf)
-
+    # -- the gather ---------------------------------------------------------------
     def _wait_rails(self):
         pending = [ev for ev in self._attach_evs if not ev.triggered]
         if pending:
             yield self.sim.all_of(pending)
         if self.aborted:
-            raise _StripeAborted()
+            raise _Aborted()
 
-    def _gather(self, buf: Buffer):
+    def _consume(self, buf: Buffer, rmode: RecvMode):
         yield from self._wait_rails()
         # One descriptor per rail first: together they encode how the
         # sender split this paquet.
@@ -268,10 +238,7 @@ class StripedIncoming(_ExecutorMixin):
             off += nbytes
         yield self.sim.all_of(events)
 
-    def _op_finalize(self):
-        for buf in self._deferred:
-            yield from self._gather(buf)
-        self._deferred.clear()
+    def _close(self):
         yield from self._wait_rails()
         # Every rail must close with its own terminator.
         yield self.sim.all_of([rail.end_unpacking()

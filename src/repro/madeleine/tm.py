@@ -9,7 +9,7 @@ uses for the zero-copy buffer-borrowing trick of §2.3.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..hw.fabric import NIC
 from ..memory import Buffer, StaticBufferPool
@@ -86,6 +86,21 @@ class TransmissionModule:
         return self.channel.fabric.post_recv(self.nic,
                                              self.body_tag(src, msg_id),
                                              buffer, capacity=capacity)
+
+    def abandon_item(self, src: int, msg_id: int, post_ev: Event,
+                     recycle: Optional[Callable[[], None]]) -> None:
+        """Walk away from a posted receive without stranding its landing
+        buffer: an unmatched slot is withdrawn from the fabric and
+        ``recycle`` runs at once; a matched one recycles when the in-flight
+        (late or blackholed) transfer completes, so reused memory can never
+        be written by a straggler."""
+        if self.channel.fabric.cancel_recv(self.nic,
+                                           self.body_tag(src, msg_id),
+                                           post_ev):
+            if recycle is not None:
+                recycle()
+        elif recycle is not None:
+            post_ev.add_callback(lambda ev: recycle() if ev.ok else None)
 
 
 def peer_tm_announce_tag(channel: "RealChannel", dst: int) -> tuple:

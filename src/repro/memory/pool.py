@@ -131,6 +131,12 @@ class StaticBufferPool:
             return False
         return True
 
+    def abandon_acquire(self, ev: Event) -> None:
+        """Walk away from an acquire without stranding a block: withdrawn
+        if still queued, else handed straight back when it is granted."""
+        if not self.cancel_acquire(ev):
+            ev.add_callback(lambda e: self.release(e.value) if e.ok else None)
+
     # -- fault recovery ---------------------------------------------------------
     def fail_waiters(self, exc: BaseException) -> int:
         """Fail every blocked acquire with ``exc`` (node crash)."""

@@ -24,29 +24,22 @@ Five topology families:
 * ``torus`` — a 2D/3D torus direct network à la APEnet+ (generated; set
   ``dims``).
 
-The generated families delegate their node/channel layout to
-:mod:`repro.hw.topogen`.
+Every family's node/channel layout comes from :mod:`repro.hw.topogen`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
 from ..faults import FaultPlan
-from ..hw.params import PROTOCOLS
+from ..hw.params import PROTOCOLS, PipelineConfig
 
 __all__ = ["MessageSpec", "TrafficSpec", "Topology", "Scenario",
            "SCENARIO_VERSION", "TRAFFIC_PATTERNS"]
 
 SCENARIO_VERSION = 1
-
-#: cluster name prefixes for the chain family ("a0", "b1", ...).
-_CLUSTER_TAGS = "abc"
-
-#: topology kinds whose layout is produced by :mod:`repro.hw.topogen`.
-_GENERATED_KINDS = ("hierarchy", "fat_tree", "torus")
 
 #: traffic-engine arrival patterns (see :mod:`repro.traffic`).
 TRAFFIC_PATTERNS = ("uniform", "permutation", "hotspot", "incast")
@@ -54,8 +47,12 @@ TRAFFIC_PATTERNS = ("uniform", "permutation", "hotspot", "incast")
 
 @lru_cache(maxsize=128)
 def _generated(topo: "Topology"):
-    """Materialize a generated topology (cached per frozen Topology)."""
+    """Lay a topology out (cached per frozen Topology)."""
     from ..hw import topogen
+    if topo.kind == "chain":
+        return topogen.chain(topo.protocols, topo.sizes, topo.gateways)
+    if topo.kind == "multirail":
+        return topogen.multirail(topo.protocols, topo.rails)
     if topo.kind == "torus":
         return topogen.torus(topo.dims, topo.protocols[0])
     if topo.kind == "fat_tree":
@@ -70,7 +67,7 @@ def _generated(topo: "Topology"):
             clusters=clusters, cluster_size=size,
             gateways_per_boundary=topo.gateways[0],
             protocols=topo.protocols)
-    raise ValueError(f"not a generated kind: {topo.kind!r}")
+    raise ValueError(f"unknown topology kind {topo.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ class Topology:
         if self.kind != "torus" and self.dims:
             raise ValueError("dims is only valid for the torus kind")
         if self.kind == "chain":
-            if not 2 <= len(self.protocols) <= len(_CLUSTER_TAGS):
+            if not 2 <= len(self.protocols) <= 3:
                 raise ValueError("chain needs 2..3 clusters")
             if len(self.sizes) != len(self.protocols):
                 raise ValueError("one size per cluster")
@@ -231,8 +228,8 @@ class Topology:
 
     @property
     def generated(self):
-        """The :class:`~repro.hw.topogen.GeneratedTopology` backing a
-        generated kind (hierarchy/fat_tree/torus)."""
+        """The :class:`~repro.hw.topogen.GeneratedTopology` laying this
+        shape out: node order (= ranks), names, channels, NIC indices."""
         return _generated(self)
 
     @property
@@ -246,78 +243,25 @@ class Topology:
         return self.gateways[0] >= 2    # hierarchy / fat_tree
 
     def endpoint_names(self) -> list[str]:
-        if self.kind in _GENERATED_KINDS:
-            return list(self.generated.endpoints)
-        if self.kind == "multirail":
-            return ["a0", "b0"]
-        return [f"{_CLUSTER_TAGS[c]}{i}"
-                for c, size in enumerate(self.sizes) for i in range(size)]
+        return list(self.generated.endpoints)
 
     def gateway_names(self) -> list[str]:
-        if self.kind in _GENERATED_KINDS:
-            return list(self.generated.gateways)
-        if self.kind == "multirail":
-            return [f"gw{r}" for r in range(self.rails)]
-        return [f"gw{b}{k}" for b, count in enumerate(self.gateways)
-                for k in range(count)]
+        return list(self.generated.gateways)
 
     def channel_names(self) -> list[str]:
-        if self.kind in _GENERATED_KINDS:
-            return [c.name for c in self.generated.channels]
-        if self.kind == "multirail":
-            return [f"c{side}{r}" for r in range(self.rails)
-                    for side in "ab"]
-        return [f"c{c}" for c in range(len(self.protocols))]
+        return [c.name for c in self.generated.channels]
 
     def node_spec(self) -> dict[str, list[str]]:
         """The ``build_world`` adapter mapping."""
-        if self.kind in _GENERATED_KINDS:
-            return self.generated.node_spec()
-        if self.kind == "multirail":
-            pa, pb = self.protocols
-            rails = self.rails
-            spec: dict[str, list[str]] = {"a0": [pa] * rails}
-            for r in range(rails):
-                spec[f"gw{r}"] = [pa, pb]
-            spec["b0"] = [pb] * rails
-            return spec
-        spec = {}
-        for c, (proto, size) in enumerate(zip(self.protocols, self.sizes)):
-            for i in range(size):
-                spec[f"{_CLUSTER_TAGS[c]}{i}"] = [proto]
-        for b, count in enumerate(self.gateways):
-            for k in range(count):
-                spec[f"gw{b}{k}"] = [self.protocols[b], self.protocols[b + 1]]
-        return spec
+        return self.generated.node_spec()
 
-    def channel_specs(self) -> list[tuple[str, str, list[str],
-                                          Union[int, dict]]]:
+    def channel_specs(self) -> list[tuple[str, str, list[str], dict]]:
         """``(name, protocol, members, adapter_index)`` per real channel."""
-        if self.kind in _GENERATED_KINDS:
-            return self.generated.channel_specs()
-        if self.kind == "multirail":
-            pa, pb = self.protocols
-            out = []
-            for r in range(self.rails):
-                out.append((f"ca{r}", pa, ["a0", f"gw{r}"], {"a0": r}))
-                out.append((f"cb{r}", pb, [f"gw{r}", "b0"], {"b0": r}))
-            return out
-        out = []
-        for c, proto in enumerate(self.protocols):
-            members = [f"{_CLUSTER_TAGS[c]}{i}" for i in range(self.sizes[c])]
-            if c > 0:
-                members += [f"gw{c - 1}{k}"
-                            for k in range(self.gateways[c - 1])]
-            if c < len(self.gateways):
-                members += [f"gw{c}{k}" for k in range(self.gateways[c])]
-            out.append((f"c{c}", proto, members, 0))
-        return out
+        return self.generated.channel_specs()
 
     @property
     def n_nodes(self) -> int:
-        if self.kind in _GENERATED_KINDS:
-            return self.generated.node_count
-        return len(self.endpoint_names()) + len(self.gateway_names())
+        return self.generated.node_count
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "protocols": list(self.protocols),
@@ -428,6 +372,33 @@ class Scenario:
         return (not f.link_events and not f.node_events
                 and (f.default is None or f.default.quiet)
                 and all(cf.quiet for cf in f.channels.values()))
+
+    # -- the policy tuples, as the objects the stack takes ---------------------------
+    @property
+    def pipeline_config(self) -> Optional[PipelineConfig]:
+        if self.pipeline is None:
+            return None
+        depth, credits, lockstep = self.pipeline
+        return PipelineConfig(depth=depth, credits=credits, lockstep=lockstep)
+
+    @property
+    def stripe_policy(self):
+        """The :class:`~repro.routing.StripePolicy`, or None."""
+        if self.stripe is None:
+            return None
+        from ..routing import StripePolicy
+        max_rails, min_stripe = self.stripe
+        return StripePolicy(max_rails=max_rails, min_stripe=min_stripe)
+
+    @property
+    def transport_policy(self):
+        """The :class:`~repro.madeleine.TransportPolicy`, or None."""
+        if self.adaptive is None:
+            return None
+        from ..madeleine.adaptive import TransportPolicy
+        eager, high, low, balance = self.adaptive
+        return TransportPolicy(eager_threshold=eager, restripe_high=high,
+                               restripe_low=low, gateway_balance=balance)
 
     @property
     def n_fault_events(self) -> int:

@@ -26,10 +26,8 @@ from typing import Mapping, Optional, Sequence
 
 from ..analysis.model import _rail_period, fragment_time, route_setup_time
 from ..hw.params import (DEFAULT_GATEWAY, DEFAULT_NODE, PROTOCOLS,
-                         GatewayParams, NodeParams, PipelineConfig,
-                         ProtocolParams)
-from ..routing import (Hop, RouteTable, StripePolicy, disjoint_routes,
-                       negotiate_mtu)
+                         GatewayParams, NodeParams, ProtocolParams)
+from ..routing import Hop, RouteTable, disjoint_routes, negotiate_mtu
 from ..scenario import Scenario
 
 __all__ = ["Resource", "RoutedFlow", "SolverNetwork"]
@@ -88,15 +86,8 @@ class SolverNetwork:
         self.names = list(self.rank)
         self.node = node_params or DEFAULT_NODE
         self.gateway = gateway_params or DEFAULT_GATEWAY
-        if scenario.pipeline is not None:
-            depth, credits, lockstep = scenario.pipeline
-            self.pipeline = PipelineConfig(depth=depth, credits=credits,
-                                           lockstep=lockstep)
-        else:
-            self.pipeline = self.gateway.pipeline
-        self.stripe = (StripePolicy(max_rails=scenario.stripe[0],
-                                    min_stripe=scenario.stripe[1])
-                       if scenario.stripe is not None else None)
+        self.pipeline = scenario.pipeline_config or self.gateway.pipeline
+        self.stripe = scenario.stripe_policy
         self.channels: list[_StubChannel] = []
         by_id: dict[str, _StubChannel] = {}
         for name, proto, members, aidx in topo.channel_specs():

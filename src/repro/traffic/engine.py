@@ -10,10 +10,12 @@ instead of silently throttling the workload.
 Plain flows carry a 12-byte self-describing header (flow id + length) so
 per-destination receivers can demultiplex arrivals in any order; reliable
 flows ride :class:`~repro.madeleine.ReliableEndpoint` and complete at the
-sender's delivery ack.  Flow-level results are recorded twice: exact
-per-flow records on the engine (:attr:`TrafficEngine.records`, feeding the
-p50/p99 summary) and aggregate metrics through the telemetry registry
-(``traffic.*`` — see docs/telemetry.md).
+sender's delivery ack — or, on a lossy enough path, *fail* with the typed
+error the reliable layer gave up with (:attr:`TrafficEngine.failed`), after
+which the source goes on to its next flow.  Flow-level results are recorded
+twice: exact per-flow records on the engine (:attr:`TrafficEngine.records`,
+feeding the p50/p99 summary) and aggregate metrics through the telemetry
+registry (``traffic.*`` — see docs/telemetry.md).
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from ..routing import NoRouteError
 from ..scenario import Scenario, TrafficSpec
+from ..sim import RetryExhausted
 from .flows import Flow, generate_flows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,6 +81,9 @@ class TrafficEngine:
                      else scenario.topology.endpoint_names())
         self.flows = generate_flows(spec, scenario.seed, names)
         self.records: list[FlowRecord] = []
+        #: flows the reliable layer gave up on, as ``(flow, error type
+        #: name)`` — ``RetryExhausted`` or ``NoRouteError``.
+        self.failed: list[tuple[Flow, str]] = []
         self._arrivals = {f.index: f.arrival for f in self.flows}
         self._active = 0
         self.peak_active = 0
@@ -96,9 +103,12 @@ class TrafficEngine:
             self.peak_active = self._active
         self._m_active.inc()
 
-    def _flow_completed(self, flow: Flow) -> None:
+    def _flow_ended(self) -> None:
         self._active -= 1
         self._m_active.dec()
+
+    def _flow_completed(self, flow: Flow) -> None:
+        self._flow_ended()
         self._m_completed.inc()
         self._m_bytes.inc(flow.nbytes)
         record = FlowRecord(flow=flow, completed_at=self.session.now)
@@ -146,8 +156,15 @@ class TrafficEngine:
                 yield sim.timeout(flow.arrival - sim.now)
             self._flow_started()
             payload = _payload(self.scenario.seed, flow.index, flow.nbytes)
-            yield from rel.send(s.rank(flow.dst), payload)
-            self._flow_completed(flow)
+            try:
+                yield from rel.send(s.rank(flow.dst), payload)
+            except (RetryExhausted, NoRouteError) as exc:
+                # The typed end of a transfer (invariant I1), not a crash:
+                # record it and serve the source's next flow.
+                self._flow_ended()
+                self.failed.append((flow, type(exc).__name__))
+            else:
+                self._flow_completed(flow)
 
     # -- entry points --------------------------------------------------------
     def start(self) -> None:
@@ -212,6 +229,7 @@ class TrafficEngine:
         return {
             "flows": len(self.flows),
             "completed": len(self.records),
+            "failed": len(self.failed),
             "peak_active": self.peak_active,
             "p50_fct_us": float(np.percentile(fcts, 50)) if len(fcts) else nan,
             "p99_fct_us": float(np.percentile(fcts, 99)) if len(fcts) else nan,

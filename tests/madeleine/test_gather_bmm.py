@@ -190,3 +190,98 @@ def test_gather_mirror_property(sizes, data):
     w, s, ch = make_pair("myrinet_tiny_mtu")
     parts = [payload(n, seed=n) for n in sizes]
     roundtrip(w, s, ch, parts, modes)
+
+
+# -- the grouping decision, on its own -------------------------------------------
+from types import SimpleNamespace
+from unittest import mock
+
+from repro.madeleine import bmm
+from repro.memory import Buffer
+from repro.sim import Simulator
+
+
+class _Wire:
+    """Stands in for the message on either end: records every payload the
+    BMM would send (or post a slot for) instead of touching a fabric."""
+
+    aborted = False
+
+    def __init__(self, mtu, gather):
+        self.tm = SimpleNamespace(
+            protocol=SimpleNamespace(max_mtu=mtu, gather=gather))
+        self.sim = Simulator()
+        self.payloads = []
+
+    def _record(self, payload, *_kind):
+        self.payloads.append(payload)
+        return self.sim.event()
+
+    _send = _post = _record
+
+    def _wait(self, ev):
+        return (yield ev)
+
+
+def _sizes(payload):
+    """A wire fragment as the byte counts of its gather elements."""
+    return ([len(b) for b in payload] if isinstance(payload, list)
+            else [len(payload)])
+
+
+@given(buffers=st.lists(st.tuples(st.integers(0, 3000), st.booleans()),
+                        max_size=24),
+       mtu=st.sampled_from([1, 64, 1000, 1024]), gather=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_grouping_property(buffers, mtu, gather):
+    """One function decides the gather groups on both ends: the groups tile
+    the buffer list in order, none exceeds the MTU, a buffer of at least
+    one MTU is solo (split into <= MTU pieces), EXPRESS closes its group —
+    and the receiver's slots are the sender's fragments because both come
+    out of the same calls."""
+    calls = []
+    real = bmm.grouping
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(bmm, "grouping", spy):
+        tx, rx = _Wire(mtu, gather), _Wire(mtu, gather)
+        sender = bmm.GatherDynamicBMM(tx)
+        receiver = bmm.GatherDynamicBMMRx(rx)
+        bufs = [Buffer.alloc(n) for n, _express in buffers]
+        modes = [RecvMode.EXPRESS if express else RecvMode.CHEAPER
+                 for _n, express in buffers]
+        closed_by = []      # fragments on the wire after each pack
+        for buf, rmode in zip(bufs, modes):
+            list(sender.emit(buf, rmode))
+            closed_by.append(len(tx.payloads))
+            list(receiver.consume(buf, rmode))
+        list(sender.flush())
+        list(receiver.finish())
+
+    frags = [_sizes(p) for p in tx.payloads]
+    assert frags == [_sizes(p) for p in rx.payloads]
+    assert calls[0::2] == calls[1::2] and len(calls) == 2 * len(buffers)
+    # tiling: concatenated, the fragments are the buffer list in order,
+    # zero-length solo buffers (no fragment at all) aside
+    flat = [n for frag in frags for n in frag]
+    solo = [not gather or n >= mtu for n, _e in buffers]
+    want = []
+    for (n, _e), alone in zip(buffers, solo):
+        want += ([min(mtu, n - off) for off in range(0, n, mtu)] if alone
+                 else [n])
+    assert flat == want
+    assert all(sum(frag) <= mtu for frag in frags)
+    # solo buffers share a fragment with nobody
+    assert all(len(frag) == 1 for frag in frags
+               if any(n >= mtu for n in frag))
+    if not gather:
+        assert all(len(frag) == 1 for frag in frags)
+    # EXPRESS: everything packed so far is on the wire when its pack returns
+    sent_bytes = 0
+    for (n, express), upto in zip(buffers, closed_by):
+        sent_bytes += n
+        if express:
+            assert sum(map(sum, frags[:upto])) == sent_bytes

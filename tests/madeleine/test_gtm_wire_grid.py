@@ -1,12 +1,18 @@
-"""The GTM send path, pinned cell by cell.
+"""The send path, pinned cell by cell.
 
-432 small transfers (origin→destination protocol x send mode x buffer list
-x send flags) whose payload, completion time, kernel event counts, copy
-accounting and wire-fragment count are compared with ``==`` against
-``tests/data/gtm_wire_grid.json``.  The recording was made on the commit
-before the plan/put/get send path replaced the per-mode branches, so any
-wire item that is added, dropped, reordered or staged differently fails
+432 small forwarded transfers (origin→destination protocol x send mode x
+buffer list x send flags) whose payload, completion time, kernel event
+counts, copy accounting and wire-fragment count are compared with ``==``
+against ``tests/data/gtm_wire_grid.json``.  The recording was made on the
+commit before the plan/put/get send path replaced the per-mode branches, so
+any wire item that is added, dropped, reordered or staged differently fails
 here; the file's ``note`` says which cells were re-recorded and why.
+
+216 more cells (``direct`` in the file) pin the regular path the same way:
+one route-length-1 transfer per protocol family — Myrinet (gather),
+Fast-Ethernet (eager), SCI and SBP (static chunks) — x buffer list x send
+flags x EXPRESS or CHEAPER receives, recorded on the commit before the
+message state machine was written once.
 
 Re-record with ``python -m tests.madeleine.test_gtm_wire_grid OUT.json``.
 """
@@ -20,7 +26,7 @@ import pytest
 
 from repro.hw import build_world
 from repro.madeleine import Session, TransportPolicy, reset_global_ids
-from repro.madeleine.flags import SendMode
+from repro.madeleine.flags import RecvMode, SendMode
 from repro.routing import StripePolicy
 
 RECORDING = (pathlib.Path(__file__).parent.parent / "data"
@@ -48,18 +54,32 @@ CELLS = [(o, d, mode, sizes, flags)
          for o, d in DIRECTIONS for mode in MODES
          for sizes in BUFFER_LISTS for flags in FLAGS]
 
+DIRECT_PROTOCOLS = ["myrinet", "fast_ethernet", "sci", "sbp"]
+RECVS = {"express": RecvMode.EXPRESS, "cheaper": RecvMode.CHEAPER}
+#: a direct cell is a forwarded cell's tuple plus the receive mode of
+#: every buffer that is not packed LATER (LATER + EXPRESS is rejected).
+DIRECT_CELLS = [(proto, proto, "direct", sizes, flags, recv)
+                for proto in DIRECT_PROTOCOLS for sizes in BUFFER_LISTS
+                for flags in FLAGS for recv in RECVS]
+
 
 def cell_id(cell) -> str:
-    o, d, mode, sizes, flags = cell
-    return f"{o}>{d}|{mode}|{','.join(map(str, sizes))}|{flags}"
+    o, d, mode, sizes, flags, *recv = cell
+    return "|".join([f"{o}>{d}", mode, ",".join(map(str, sizes)), flags,
+                     *recv])
 
 
 def _session(origin: str, dest: str, vch_kwargs: dict):
     """Two parallel gateways per network boundary (so the striped mode has
     two disjoint rails); same-protocol ends are bridged by the other one,
     over one middle channel per rail so the rails cannot merge at a second
-    gateway (each holds its last-hop connection until the other arrives)."""
-    if origin != dest:
+    gateway (each holds its last-hop connection until the other arrives).
+    ``vch_kwargs=None`` is a direct cell: the two ends on one channel."""
+    if vch_kwargs is None:
+        nodes = {"o": [origin], "d": [origin]}
+        chans = [(origin, ["o", "d"])]
+        vch_kwargs = {}
+    elif origin != dest:
         nodes = {"o": [origin], "gA": [origin, dest], "gB": [origin, dest],
                  "d": [dest]}
         chans = [(origin, ["o", "gA", "gB"]), (dest, ["gA", "gB", "d"])]
@@ -79,27 +99,30 @@ def _session(origin: str, dest: str, vch_kwargs: dict):
 
 
 def run_cell(cell) -> dict:
-    origin, dest, mode, sizes, flags = cell
+    origin, dest, mode, sizes, flags, *recv = cell
     reset_global_ids()
-    world, session, vch = _session(origin, dest, MODES[mode])
+    world, session, vch = _session(origin, dest, MODES.get(mode))
     src, dst = session.rank("o"), session.rank("d")
     rng = np.random.default_rng(len(sizes) + sum(sizes))
     sent = [rng.integers(0, 256, size=n, dtype=np.uint8) for n in sizes]
     want = [p.tobytes() for p in sent]
     smodes = [FLAGS[flags](i) for i in range(len(sizes))]
+    rmodes = [RecvMode.CHEAPER if smode == SendMode.LATER or not recv
+              else RECVS[recv[0]] for smode in smodes]
     out = {}
 
     def sender():
         msg = vch.endpoint(src).begin_packing(dst)
-        for p, smode in zip(sent, smodes):
-            yield msg.pack(p, smode)
+        for p, smode, rmode in zip(sent, smodes, rmodes):
+            yield msg.pack(p, smode, rmode)
             if smode == SendMode.SAFER:
                 p[:] = 0    # SAFER: the caller may reuse the buffer at once
         yield msg.end_packing()
 
     def receiver():
         inc = yield vch.endpoint(dst).begin_unpacking()
-        bufs = [inc.unpack(n, smode)[1] for n, smode in zip(sizes, smodes)]
+        bufs = [inc.unpack(n, smode, rmode)[1]
+                for n, smode, rmode in zip(sizes, smodes, rmodes)]
         yield inc.end_unpacking()
         out["t_delivered"] = session.now
         out["got"] = [b.tobytes() for b in bufs]
@@ -122,8 +145,13 @@ def run_cell(cell) -> dict:
 
 
 @pytest.fixture(scope="module")
-def recording():
-    return json.loads(RECORDING.read_text(encoding="utf-8"))["cells"]
+def recorded():
+    return json.loads(RECORDING.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def recording(recorded):
+    return recorded["cells"]
 
 
 def test_grid_is_the_recorded_grid(recording):
@@ -141,13 +169,27 @@ def test_cells_match_recording(direction, mode, recording):
     assert not differing
 
 
-def dump(cells: dict, note: str, path) -> None:
-    rows = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
-                      for k, v in sorted(cells.items()))
+@pytest.mark.parametrize("proto", DIRECT_PROTOCOLS)
+def test_direct_cells_match_recording(proto, recorded):
+    recording = recorded["direct"]
+    assert sorted(recording) == sorted(cell_id(c) for c in DIRECT_CELLS)
+    cells = [c for c in DIRECT_CELLS if c[0] == proto]
+    assert len(cells) == len(BUFFER_LISTS) * len(FLAGS) * len(RECVS)
+    differing = {cell_id(c): (got, recording[cell_id(c)]) for c in cells
+                 if (got := run_cell(c)) != recording[cell_id(c)]}
+    assert not differing
+
+
+def dump(cells: dict, direct: dict, note: str, path) -> None:
+    def rows(section: dict) -> str:
+        return ",\n".join(
+            f"  {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+            for k, v in sorted(section.items()))
     pathlib.Path(path).write_text(
-        f'{{"note": {json.dumps(note)},\n "cells": {{\n{rows}\n }}}}\n',
-        encoding="utf-8")
+        f'{{"note": {json.dumps(note)},\n "cells": {{\n{rows(cells)}\n }},\n'
+        f' "direct": {{\n{rows(direct)}\n }}}}\n', encoding="utf-8")
 
 
 if __name__ == "__main__":
-    dump({cell_id(c): run_cell(c) for c in CELLS}, "", sys.argv[1])
+    dump({cell_id(c): run_cell(c) for c in CELLS},
+         {cell_id(c): run_cell(c) for c in DIRECT_CELLS}, "", sys.argv[1])

@@ -93,3 +93,76 @@ def test_traffic_spec_validation():
         TrafficSpec(flows=0)
     with pytest.raises(ValueError, match="interarrival"):
         TrafficSpec(mean_interarrival=0.0)
+
+
+# -- topology layout: names, ranks and NIC indices are part of the format -------
+# Literal values read off the hand-written chain/multirail branches these
+# shapes had before hw/topogen laid every family out; corpus files and fault
+# plans name nodes and channels, so none of this may move.
+
+_LAYOUTS = [
+    (Topology("chain", ("myrinet", "sci"), sizes=(2, 2), gateways=(2,)),
+     ["a0", "a1", "b0", "b1"], ["gw00", "gw01"],
+     [("a0", ["myrinet"]), ("a1", ["myrinet"]), ("b0", ["sci"]),
+      ("b1", ["sci"]), ("gw00", ["myrinet", "sci"]),
+      ("gw01", ["myrinet", "sci"])],
+     [("c0", "myrinet", ["a0", "a1", "gw00", "gw01"], [0, 0, 0, 0]),
+      ("c1", "sci", ["b0", "b1", "gw00", "gw01"], [0, 0, 0, 0])]),
+    (Topology("chain", ("sci", "myrinet", "sci"), sizes=(1, 2, 1),
+              gateways=(1, 2)),
+     ["a0", "b0", "b1", "c0"], ["gw00", "gw10", "gw11"],
+     [("a0", ["sci"]), ("b0", ["myrinet"]), ("b1", ["myrinet"]),
+      ("c0", ["sci"]), ("gw00", ["sci", "myrinet"]),
+      ("gw10", ["myrinet", "sci"]), ("gw11", ["myrinet", "sci"])],
+     [("c0", "sci", ["a0", "gw00"], [0, 0]),
+      ("c1", "myrinet", ["b0", "b1", "gw00", "gw10", "gw11"],
+       [0, 0, 0, 0, 0]),
+      ("c2", "sci", ["c0", "gw10", "gw11"], [0, 0, 0])]),
+    (Topology("multirail", ("myrinet", "sci"), gateways=(3,)),
+     ["a0", "b0"], ["gw0", "gw1", "gw2"],
+     [("a0", ["myrinet"] * 3), ("gw0", ["myrinet", "sci"]),
+      ("gw1", ["myrinet", "sci"]), ("gw2", ["myrinet", "sci"]),
+      ("b0", ["sci"] * 3)],
+     [("ca0", "myrinet", ["a0", "gw0"], [0, 0]),
+      ("cb0", "sci", ["gw0", "b0"], [0, 0]),
+      ("ca1", "myrinet", ["a0", "gw1"], [1, 0]),
+      ("cb1", "sci", ["gw1", "b0"], [0, 1]),
+      ("ca2", "myrinet", ["a0", "gw2"], [2, 0]),
+      ("cb2", "sci", ["gw2", "b0"], [0, 2])]),
+]
+
+
+@pytest.mark.parametrize("topo, endpoints, gateways, nodes, channels",
+                         _LAYOUTS, ids=["chain-2x2", "chain-3", "rails-3"])
+def test_chain_and_multirail_layouts_are_pinned(topo, endpoints, gateways,
+                                                nodes, channels):
+    assert topo.endpoint_names() == endpoints
+    assert topo.gateway_names() == gateways
+    assert list(topo.node_spec().items()) == nodes      # order = ranks
+    assert topo.n_nodes == len(nodes)
+    assert topo.channel_names() == [c[0] for c in channels]
+    assert [(name, proto, members, [aidx[m] for m in members])
+            for name, proto, members, aidx in topo.channel_specs()] == channels
+
+
+def test_policy_tuples_convert_once_on_the_scenario():
+    from repro.hw.params import PipelineConfig
+    from repro.madeleine import TransportPolicy
+    from repro.routing import StripePolicy
+
+    topo = Topology("multirail", ("myrinet", "sci"), gateways=(2,))
+    msgs = (MessageSpec("a0", "b0", 1024),)
+    bare = Scenario(seed=1, topology=topo, messages=msgs)
+    assert (bare.pipeline_config, bare.stripe_policy,
+            bare.transport_policy) == (None, None, None)
+    full = bare.with_(pipeline=(4, 3, False), stripe=(2, 4096),
+                      adaptive=(2048, 3.0, 1.5, True))
+    assert full.pipeline_config == PipelineConfig(depth=4, credits=3,
+                                                  lockstep=False)
+    assert full.stripe_policy == StripePolicy(max_rails=2, min_stripe=4096)
+    assert full.transport_policy == TransportPolicy(
+        eager_threshold=2048, restripe_high=3.0, restripe_low=1.5,
+        gateway_balance=True)
+    vch = Session.from_scenario(full).virtual_channels[0]
+    assert (vch.pipeline, vch.stripe_policy, vch.transport_policy) == (
+        full.pipeline_config, full.stripe_policy, full.transport_policy)

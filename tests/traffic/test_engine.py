@@ -58,6 +58,32 @@ def test_reliable_traffic_completes():
     assert session.metrics.total("reliable.deliveries") == 6
 
 
+def test_lossy_reliable_traffic_ends_typed():
+    """4x4 torus, 1% drop everywhere (the benchmark's excluded cell, seed
+    1): transfer 18 gives up after 8 attempts.  That is a typed end of one
+    flow — recorded, the source's next flow served — not a ProcessCrashed
+    out of Session.run."""
+    from repro.faults import ChannelFaults, FaultPlan
+
+    session, engine = _run(
+        seed=1,
+        topology=Topology(kind="torus", protocols=("myrinet",), dims=(4, 4)),
+        traffic=TrafficSpec(pattern="uniform", flows=200,
+                            mean_interarrival=100.0, size=32 << 10,
+                            kind="reliable"),
+        faults=FaultPlan(seed=1, default=ChannelFaults(drop_p=0.01)),
+        gw_stall_timeout=5_000.0)
+    summary = engine.summary()
+    assert summary["failed"] == len(engine.failed) >= 1
+    assert summary["completed"] + summary["failed"] == summary["flows"] == 200
+    assert {error for _flow, error in engine.failed} <= {"RetryExhausted",
+                                                         "NoRouteError"}
+    m = session.metrics
+    assert m.total("traffic.active_flows") == 0
+    assert m.total("traffic.flows_started") == 200
+    assert m.total("traffic.flows_completed") == summary["completed"]
+
+
 def test_traffic_requires_spec():
     from repro.madeleine import Session
     from repro.scenario import MessageSpec
