@@ -47,6 +47,20 @@ class PCIParams:
     #: (measured ≈ 2 in §3.4.1).
     pio_preempt_slowdown: float = 2.0
 
+    def __post_init__(self) -> None:
+        # the DES and the analytic kernels both divide by these
+        if not self.clock_mhz > 0:
+            raise ValueError(f"clock_mhz must be > 0, got {self.clock_mhz}")
+        if not self.width_bytes > 0:
+            raise ValueError(
+                f"width_bytes must be > 0, got {self.width_bytes}")
+        if not 0 < self.duplex_efficiency <= 1:
+            raise ValueError(f"duplex_efficiency must be in (0, 1], "
+                             f"got {self.duplex_efficiency}")
+        if not self.pio_preempt_slowdown >= 1:
+            raise ValueError(f"pio_preempt_slowdown must be >= 1, "
+                             f"got {self.pio_preempt_slowdown}")
+
     @property
     def raw_bandwidth(self) -> float:
         return self.clock_mhz * self.width_bytes  # bytes/µs

@@ -21,13 +21,11 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..madeleine.channel import RealChannel
     from ..telemetry import Telemetry
 
-from .graph import build_graph
+from .graph import ChannelGraph, build_graph
 
 __all__ = ["Hop", "RouteTable", "NoRouteError", "MAX_ROUTE_CANDIDATES"]
 
@@ -35,8 +33,8 @@ __all__ = ["Hop", "RouteTable", "NoRouteError", "MAX_ROUTE_CANDIDATES"]
 #: enumerates.  On highly symmetric graphs (tori, fat-trees) the number of
 #: equal-cost paths grows combinatorially with distance; rail selection only
 #: ever consumes a handful of disjoint candidates, so enumeration stops after
-#: this many paths (the BFS generator yields them in a deterministic order,
-#: so the truncated set is still reproducible across runs).
+#: this many paths (they are yielded in a deterministic order, so the
+#: truncated set is still reproducible across runs).
 MAX_ROUTE_CANDIDATES = 64
 
 
@@ -71,6 +69,39 @@ def _channel_id(channel: Union["RealChannel", str]) -> str:
     return cid[:-4] if cid.endswith("!fwd") else cid
 
 
+def _shortest_paths(g: ChannelGraph, src: int, dst: int):
+    """Every minimum-hop rank path from ``src`` to ``dst`` (none when they
+    are not connected).  Breadth-first levels from ``src`` in adjacency
+    order give each rank its predecessors in discovery order; paths are
+    read back from ``dst`` depth-first over those lists, first predecessor
+    first — the order ``MAX_ROUTE_CANDIDATES`` truncates."""
+    level = {src: 0}
+    pred: dict[int, list[int]] = {src: []}
+    frontier = [src]
+    d = 0
+    while frontier and dst not in level:
+        d += 1
+        nxt = []
+        for node in frontier:
+            for nbr in g.adj[node]:
+                if nbr not in level:
+                    level[nbr] = d
+                    pred[nbr] = [node]
+                    nxt.append(nbr)
+                elif level[nbr] == d:
+                    pred[nbr].append(node)
+        frontier = nxt
+
+    def back(node: int, tail: tuple):
+        if node == src:
+            yield [src, *tail]
+        for p in pred[node]:
+            yield from back(p, (node, *tail))
+
+    if dst in level:
+        yield from back(dst, ())
+
+
 class RouteTable:
     """All-pairs minimum-hop routes over a set of real channels."""
 
@@ -86,7 +117,7 @@ class RouteTable:
         self._dist: dict[int, dict[int, int]] = {}
         self._down_channels: set[str] = set()
         self._down_nodes: set[int] = set()
-        self._active: nx.MultiGraph | None = None
+        self._active: Optional[ChannelGraph] = None
         self._generation = 0
         if telemetry is None:
             from ..telemetry import NULL_TELEMETRY
@@ -180,19 +211,15 @@ class RouteTable:
         return not self._down_channels and not self._down_nodes
 
     @property
-    def active_graph(self) -> nx.MultiGraph:
+    def active_graph(self) -> ChannelGraph:
         """The channel graph restricted to live channels and live ranks."""
         if self._active is None:
             if self.is_healthy():
                 self._active = self.graph
             else:
-                g = self.graph.copy()
-                g.remove_edges_from([
-                    (u, v, k) for u, v, k in g.edges(keys=True)
-                    if _channel_id(k) in self._down_channels
-                ])
-                g.remove_nodes_from([n for n in self._down_nodes if n in g])
-                self._active = g
+                self._active = self.graph.without(
+                    lambda cid: _channel_id(cid) in self._down_channels,
+                    self._down_nodes)
         return self._active
 
     def _unreachable(self, rank: int) -> NoRouteError:
@@ -232,11 +259,10 @@ class RouteTable:
         for rank in (src, dst):
             if rank not in g:
                 raise self._unreachable(rank)
-        try:
-            paths = list(itertools.islice(
-                nx.all_shortest_paths(g, src, dst), MAX_ROUTE_CANDIDATES))
-        except nx.NetworkXNoPath:
-            raise self._no_path(src, dst) from None
+        paths = list(itertools.islice(_shortest_paths(g, src, dst),
+                                      MAX_ROUTE_CANDIDATES))
+        if not paths:
+            raise self._no_path(src, dst)
         routes: list[list[Hop]] = []
         for path in paths:
             routes.extend(self._expand_path(path))
@@ -252,9 +278,9 @@ class RouteTable:
         g = self.active_graph
         choices = []
         for a, b in zip(path, path[1:]):
-            data = g.get_edge_data(a, b)
-            choices.append([Hop(channel=data[k]["channel"], src=a, dst=b)
-                            for k in sorted(data.keys())])
+            chans = g.adj[a][b]
+            choices.append([Hop(channel=chans[cid], src=a, dst=b)
+                            for cid in sorted(chans)])
         return [list(combo) for combo in itertools.product(*choices)]
 
     def next_hop(self, at: int, dst: int) -> Hop:
@@ -326,7 +352,6 @@ class RouteTable:
         hops: list[Hop] = []
         for a, b in zip(path, path[1:]):
             # Deterministic channel choice among (live) parallel edges.
-            data = g.get_edge_data(a, b)
-            cid = min(data.keys())
-            hops.append(Hop(channel=data[cid]["channel"], src=a, dst=b))
+            chans = g.adj[a][b]
+            hops.append(Hop(channel=chans[min(chans)], src=a, dst=b))
         return hops

@@ -3,7 +3,7 @@
 A scenario file is a plain mapping of the :meth:`Scenario.to_dict` shape.
 JSON support is always available; YAML needs PyYAML and raises a clear
 error when it is missing (the library keeps zero hard dependencies beyond
-numpy/networkx).  The format is picked by extension (``.yaml``/``.yml`` vs
+numpy).  The format is picked by extension (``.yaml``/``.yml`` vs
 ``.json``) and by sniffing for pathless text.
 
 Fuzz repro files (``{"version": ..., "scenario": {...}}`` wrappers written

@@ -43,6 +43,14 @@ once, so the walk costs O(footprint entries of the component + members of
 its resources): linear in the giant component of a dense fabric, where one
 member scan per (flow, resource) crossing would be quadratic.
 
+**One contract, two executions.**  :func:`fill` is the only filling
+contract; below :data:`ARRAY_ENTRIES` footprint entries its rounds run as a
+loop over dicts, at or above it the same rounds run as whole-array steps
+over a :class:`Layout` (entries grouped by resource, flow order kept).  The
+two return the same floats under ``==``: the array rounds reproduce every
+per-resource left fold of the loop with ``np.subtract.reduceat`` (see
+:func:`fill`), so which one ran is not observable in any result.
+
 Work done is observable on the network (``recompute_epochs``,
 ``recomputed_flows``, ``live_flow_epochs``) and, when a metrics registry is
 attached, as ``fluid.recomputes``/``fluid.recompute_flows``/
@@ -56,12 +64,20 @@ import itertools
 import operator
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .engine import Event, Simulator
 
 __all__ = ["FluidResource", "Flow", "FluidNetwork", "DMA", "PIO", "fill",
-           "component", "departure_seeds"]
+           "component", "departure_seeds", "Layout", "ARRAY_ENTRIES"]
 
 _EPS = 1e-9
+
+#: footprint entries in one component from which :func:`fill` runs its
+#: rounds on arrays.  Set from the per-size timings in docs/solver.md
+#: ("What an epoch costs"): the loop wins below about 200 entries, the
+#: arrays above, by 2-3x from 850 entries on.
+ARRAY_ENTRIES = 256
 
 #: transaction kinds
 DMA = "dma"
@@ -206,7 +222,23 @@ def fill(ceilings: Sequence[float], footprints: Sequence[Sequence[tuple]],
     ``1e-9``; residuals drop entry by entry in flow order and are clamped
     at 0; a flow freezes within an *absolute* ``1e-9`` of its ceiling or of
     a saturated resource; filling stops when a round freezes nothing.
+
+    One contract, two executions: from :data:`ARRAY_ENTRIES` entries up the
+    rounds run on a :class:`Layout` instead of dicts, float for float.
+    Each per-resource sum of the loop (``load += w``, ``residual -= w *
+    delta``, ``load -= w``) is a left fold in flow order, which is what
+    ``np.subtract.reduceat`` computes over ``[head, term, term, ...]`` when
+    a resource's entries sit behind its head in that order; an entry that
+    sits a round out contributes ``0.0`` (``x - 0.0 == x``), an addition is
+    ``a - (-b)``, and "last entry retired" is decided on integer counts.
     """
+    if sum(map(len, footprints)) < ARRAY_ENTRIES:
+        return _rounds_scalar(ceilings, footprints, capacity_of)
+    return _rounds_array(ceilings, footprints, capacity_of)
+
+
+def _rounds_scalar(ceilings, footprints, capacity_of) -> list[float]:
+    """:func:`fill`'s rounds as a loop over dicts keyed by resource."""
     alloc = [0.0] * len(ceilings)
     residual: dict = {}
     load: dict = {}               # key -> summed weight of active entries
@@ -252,6 +284,104 @@ def fill(ceilings: Sequence[float], footprints: Sequence[Sequence[tuple]],
             break  # no progress possible without a freeze: stop
         active = still
     return alloc
+
+
+def _rounds_array(ceilings, footprints, capacity_of) -> list[float]:
+    """:func:`fill`'s rounds on arrays, for any hashable resource keys:
+    they are interned for this one call (a caller whose keys are already
+    integers builds the :class:`Layout` itself and keeps its arrays)."""
+    index: dict = {}
+    ids = [index.setdefault(key, len(index))
+           for fp in footprints for key, _w in fp]
+    layout = Layout(np.array(ids),
+                    np.array([w for fp in footprints for _key, w in fp],
+                             dtype=float),
+                    [len(fp) for fp in footprints])
+    # every id 0..len(index)-1 occurs, so layout.keys is that range
+    return layout.rounds(ceilings, [capacity_of(key) for key in index])
+
+
+class Layout:
+    """The footprint entries of one component as arrays, for the array
+    execution of :func:`fill`'s rounds.
+
+    Entries are grouped by resource with flow order kept inside a group (a
+    stable sort), and every group starts with one *head* slot, so that
+    ``np.subtract.reduceat(terms, heads)`` folds each resource's entries
+    onto a value placed in its head — left to right, as the loop does.
+    ``ids`` are integer resource keys and ``weights`` floats, one per entry,
+    flow after flow; ``lengths[k]`` is the number of entries of flow ``k``.
+    There must be at least one entry.
+    """
+
+    __slots__ = ("keys", "_flows", "_heads", "_flow", "_res", "_w")
+
+    def __init__(self, ids: np.ndarray, weights: np.ndarray,
+                 lengths: Sequence[int]) -> None:
+        if ids.max() < 1 << 16:
+            ids = ids.astype(np.uint16)     # sorted by radix: several x faster
+        order = np.argsort(ids, kind="stable")
+        grouped = ids[order]
+        first = np.flatnonzero(np.concatenate(
+            ([True], grouped[1:] != grouped[:-1])))   # starts of the groups
+        #: the distinct resource ids, ascending; per-resource arrays
+        #: (``capacities`` of :meth:`rounds`) align with it.
+        self.keys = grouped[first]
+        self._flows = len(lengths)
+        self._heads = first + np.arange(len(first))
+        size = len(grouped) + len(first)
+        entry = np.ones(size, dtype=bool)
+        entry[self._heads] = False
+        # Per-slot columns.  A head slot belongs to flow ``_flows``, which
+        # is never active and never frozen, so it only ever carries the
+        # value :meth:`_fold` puts there.
+        self._res = np.repeat(np.arange(len(first)),
+                              np.diff(self._heads, append=size))
+        self._flow = np.full(size, self._flows)
+        self._flow[entry] = np.repeat(np.arange(self._flows), lengths)[order]
+        self._w = np.zeros(size)
+        self._w[entry] = weights[order]
+
+    def _fold(self, head, terms: np.ndarray) -> np.ndarray:
+        """Per resource ``((head - t1) - t2) - ...`` over its entries'
+        ``terms`` in flow order; ``terms`` (one per slot) is overwritten."""
+        terms[self._heads] = head
+        return np.subtract.reduceat(terms, self._heads)
+
+    def rounds(self, ceilings: Sequence[float],
+               capacities: Sequence[float]) -> list[float]:
+        """:func:`fill`'s rounds; ``capacities`` align with :attr:`keys`."""
+        n, flow, w, heads = self._flows, self._flow, self._w, self._heads
+        ceil = np.array(ceilings, dtype=float)
+        limit = ceil - _EPS
+        alloc = np.zeros(n)
+        residual = np.array(capacities, dtype=float)
+        active = flow < n                             # per slot
+        load = self._fold(0.0, -w)
+        count = np.add.reduceat(active, heads, dtype=np.intp)
+        live = np.arange(n)                           # the active flows
+        while live.size:
+            room = np.full(len(load), np.inf)
+            np.divide(residual, load, out=room, where=count > 0)
+            delta = min((ceil[live] - alloc[live]).min(), room.min())
+            if delta > _EPS:
+                alloc[live] += delta
+                residual = self._fold(residual,
+                                      np.where(active, w * delta, 0.0))
+                residual[residual < 0] = 0.0          # numerical guard
+            blocked = np.zeros(n + 1, dtype=bool)     # on a full resource
+            blocked[flow[(residual <= _EPS)[self._res]]] = True
+            frozen = blocked[live] | ~(alloc[live] < limit[live])
+            if not frozen.any():
+                break  # no progress possible without a freeze: stop
+            retired = np.zeros(n + 1, dtype=bool)
+            retired[live[frozen]] = True
+            gone = retired[flow]                      # their demand, per slot
+            load = self._fold(load, np.where(gone, w, 0.0))
+            count -= np.add.reduceat(gone, heads, dtype=np.intp)
+            active &= ~gone
+            live = live[~frozen]
+        return alloc.tolist()
 
 
 def component(seed, visited: set, members_of: Callable) -> list:

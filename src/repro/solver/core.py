@@ -33,7 +33,8 @@ import numpy as np
 
 from ..scenario import Scenario
 from ..sim.errors import SimError
-from ..sim.fluid import component, departure_seeds, fill
+from ..sim.fluid import (ARRAY_ENTRIES, Layout, component, departure_seeds,
+                         fill)
 from .network import RoutedFlow, SolverNetwork
 
 __all__ = ["FlowEstimate", "FlowStarved", "SolverResult", "max_min_rates",
@@ -219,7 +220,7 @@ class _Rail:
     """
 
     __slots__ = ("rf", "footprint", "rem", "t_last", "rate", "version",
-                 "seq")
+                 "seq", "_packed")
 
     def __init__(self, rf: RoutedFlow, seq: int) -> None:
         self.rf = rf
@@ -231,6 +232,17 @@ class _Rail:
         self.rate = 0.0
         self.version = 0
         self.seq = seq
+        self._packed = None
+
+    def pack(self) -> tuple:
+        """``footprint`` as (resource ids, weights) arrays, built the first
+        time this rail sits in a component large enough for the fill's
+        array rounds and kept for every later epoch."""
+        if self._packed is None:
+            self._packed = (np.array(self.rf.res_ids, dtype=np.intp),
+                            np.array([w for _i, w in self.footprint],
+                                     dtype=float))
+        return self._packed
 
 
 def solve(scenario: Scenario, node_params=None, gateway_params=None,
@@ -257,6 +269,7 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     res_keys = net.res_keys()
     caps = {key: net.resources[key].capacity for key in res_keys}
     capacities = [caps[key] for key in res_keys]      # dense, by resource id
+    capacity_array = np.array(capacities)
     apps = _application_flows(scenario)
     rails: list[RoutedFlow] = []
     meta = {}           # app index -> (src, dst, nbytes, arrival, setup, k)
@@ -318,12 +331,21 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
             comp.sort(key=_arrival)
             touched += len(comp)
             component_sizes[len(comp)] = component_sizes.get(len(comp), 0) + 1
-            comp_res = {i for rail in comp for i, _w in rail.footprint}
+            ceilings = [rail.rf.ceiling for rail in comp]
+            if sum([len(rail.footprint) for rail in comp]) < ARRAY_ENTRIES:
+                comp_res = {i for rail in comp for i, _w in rail.footprint}
+                rates = fill(ceilings, [rail.footprint for rail in comp],
+                             capacities.__getitem__)
+            else:
+                # the same fill on arrays; ids are integers already, so
+                # each rail's columns are packed once, not per call
+                ids, weights = zip(*[rail.pack() for rail in comp])
+                layout = Layout(np.concatenate(ids), np.concatenate(weights),
+                                [len(i) for i in ids])
+                comp_res = layout.keys.tolist()
+                rates = layout.rounds(ceilings, capacity_array[layout.keys])
             for i in comp_res:
                 settle_resource(i, now)
-            rates = fill([rail.rf.ceiling for rail in comp],
-                         [rail.footprint for rail in comp],
-                         capacities.__getitem__)
             for rail, r in zip(comp, rates):
                 if r <= 0.0:
                     raise FlowStarved(rail.rf.id)

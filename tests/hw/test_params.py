@@ -17,6 +17,16 @@ def test_pci_capacity_below_raw():
     assert p.capacity == pytest.approx(p.raw_bandwidth * p.duplex_efficiency)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("clock_mhz", 0), ("clock_mhz", -33.0), ("width_bytes", 0),
+    ("duplex_efficiency", 0), ("duplex_efficiency", 1.01),
+    ("duplex_efficiency", float("nan")), ("pio_preempt_slowdown", 0.5)])
+def test_pci_rejects_what_the_kernels_divide_by(field, value):
+    with pytest.raises(ValueError, match=field):
+        PCIParams(**{field: value})
+    PCIParams(duplex_efficiency=1.0, pio_preempt_slowdown=1.0)   # the edges
+
+
 def test_protocol_registry_complete():
     # other test modules may register ablation variants; the builtins must
     # always be present

@@ -48,6 +48,13 @@ def test_node_params_from_config():
     assert node.pci.preempt_slowdown == 3.0
 
 
+def test_node_params_pci_is_validated_by_field():
+    cfg = dict(PAPER_CFG)
+    cfg["node_params"] = {"pci": {"duplex_efficiency": 0}}
+    with pytest.raises(ValueError, match="duplex_efficiency"):
+        load_config(cfg)
+
+
 def test_missing_nodes_rejected():
     with pytest.raises(ConfigError):
         load_config({"channels": {}})

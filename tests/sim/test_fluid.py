@@ -1,11 +1,19 @@
 """Unit and property tests for the fluid-flow rate solver and scheduler."""
 
+import math
+import pathlib
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.solver.core as solver_core
+from repro.scenario import load_scenario
 from repro.sim import DMA, PIO, FluidNetwork, FluidResource, Simulator
-from repro.sim.fluid import Flow, component, fill
-from repro.solver import RoutedFlow, max_min_rates
+from repro.sim.fluid import (ARRAY_ENTRIES, Flow, Layout, _rounds_array,
+                             _rounds_scalar, component, fill)
+from repro.solver import RoutedFlow, max_min_rates, solve
 
 
 def make(sim=None):
@@ -349,6 +357,92 @@ def test_fill_frozen_vectors(case):
     _what, ceilings, paths, capacities, expected = case
     footprints = [tuple((key, 1) for key in path) for path in paths]
     assert fill(ceilings, footprints, capacities.__getitem__) == expected
+
+
+# -- one contract, two executions ------------------------------------------------
+
+@st.composite
+def fills(draw):
+    """(ceilings, footprints, capacities) for 1-200 flows.  Hypothesis
+    draws the shape — mixed, every flow on one resource, or disjoint flows
+    in one call; integer or real weights; how often a ceiling is 0, under
+    1e-9 or infinite and a capacity under 1e-9 — and a seed; the seed fills
+    in the up to 1,000 entries, which would be too many single draws."""
+    n_flows = draw(st.integers(1, 200))
+    shape = draw(st.sampled_from(("mixed", "one resource", "disjoint")))
+    n_res = 1 if shape == "one resource" else draw(st.integers(1, 40))
+    integer = draw(st.booleans())
+    odd = draw(st.sampled_from((0.0, 0.1, 0.5)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    capacities: dict = {}
+    footprints = []
+    for k in range(n_flows):
+        keys = [rng.randrange(n_res) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            keys.append(keys[0])          # one resource crossed twice
+        if shape == "disjoint":
+            keys = [(k, key) for key in keys]
+        for key in keys:
+            capacities.setdefault(key, rng.uniform(0.0, 1e-9)
+                                  if rng.random() < odd / 4
+                                  else rng.uniform(0.5, 2000.0))
+        footprints.append(tuple(
+            (key, rng.randint(1, 4) if integer else rng.uniform(0.05, 4.0))
+            for key in keys))
+    ceilings = [rng.choice((0.0, rng.uniform(0.0, 1e-9), math.inf))
+                if rng.random() < odd else rng.uniform(0.01, 500.0)
+                for _ in range(n_flows)]
+    return ceilings, footprints, capacities
+
+
+@given(fills())
+@settings(max_examples=300, deadline=None)
+def test_array_rounds_equal_scalar_rounds(data):
+    """Whatever the crossover is set to, which execution ran is not
+    observable: the same floats, compared with ``==``."""
+    ceilings, footprints, capacities = data
+    rates = _rounds_scalar(ceilings, footprints, capacities.__getitem__)
+    assert _rounds_array(ceilings, footprints,
+                         capacities.__getitem__) == rates
+    assert fill(ceilings, footprints, capacities.__getitem__) == rates
+
+
+_DENSE = (pathlib.Path(__file__).resolve().parents[2]
+          / "benchmarks/perf/scenarios/solver_dense.json")
+
+
+def test_dense_fabric_fills_replay_equal(monkeypatch):
+    """Every fill ``solver_dense`` makes at seed 1, re-run both ways: as
+    the DES would meet it (keys interned per call) and as the solver does
+    (integer ids packed per rail), against the scalar rounds."""
+    recorded = []
+
+    def recording_fill(ceilings, footprints, capacity_of):
+        recorded.append((ceilings, footprints, capacity_of))
+        return _rounds_scalar(ceilings, footprints, capacity_of)
+
+    scenario = load_scenario(_DENSE)
+    with monkeypatch.context() as m:
+        m.setattr(solver_core, "ARRAY_ENTRIES", math.inf)   # all via fill
+        m.setattr(solver_core, "fill", recording_fill)
+        scalar = solve(scenario)
+    assert len(recorded) == 318
+    assert sum(sum(map(len, fps)) >= ARRAY_ENTRIES
+               for _c, fps, _cap in recorded) > 250
+    for ceilings, footprints, capacity_of in recorded:
+        rates = _rounds_scalar(ceilings, footprints, capacity_of)
+        assert _rounds_array(ceilings, footprints, capacity_of) == rates
+        ids = np.array([i for fp in footprints for i, _w in fp])
+        layout = Layout(ids, np.array([w for fp in footprints
+                                       for _i, w in fp], dtype=float),
+                        [len(fp) for fp in footprints])
+        assert layout.keys.tolist() == sorted(set(ids.tolist()))
+        assert layout.rounds(ceilings, [capacity_of(i)
+                                        for i in layout.keys]) == rates
+    mixed = solve(scenario)         # the crossover as committed
+    assert mixed.flows == scalar.flows
+    assert mixed.utilization == scalar.utilization
+    assert mixed.duration_us == scalar.duration_us
 
 
 # -- the contention walk -------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.solver.core as solver_core
 from repro.analysis.model import predict_forwarding, predict_multirail
 from repro.hw.params import PROTOCOLS, NodeParams, PCIParams
 from repro.scenario import load_scenario
@@ -170,6 +171,26 @@ def test_starved_rail_raises_a_typed_error():
     assert isinstance(caught.value, SimError)
     assert caught.value.rail_id == (0, 0)
     assert "(0, 0)" in str(caught.value)
+
+
+def test_zero_bus_efficiency_is_a_value_error_not_a_zero_division():
+    # 1e-12 above is positive and starves; 0 never reaches the 3.3.1 kernel
+    with pytest.raises(ValueError, match="duplex_efficiency"):
+        solve(ping_scenario(64 << 10, 1 << 20),
+              node_params=NodeParams(pci=PCIParams(duplex_efficiency=0)))
+
+
+@pytest.mark.parametrize("scenario", [
+    ping_scenario(64 << 10, 1 << 20), traffic_scenario("torus", 16)],
+    ids=["testbed", "torus-4x4-16-flows"])
+def test_small_components_pack_no_rail(monkeypatch, scenario):
+    """Below the fill's array crossover a rail is never turned into
+    arrays: the what-if regime allocates nothing for a path it never
+    takes."""
+    def pack(self):
+        raise AssertionError(f"rail {self.rf.id} was packed")
+    monkeypatch.setattr(solver_core._Rail, "pack", pack)
+    assert solve(scenario).flows
 
 
 # -- memoised per-route kernels ------------------------------------------------
