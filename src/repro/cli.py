@@ -327,11 +327,6 @@ def _bench_scenario(args) -> int:
     from .scenario import load_scenario
 
     scenario = load_scenario(args.scenario)
-    if scenario.traffic is None:
-        print(f"{args.scenario}: scenario has no traffic spec; "
-              f"replay message-level scenarios with "
-              f"'repro fuzz --replay {args.scenario}'", file=sys.stderr)
-        return 2
     print(f"scenario {args.scenario}: {scenario.describe()}")
     row = (solve_traffic_scenario(scenario) if args.mode == "solver"
            else run_traffic_scenario(scenario))

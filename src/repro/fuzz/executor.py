@@ -1,10 +1,13 @@
 """Run one scenario and check the invariant catalog.
 
-The executor is the fuzzer's oracle.  It builds the scenario's world,
-drives the traffic mix to completion under an **event-budget watchdog**
-(the deadlock/livelock detector: a simulation that keeps scheduling events
-without finishing its transfers is as broken as one that hangs), then
-checks every invariant of ``docs/robustness.md``:
+The executor is the fuzzer's oracle.  It sends and receives nothing
+itself: it builds the scenario's stack (:meth:`Session.from_scenario`),
+starts the one driver every scenario runs through
+(:class:`~repro.traffic.TrafficEngine`), steps the simulation to completion
+under an **event-budget watchdog** (the deadlock/livelock detector: a
+simulation that keeps scheduling events without finishing its transfers is
+as broken as one that hangs), then reads the engine's records and checks
+every invariant of ``docs/robustness.md``:
 
 I1  delivery-or-typed-error — every reliable send returns, either
     delivered or with :class:`~repro.sim.RetryExhausted` /
@@ -13,8 +16,8 @@ I2  exactly-once, bit-identical — delivered payload multisets match what
     was sent; a typed-error transfer may or may not have landed (the
     sender gave up, the receiver may have finished), but nothing is ever
     delivered twice or corrupted.
-I3  no deadlock — every traffic process finishes before the event heap
-    drains, and the heap drains within the budget.
+I3  no deadlock — every flow is recorded finished or failed before the
+    event heap drains, and the heap drains within the budget.
 I4  no credit leak — every live worker with no abandoned messages holds
     zero credits after the drain.
 I5  no buffer-pool leak — protocol pools and staging rings are empty
@@ -32,19 +35,15 @@ state that only a node restart reclaims.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from math import inf
 from typing import Optional
 
-import numpy as np
-
-from ..madeleine import (RecvMode, ReliableEndpoint, RetryPolicy, SendMode,
-                         Session, reset_global_ids)
-from ..routing import NoRouteError
-from ..sim import ProcessCrashed, RetryExhausted
+from ..madeleine import Session, reset_global_ids
+from ..sim import ProcessCrashed
 from ..scenario import Scenario
 from ..telemetry.conservation import FRAGMENT_LAW, STRIPE_LAW
+from ..traffic.engine import TrafficEngine, _payload
 
 __all__ = ["FuzzFailure", "FuzzResult", "run_scenario"]
 
@@ -93,9 +92,17 @@ class FuzzResult:
         return not self.failures
 
 
-def _payload(scenario_seed: int, index: int, nbytes: int) -> bytes:
-    rng = np.random.default_rng((scenario_seed, index))
-    return rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+class _Engine(TrafficEngine):
+    """The engine, keeping what every plain receiver unpacked (for I2)."""
+
+    def __init__(self, session: Session, scenario: Scenario) -> None:
+        super().__init__(session, scenario)
+        self.delivered: list[tuple[int, bytes]] = []   # (src_rank, payload)
+
+    def _flow_completed(self, flow, attempts=1, origin=None, buf=None):
+        super()._flow_completed(flow, attempts, origin, buf)
+        if buf is not None:
+            self.delivered.append((origin, buf.tobytes()))
 
 
 class _Run:
@@ -110,104 +117,18 @@ class _Run:
         self.session = Session.from_scenario(scenario)
         self.world = self.session.world
         self.vch = self.session.virtual_channels[0]
-        #: message index -> "delivered" | "typed:<Error>" | None (stuck)
-        self.outcomes: dict[int, Optional[str]] = {
-            i: None for i in range(len(scenario.messages))}
-        self.payloads = {i: _payload(scenario.seed, i, m.nbytes)
-                         for i, m in enumerate(scenario.messages)}
-        self.delivered: list[tuple[int, bytes]] = []   # (src_rank, payload)
+        self.engine = _Engine(self.session, scenario)
+        self.engine.start()
+        #: flow index -> "delivered" | "typed:<Error>" | None (stuck)
+        self.outcomes: dict[int, Optional[str]] = {}
         self.failures: list[FuzzFailure] = []
         self.crashed: Optional[str] = None
-        self._receivers_done: list[bool] = []
-        self.traffic_engine = None
-
-    # -- traffic processes -------------------------------------------------------
-    def _reliable_sender(self, src: str, indices: list[int],
-                         rel: ReliableEndpoint):
-        s = self.session
-        for i in indices:
-            m = self.scenario.messages[i]
-            try:
-                yield from rel.send(s.rank(m.dst), self.payloads[i])
-            except (RetryExhausted, NoRouteError) as exc:
-                self.outcomes[i] = f"typed:{type(exc).__name__}"
-            else:
-                self.outcomes[i] = "delivered"
-
-    def _plain_sender(self, src: str, indices: list[int]):
-        s = self.session
-        ep = self.vch.endpoint(s.rank(src))
-        for i in indices:
-            m = self.scenario.messages[i]
-            msg = ep.begin_packing(s.rank(m.dst))
-            # Self-describing framing: the receiver cannot know which
-            # message arrives first once multirail relaxes ordering.
-            yield msg.pack(struct.pack("<Q", m.nbytes),
-                           SendMode.CHEAPER, RecvMode.EXPRESS)
-            yield msg.pack(self.payloads[i], SendMode.CHEAPER,
-                           RecvMode.CHEAPER)
-            yield msg.end_packing()
-            self.outcomes[i] = "delivered"
-
-    def _plain_receiver(self, dst: str, count: int, done_slot: int):
-        s = self.session
-        ep = self.vch.endpoint(s.rank(dst))
-        for _ in range(count):
-            inc = yield ep.begin_unpacking()
-            ev, lenbuf = inc.unpack(8, SendMode.CHEAPER, RecvMode.EXPRESS)
-            yield ev
-            (nbytes,) = struct.unpack("<Q", lenbuf.tobytes())
-            _ev, buf = inc.unpack(int(nbytes), SendMode.CHEAPER,
-                                  RecvMode.CHEAPER)
-            yield inc.end_unpacking()
-            self.delivered.append((inc.origin, buf.tobytes()))
-        self._receivers_done[done_slot] = True
-
-    def spawn_traffic(self) -> dict[int, ReliableEndpoint]:
-        scenario = self.scenario
-        s = self.session
-        by_src: dict[str, list[int]] = {}
-        for i, m in enumerate(scenario.messages):
-            by_src.setdefault(m.src, []).append(i)
-        kinds = {m.kind for m in scenario.messages}
-        rel: dict[int, ReliableEndpoint] = {}
-        if "reliable" in kinds:
-            policy = RetryPolicy(max_attempts=scenario.max_attempts)
-            parties = ({m.src for m in scenario.messages}
-                       | {m.dst for m in scenario.messages})
-            for name in sorted(parties):
-                rank = s.rank(name)
-                rel[rank] = ReliableEndpoint(self.vch.endpoint(rank), policy)
-            for src, indices in sorted(by_src.items()):
-                s.spawn(self._reliable_sender(src, indices,
-                                              rel[s.rank(src)]),
-                        name=f"fuzz-send:{src}")
-        else:
-            by_dst: dict[str, int] = {}
-            for m in scenario.messages:
-                by_dst[m.dst] = by_dst.get(m.dst, 0) + 1
-            for src, indices in sorted(by_src.items()):
-                s.spawn(self._plain_sender(src, indices),
-                        name=f"fuzz-send:{src}")
-            for dst, count in sorted(by_dst.items()):
-                slot = len(self._receivers_done)
-                self._receivers_done.append(False)
-                s.spawn(self._plain_receiver(dst, count, slot),
-                        name=f"fuzz-recv:{dst}")
-        if scenario.traffic is not None:
-            from ..traffic import TrafficEngine
-            self.traffic_engine = TrafficEngine(s, scenario)
-            self.traffic_engine.start()
-        return rel
 
     # -- the watchdog loop -------------------------------------------------------
     def drive(self) -> None:
         sim = self.session.sim
-        traffic_bytes = (sum(f.nbytes for f in self.traffic_engine.flows)
-                         if self.traffic_engine is not None else 0)
         budget = (_BUDGET_FLOOR + _BUDGET_PER_KB
-                  * ((sum(m.nbytes for m in self.scenario.messages)
-                      + traffic_bytes) // 1024)
+                  * (sum(f.nbytes for f in self.engine.flows) // 1024)
                   * self.scenario.max_attempts)
         start = sim.events_processed
         try:
@@ -231,61 +152,48 @@ class _Run:
                          f"{self.crashed}"))
 
     # -- invariants --------------------------------------------------------------
-    def check(self, rel: dict[int, ReliableEndpoint]) -> None:
+    def check(self) -> None:
         scenario = self.scenario
         s = self.session
-        for ep in rel.values():
+        eng = self.engine
+        for ep in eng.reliable.values():
             while True:
                 got, item = ep.deliveries.try_get()
                 if not got:
                     break
                 src_rank, data, _transfer = item
-                self.delivered.append((src_rank, data))
+                eng.delivered.append((src_rank, data))
+        self.outcomes = {f.index: None for f in eng.flows}
+        for record in eng.records:
+            self.outcomes[record.flow.index] = "delivered"
+        for flow, error in eng.failed:
+            self.outcomes[flow.index] = f"typed:{error}"
         if self.crashed is not None:
             return      # everything below would be noise on a dead world
 
-        # I1/I3: every sender finished; plain receivers consumed everything.
-        for i, outcome in self.outcomes.items():
+        # I1/I3: every flow ended, and on a quiet plan ended delivered.
+        for f in eng.flows:
+            outcome = self.outcomes[f.index]
             if outcome is None:
-                m = scenario.messages[i]
                 self.failures.append(FuzzFailure(
                     "deadlock",
-                    f"message {i} ({m.src}->{m.dst}, {m.nbytes}B) never "
-                    f"completed: sender stuck at heap drain"))
-        for slot, done in enumerate(self._receivers_done):
-            if not done:
+                    f"flow {f.index} ({f.src}->{f.dst}, {f.nbytes}B) never "
+                    f"completed: still in flight at heap drain"))
+            elif scenario.quiet and outcome != "delivered":
                 self.failures.append(FuzzFailure(
-                    "deadlock", f"plain receiver {slot} still waiting at "
-                                f"heap drain"))
-        if self.traffic_engine is not None:
-            eng = self.traffic_engine
-            if len(eng.records) + len(eng.failed) != len(eng.flows):
-                self.failures.append(FuzzFailure(
-                    "deadlock",
-                    f"traffic: {len(eng.records)}/{len(eng.flows)} flows "
-                    f"completed at heap drain"))
-            if scenario.quiet and eng.failed:
-                self.failures.append(FuzzFailure(
-                    "delivery", f"traffic: {len(eng.failed)} flow(s) failed "
-                                f"on a fault-free scenario"))
-        if scenario.quiet:
-            for i, outcome in self.outcomes.items():
-                if outcome is not None and outcome != "delivered":
-                    self.failures.append(FuzzFailure(
-                        "delivery", f"message {i} failed with {outcome} on "
-                                    f"a fault-free scenario"))
+                    "delivery", f"flow {f.index} failed with {outcome} on "
+                                f"a fault-free scenario"))
 
         # I2: exactly-once, bit-identical, against the sent multiset.
         delivered = {}
-        for src_rank, data in self.delivered:
-            key = (src_rank, data)
+        for key in eng.delivered:
             delivered[key] = delivered.get(key, 0) + 1
         confirmed: dict[tuple[int, bytes], int] = {}
         possible: dict[tuple[int, bytes], int] = {}
-        for i, m in enumerate(scenario.messages):
-            key = (s.rank(m.src), self.payloads[i])
+        for f in eng.flows:
+            key = (s.rank(f.src), _payload(scenario.seed, f.index, f.nbytes))
             possible[key] = possible.get(key, 0) + 1
-            if self.outcomes[i] == "delivered":
+            if self.outcomes[f.index] == "delivered":
                 confirmed[key] = confirmed.get(key, 0) + 1
         for key, n in delivered.items():
             if n > possible.get(key, 0):
@@ -393,21 +301,20 @@ class _Run:
 def run_scenario(scenario: Scenario) -> FuzzResult:
     """Execute ``scenario`` and evaluate the invariant catalog."""
     run = _Run(scenario)
-    rel = run.spawn_traffic()
     run.drive()
-    run.check(rel)
+    run.check()
     m = run.session.metrics
     stats = {
         "sim_us": run.session.now,
         "events": run.session.sim.events_processed,
-        "delivered": len(run.delivered),
+        "delivered": len(run.engine.delivered),
         "fragments": int(m.total("wire.fragments")),
         "dropped": int(m.total("faults.fragments_dropped")),
         "forwarded": int(m.total("gateway.messages_forwarded")),
         "abandoned": int(m.total("gateway.messages_abandoned")),
     }
-    if run.traffic_engine is not None:
-        stats["flows"] = len(run.traffic_engine.flows)
-        stats["flows_done"] = len(run.traffic_engine.records)
+    if scenario.traffic is not None:
+        stats["flows"] = len(run.engine.flows)
+        stats["flows_done"] = len(run.engine.records)
     return FuzzResult(scenario=scenario, failures=run.failures,
                       features=run.signature(), stats=stats)

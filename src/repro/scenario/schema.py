@@ -305,7 +305,8 @@ class Scenario:
     # -- sanity -------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`ValueError` on an internally inconsistent scenario
-        (names that don't exist, plain traffic under faults, ...)."""
+        (names that don't exist, plain traffic under faults, plain and
+        reliable transfers mixed, ...)."""
         topo = self.topology
         endpoints = set(topo.endpoint_names())
         gateways = set(topo.gateway_names())
@@ -329,6 +330,14 @@ class Scenario:
                 problems.append("plain traffic requires a fault-free plan")
             if len(endpoints) < 2:
                 problems.append("generated traffic needs >= 2 endpoints")
+        kinds = {m.kind for m in self.messages}
+        if self.traffic is not None:
+            kinds.add(self.traffic.kind)
+        if len(kinds) > 1:
+            problems.append(
+                f"messages and traffic mix kinds {sorted(kinds)}: a "
+                f"ReliableEndpoint owns its rank's whole incoming stream, "
+                f"so a scenario is all plain or all reliable")
         for cid in self.faults.channels:
             if cid not in channels:
                 problems.append(f"fault plan names unknown channel {cid!r}")

@@ -14,7 +14,9 @@ saturates, until every flow is frozen — the fixed point.
 Flow completion times come from an event loop over the fluid system: the
 allocation is recomputed at every flow arrival and completion (the only
 instants it can change), rates are integrated in between, and each
-application flow finishes when its last rail drains.  A scenario with one
+application flow finishes when its last rail drains.  The flows are the
+list :func:`~repro.traffic.flows.scenario_flows` expands the scenario
+into, the very list the DES traffic engine drives.  A scenario with one
 flow on the 3-node testbed collapses to exactly
 :func:`~repro.analysis.model.predict_forwarding`; a single striped flow on
 the multirail topology collapses to
@@ -35,6 +37,7 @@ from ..scenario import Scenario
 from ..sim.errors import SimError
 from ..sim.fluid import (ARRAY_ENTRIES, Layout, component, departure_seeds,
                          fill)
+from ..traffic.flows import scenario_flows
 from .network import RoutedFlow, SolverNetwork
 
 __all__ = ["FlowEstimate", "FlowStarved", "SolverResult", "max_min_rates",
@@ -192,24 +195,6 @@ class SolverResult:
         }
 
 
-def _application_flows(scenario: Scenario) -> list[tuple]:
-    """(index, src, dst, nbytes, arrival) for every flow the scenario
-    offers: the explicit message list at t=0, then the generated traffic —
-    expanded by the *same* :func:`~repro.traffic.flows.generate_flows` the
-    DES engine uses, so both see identical arrivals."""
-    out = [(i, m.src, m.dst, m.nbytes, 0.0)
-           for i, m in enumerate(scenario.messages)]
-    if scenario.traffic is not None:
-        from ..traffic.flows import generate_flows
-        base = len(out)
-        names = scenario.topology.endpoint_names()
-        for f in generate_flows(scenario.traffic, scenario.seed, names):
-            out.append((base + f.index, f.src, f.dst, f.nbytes, f.arrival))
-    if not out:
-        raise ValueError("scenario has no traffic to solve")
-    return out
-
-
 class _Rail:
     """Mutable epoch-loop state of one active rail flow.
 
@@ -270,14 +255,13 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     caps = {key: net.resources[key].capacity for key in res_keys}
     capacities = [caps[key] for key in res_keys]      # dense, by resource id
     capacity_array = np.array(capacities)
-    apps = _application_flows(scenario)
     rails: list[RoutedFlow] = []
-    meta = {}           # app index -> (src, dst, nbytes, arrival, setup, k)
-    for index, src, dst, nbytes, arrival in apps:
-        expanded = net.routed_flows(index, src, dst, nbytes, arrival=arrival)
+    meta = []           # (flow, setup, k), in flow-index order
+    for f in scenario_flows(scenario):
+        expanded = net.routed_flows(f.index, f.src, f.dst, f.nbytes,
+                                    arrival=f.arrival)
         rails.extend(expanded)
-        meta[index] = (src, dst, nbytes, arrival,
-                       max(r.setup_us for r in expanded), len(expanded))
+        meta.append((f, max(r.setup_us for r in expanded), len(expanded)))
 
     # Streaming starts once the route's setup (announce, stripe record,
     # switch overheads, pipeline fill) has played out.  Arrivals are
@@ -437,11 +421,10 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     for i in range(len(res_keys)):
         settle_resource(i, duration)
     estimates = []
-    for index in sorted(meta):
-        src, dst, nbytes, arrival, setup, k = meta[index]
-        fin = max(finish[(index, r)] for r in range(k))
-        estimates.append(FlowEstimate(index=index, src=src, dst=dst,
-                                      nbytes=nbytes, arrival=arrival,
+    for f, setup, k in meta:
+        fin = max(finish[(f.index, r)] for r in range(k))
+        estimates.append(FlowEstimate(index=f.index, src=f.src, dst=f.dst,
+                                      nbytes=f.nbytes, arrival=f.arrival,
                                       setup_us=setup, finish_us=fin,
                                       rails=k))
     utilization = {key: (util[i] / (capacities[i] * duration)

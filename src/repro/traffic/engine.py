@@ -1,11 +1,14 @@
-"""The traffic engine: drive hundreds of concurrent flows over a session.
+"""The traffic engine: the one driver of a scenario's flows over a session.
 
-The engine expands a scenario's :class:`~repro.scenario.TrafficSpec` into
-deterministic flows (:mod:`repro.traffic.flows`) and drives them open-loop:
-every flow starts at its Poisson arrival time regardless of whether earlier
-flows finished, so offered load — not completion rate — shapes the arrival
-process, and congestion shows up as flow-completion-time (FCT) inflation
-instead of silently throttling the workload.
+The engine takes the flow list :func:`~repro.traffic.flows.scenario_flows`
+expands a scenario into — the explicit messages at t=0, then the generated
+traffic — and is the only code that sends and receives it: the benches, the
+fuzz executor and the chaos harness all run this driver, and the analytic
+solver prices the same list.  Flows are driven open-loop: every flow starts
+at its arrival time regardless of whether earlier flows finished, so
+offered load — not completion rate — shapes the arrival process, and
+congestion shows up as flow-completion-time (FCT) inflation instead of
+silently throttling the workload.
 
 Plain flows carry a 12-byte self-describing header (flow id + length) so
 per-destination receivers can demultiplex arrivals in any order; reliable
@@ -22,14 +25,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..routing import NoRouteError
-from ..scenario import Scenario, TrafficSpec
+from ..scenario import Scenario
 from ..sim import RetryExhausted
-from .flows import Flow, generate_flows
+from .flows import Flow, scenario_flows
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..madeleine import Session
@@ -46,6 +49,8 @@ class FlowRecord:
 
     flow: Flow
     completed_at: float
+    #: send attempts the reliable layer needed (1 for a plain flow).
+    attempts: int = 1
 
     @property
     def fct(self) -> float:
@@ -54,7 +59,7 @@ class FlowRecord:
 
 
 class TrafficEngine:
-    """Expand a scenario's traffic spec and drive it over ``session``.
+    """Drive every flow of ``scenario`` over ``session``.
 
     Usage::
 
@@ -65,26 +70,21 @@ class TrafficEngine:
         print(engine.summary())
     """
 
-    def __init__(self, session: "Session", scenario: Scenario,
-                 spec: Optional[TrafficSpec] = None,
-                 endpoints: Optional[Sequence[str]] = None) -> None:
-        spec = spec if spec is not None else scenario.traffic
-        if spec is None:
-            raise ValueError("scenario has no traffic spec")
+    def __init__(self, session: "Session", scenario: Scenario) -> None:
         if not session.virtual_channels:
             raise ValueError("session has no virtual channel")
         self.session = session
         self.scenario = scenario
-        self.spec = spec
         self.vch = session.virtual_channels[0]
-        names = list(endpoints if endpoints is not None
-                     else scenario.topology.endpoint_names())
-        self.flows = generate_flows(spec, scenario.seed, names)
+        #: ``flows[i].index == i``: the messages, then the generated flows.
+        self.flows = scenario_flows(scenario)
         self.records: list[FlowRecord] = []
         #: flows the reliable layer gave up on, as ``(flow, error type
         #: name)`` — ``RetryExhausted`` or ``NoRouteError``.
         self.failed: list[tuple[Flow, str]] = []
-        self._arrivals = {f.index: f.arrival for f in self.flows}
+        #: rank -> the :class:`ReliableEndpoint` of every party to a
+        #: reliable scenario (filled by :meth:`start`).
+        self.reliable: dict = {}
         self._active = 0
         self.peak_active = 0
         self._started = False
@@ -107,48 +107,24 @@ class TrafficEngine:
         self._active -= 1
         self._m_active.dec()
 
-    def _flow_completed(self, flow: Flow) -> None:
+    def _flow_completed(self, flow: Flow, attempts: int = 1,
+                        origin=None, buf=None) -> None:
+        """Record one finished flow.  A plain flow comes with what its
+        receiver unpacked (``origin`` rank, landed ``buf``); a reliable
+        flow's payload sits on its destination endpoint's ``deliveries``."""
         self._flow_ended()
         self._m_completed.inc()
         self._m_bytes.inc(flow.nbytes)
-        record = FlowRecord(flow=flow, completed_at=self.session.now)
+        record = FlowRecord(flow, self.session.now, attempts)
         self._m_fct.observe(record.fct)
         self.records.append(record)
 
-    # -- plain traffic -------------------------------------------------------
-    def _plain_sender(self, flow: Flow):
+    # -- the one sender and the one receiver --------------------------------
+    def _sender(self, flows: list[Flow], rel=None):
+        """Send ``flows`` in order from one process: wait for the arrival,
+        send, record.  Over ``rel`` (the source's reliable endpoint) a flow
+        completes or fails here; a plain flow completes at its receiver."""
         from ..madeleine import RecvMode, SendMode
-        s = self.session
-        sim = s.sim
-        if flow.arrival > sim.now:
-            yield sim.timeout(flow.arrival - sim.now)
-        self._flow_started()
-        payload = _payload(self.scenario.seed, flow.index, flow.nbytes)
-        ep = self.vch.endpoint(s.rank(flow.src))
-        msg = ep.begin_packing(s.rank(flow.dst))
-        yield msg.pack(_FRAME.pack(flow.index, flow.nbytes),
-                       SendMode.CHEAPER, RecvMode.EXPRESS)
-        yield msg.pack(payload, SendMode.CHEAPER, RecvMode.CHEAPER)
-        yield msg.end_packing()
-
-    def _plain_receiver(self, dst: str, count: int):
-        from ..madeleine import RecvMode, SendMode
-        s = self.session
-        ep = self.vch.endpoint(s.rank(dst))
-        by_index = {f.index: f for f in self.flows}
-        for _ in range(count):
-            inc = yield ep.begin_unpacking()
-            ev, head = inc.unpack(_FRAME.size, SendMode.CHEAPER,
-                                  RecvMode.EXPRESS)
-            yield ev
-            flow_id, nbytes = _FRAME.unpack(head.tobytes())
-            _ev, _buf = inc.unpack(int(nbytes), SendMode.CHEAPER,
-                                   RecvMode.CHEAPER)
-            yield inc.end_unpacking()
-            self._flow_completed(by_index[flow_id])
-
-    # -- reliable traffic ----------------------------------------------------
-    def _reliable_sender(self, flows: list[Flow], rel) -> object:
         s = self.session
         sim = s.sim
         for flow in flows:
@@ -156,46 +132,66 @@ class TrafficEngine:
                 yield sim.timeout(flow.arrival - sim.now)
             self._flow_started()
             payload = _payload(self.scenario.seed, flow.index, flow.nbytes)
+            if rel is None:
+                ep = self.vch.endpoint(s.rank(flow.src))
+                msg = ep.begin_packing(s.rank(flow.dst))
+                yield msg.pack(_FRAME.pack(flow.index, flow.nbytes),
+                               SendMode.CHEAPER, RecvMode.EXPRESS)
+                yield msg.pack(payload, SendMode.CHEAPER, RecvMode.CHEAPER)
+                yield msg.end_packing()
+                continue
             try:
-                yield from rel.send(s.rank(flow.dst), payload)
+                attempts = yield from rel.send(s.rank(flow.dst), payload)
             except (RetryExhausted, NoRouteError) as exc:
                 # The typed end of a transfer (invariant I1), not a crash:
                 # record it and serve the source's next flow.
                 self._flow_ended()
                 self.failed.append((flow, type(exc).__name__))
             else:
-                self._flow_completed(flow)
+                self._flow_completed(flow, attempts)
+
+    def _plain_receiver(self, dst: str, count: int):
+        from ..madeleine import RecvMode, SendMode
+        ep = self.vch.endpoint(self.session.rank(dst))
+        for _ in range(count):
+            inc = yield ep.begin_unpacking()
+            ev, head = inc.unpack(_FRAME.size, SendMode.CHEAPER,
+                                  RecvMode.EXPRESS)
+            yield ev
+            flow_id, nbytes = _FRAME.unpack(head.tobytes())
+            _ev, buf = inc.unpack(int(nbytes), SendMode.CHEAPER,
+                                  RecvMode.CHEAPER)
+            yield inc.end_unpacking()
+            self._flow_completed(self.flows[flow_id], 1, inc.origin, buf)
 
     # -- entry points --------------------------------------------------------
     def start(self) -> None:
         """Spawn every traffic process; drive with ``session.run()``.
 
-        Plain traffic gets one sender process per flow (arrivals are
-        open-loop; concurrent sends to one destination queue on the
-        connection locks, which is the congestion under test) and one
-        receiver process per destination.  Reliable traffic is serialized
-        per source — the go-back-N window is per endpoint pair — with
-        queueing delay counted into FCT.
+        Reliable flows are serialized per source, the explicit messages
+        first — the go-back-N window is per endpoint pair — with queueing
+        delay counted into FCT.  Plain traffic gets one receiver process
+        per destination; explicit plain messages go out from one process
+        per source in list order, generated plain flows from one process
+        each (arrivals are open-loop; concurrent sends to one destination
+        queue on the connection locks, which is the congestion under test).
         """
         if self._started:
             raise RuntimeError("traffic already started")
         self._started = True
         s = self.session
-        if self.spec.kind == "reliable":
+        sc = self.scenario
+        # one kind per scenario (Scenario.validate)
+        reliable = (sc.messages[0].kind if sc.messages
+                    else sc.traffic.kind) == "reliable"
+        if reliable:
             from ..madeleine import ReliableEndpoint, RetryPolicy
-            policy = RetryPolicy(max_attempts=self.scenario.max_attempts)
-            parties = sorted({f.src for f in self.flows}
-                             | {f.dst for f in self.flows})
-            rel = {}
-            for name in parties:
+            policy = RetryPolicy(max_attempts=sc.max_attempts)
+            for name in sorted({f.src for f in self.flows}
+                               | {f.dst for f in self.flows}):
                 rank = s.rank(name)
-                rel[rank] = ReliableEndpoint(self.vch.endpoint(rank), policy)
-            by_src: dict[str, list[Flow]] = {}
-            for f in self.flows:
-                by_src.setdefault(f.src, []).append(f)
-            for src in sorted(by_src):
-                s.spawn(self._reliable_sender(by_src[src], rel[s.rank(src)]),
-                        name=f"traffic-send:{src}")
+                self.reliable[rank] = ReliableEndpoint(
+                    self.vch.endpoint(rank), policy)
         else:
             by_dst: dict[str, int] = {}
             for f in self.flows:
@@ -203,9 +199,18 @@ class TrafficEngine:
             for dst in sorted(by_dst):
                 s.spawn(self._plain_receiver(dst, by_dst[dst]),
                         name=f"traffic-recv:{dst}")
-            for f in self.flows:
-                s.spawn(self._plain_sender(f),
-                        name=f"traffic-flow:{f.index}")
+        # what must leave its source in order shares that source's one
+        # process; every other flow gets a process of its own
+        serial = self.flows if reliable else self.flows[:len(sc.messages)]
+        by_src: dict[str, list[Flow]] = {}
+        for f in serial:
+            by_src.setdefault(f.src, []).append(f)
+        for src in sorted(by_src):
+            s.spawn(self._sender(by_src[src],
+                                 self.reliable.get(s.rank(src))),
+                    name=f"traffic-send:{src}")
+        for f in self.flows[len(serial):]:
+            s.spawn(self._sender([f]), name=f"traffic-flow:{f.index}")
 
     def summary(self) -> dict:
         """Flow-level statistics after the run (times in µs).

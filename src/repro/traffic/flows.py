@@ -1,9 +1,12 @@
-"""Deterministic flow generation from a :class:`TrafficSpec`.
+"""What a :class:`~repro.scenario.Scenario` offers, as one list of flows.
 
-Everything is a pure function of ``(spec, seed, endpoints)``: the same
-inputs always yield the same flow list (sources, destinations, sizes,
-Poisson arrival times), which is what makes large traffic scenarios
-replayable and lets property tests pin the schedule.
+:func:`scenario_flows` is the repo's one expansion of a scenario: the DES
+traffic engine drives the list it returns and the analytic solver routes
+the same list, so both see identical sources, sizes and arrivals.
+Everything is a pure function of the scenario (for generated traffic, of
+``(spec, seed, endpoints)``): the same inputs always yield the same flow
+list, which is what makes large traffic scenarios replayable and lets
+property tests pin the schedule.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..scenario import TrafficSpec
+from ..scenario import Scenario, TrafficSpec
 
-__all__ = ["Flow", "generate_flows"]
+__all__ = ["Flow", "generate_flows", "scenario_flows"]
 
 #: domain-separation constant mixed into the flow rng seed so traffic draws
 #: never correlate with payload or fault rngs derived from the same seed.
@@ -24,8 +27,9 @@ _FLOW_STREAM = 0x7AF19C
 
 @dataclass(frozen=True)
 class Flow:
-    """One generated transfer: ``src`` → ``dst``, ``nbytes``, arriving at
-    ``arrival`` µs (open-loop: arrivals do not wait for earlier flows)."""
+    """One transfer: ``src`` → ``dst``, ``nbytes``, arriving at ``arrival``
+    µs (open-loop: arrivals do not wait for earlier flows).  ``index`` is
+    the flow's position in its scenario's flow list."""
 
     index: int
     src: str
@@ -34,9 +38,25 @@ class Flow:
     arrival: float
 
 
-def generate_flows(spec: TrafficSpec, seed: int,
-                   endpoints: Sequence[str]) -> list[Flow]:
-    """Expand ``spec`` into concrete flows over ``endpoints``."""
+def scenario_flows(scenario: Scenario) -> list[Flow]:
+    """Every flow ``scenario`` offers: the explicit message list as flows
+    ``0..n-1`` arriving at t=0, then the generated traffic from index
+    ``n``."""
+    flows = [Flow(index=i, src=m.src, dst=m.dst, nbytes=m.nbytes, arrival=0.0)
+             for i, m in enumerate(scenario.messages)]
+    if scenario.traffic is not None:
+        flows += generate_flows(scenario.traffic, scenario.seed,
+                                scenario.topology.endpoint_names(),
+                                base=len(flows))
+    if not flows:
+        raise ValueError("scenario has no traffic")
+    return flows
+
+
+def generate_flows(spec: TrafficSpec, seed: int, endpoints: Sequence[str],
+                   base: int = 0) -> list[Flow]:
+    """Expand ``spec`` into concrete flows over ``endpoints``, indexed from
+    ``base``."""
     endpoints = list(endpoints)
     n = len(endpoints)
     if n < 2:
@@ -93,6 +113,6 @@ def generate_flows(spec: TrafficSpec, seed: int,
     else:  # pragma: no cover - TrafficSpec validates the pattern
         raise ValueError(f"unknown pattern {spec.pattern!r}")
 
-    return [Flow(index=i, src=s, dst=d, nbytes=int(sizes[i]),
+    return [Flow(index=base + i, src=s, dst=d, nbytes=int(sizes[i]),
                  arrival=float(arrivals[i]))
             for i, (s, d) in enumerate(pairs)]

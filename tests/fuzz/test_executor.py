@@ -1,12 +1,15 @@
 """Executor oracle: clean passes, deterministic results, and detection of a
 deliberately broken stack (the acceptance gate of the fuzzer itself)."""
 
+import pathlib
+
 import pytest
 
 from repro.faults import ChannelFaults, FaultPlan
 from repro.fuzz import (MessageSpec, Scenario, Topology, minimize_scenario,
                         random_scenario, run_scenario)
 from repro.madeleine.gateway import TEST_HOOKS
+from repro.scenario import TrafficSpec, load_scenario
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -129,3 +132,52 @@ def test_lossy_reliable_pair_leaks_nothing(protocols, dst):
         if not result.ok:
             failing[seed] = [str(f) for f in result.failures]
     assert not failing
+
+
+# -- messages and generated traffic in one scenario ----------------------------
+# The executor used to drive scenario.messages with its own senders and
+# receivers next to a TrafficEngine on the same endpoints; the two could not
+# share a rank.
+
+BOTH = load_scenario(pathlib.Path(__file__).parent.parent / "data"
+                     / "messages_plus_incast.json")
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_plain_messages_and_incast_share_a_destination(seed):
+    """Seed 3 died with ``MemoryError: Unable to allocate 78.1 TiB`` (the
+    executor's receiver read an engine frame as its own length), others
+    with ``UnpackMismatch``."""
+    scenario = BOTH.with_(seed=seed)
+    assert {m.kind for m in scenario.messages} == {scenario.traffic.kind} \
+        == {"plain"}
+    result = run_scenario(scenario)
+    assert result.ok, [str(f) for f in result.failures]
+    assert result.stats["delivered"] == result.stats["flows"] \
+        == result.stats["flows_done"] == 2 + 6
+
+
+def test_reliable_messages_and_reliable_traffic_share_endpoints():
+    """Two ReliableEndpoints per rank each "owned" the incoming stream: six
+    false ``[exactly-once] ... delivered 1x but sent 0x`` violations."""
+    scenario = BOTH.with_(
+        seed=5,
+        messages=tuple(MessageSpec(m.src, m.dst, m.nbytes, "reliable")
+                       for m in BOTH.messages),
+        traffic=TrafficSpec(pattern="uniform", flows=6, size=20_000,
+                            mean_interarrival=100.0, kind="reliable"))
+    result = run_scenario(scenario)
+    assert result.ok, [str(f) for f in result.failures]
+    assert result.stats["delivered"] == result.stats["flows_done"] == 2 + 6
+
+
+@pytest.mark.parametrize("messages, traffic", [("plain", "reliable"),
+                                               ("reliable", "plain")])
+def test_mixed_kinds_never_reach_the_driver(messages, traffic):
+    scenario = BOTH.with_(
+        messages=tuple(MessageSpec(m.src, m.dst, m.nbytes, messages)
+                       for m in BOTH.messages),
+        traffic=TrafficSpec(pattern="incast", flows=6, size=20_000,
+                            mean_interarrival=100.0, kind=traffic))
+    with pytest.raises(ValueError, match="mix kinds"):
+        run_scenario(scenario)

@@ -166,3 +166,44 @@ def test_policy_tuples_convert_once_on_the_scenario():
     vch = Session.from_scenario(full).virtual_channels[0]
     assert (vch.pipeline, vch.stripe_policy, vch.transport_policy) == (
         full.pipeline_config, full.stripe_policy, full.transport_policy)
+
+
+# -- one transfer kind per scenario -------------------------------------------------
+
+@pytest.mark.parametrize("kinds, traffic_kind", [
+    (("plain", "reliable"), None),          # across the message list
+    (("plain", "plain"), "reliable"),       # messages vs traffic.kind
+    (("reliable",), "plain"),
+], ids=["messages", "plain-vs-reliable-traffic", "reliable-vs-plain-traffic"])
+def test_mixed_transfer_kinds_are_rejected(tmp_path, kinds, traffic_kind):
+    """A ReliableEndpoint owns its rank's whole incoming stream, so plain
+    and reliable transfers cannot share a scenario; this used to pass
+    validation and end in UnpackMismatch or a heap-drain deadlock."""
+    topo = Topology(kind="chain", protocols=("myrinet", "sci"),
+                    sizes=(2, 2), gateways=(1,))
+    sc = Scenario(
+        seed=5, topology=topo,
+        messages=tuple(MessageSpec("a0", "b0", 4096, kind=k) for k in kinds),
+        traffic=(None if traffic_kind is None else
+                 TrafficSpec(pattern="incast", flows=4, size=8 << 10,
+                             kind=traffic_kind)))
+    match = r"mix kinds \['plain', 'reliable'\].*ReliableEndpoint owns"
+    with pytest.raises(ValueError, match=match):
+        sc.validate()
+    path = tmp_path / "mixed.json"
+    dump_scenario(sc, path)
+    loaded = load_scenario(path)            # loading is not validating
+    assert loaded == sc
+    with pytest.raises(ValueError, match=match):
+        loaded.validate()
+    with pytest.raises(ValueError, match=match):
+        Session.from_scenario(loaded)
+
+
+def test_one_kind_with_messages_and_traffic_is_valid():
+    topo = Topology(kind="chain", protocols=("myrinet", "sci"),
+                    sizes=(2, 2), gateways=(1,))
+    for kind in ("plain", "reliable"):
+        Scenario(seed=5, topology=topo,
+                 messages=(MessageSpec("a0", "b0", 4096, kind=kind),),
+                 traffic=TrafficSpec(flows=4, kind=kind)).validate()

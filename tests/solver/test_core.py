@@ -13,9 +13,9 @@ from repro.scenario import load_scenario
 from repro.sim import SimError
 from repro.solver import (FlowStarved, RoutedFlow, SolverNetwork,
                           max_min_rates, solve, solve_bandwidth)
-from repro.solver.core import _application_flows
 from repro.solver.validate import (multirail_scenario, ping_scenario,
                                    traffic_scenario)
+from repro.traffic import scenario_flows
 
 MYRINET = PROTOCOLS["myrinet"]
 SCI = PROTOCOLS["sci"]
@@ -203,8 +203,7 @@ def test_memoised_kernels_equal_the_unmemoised_computation():
                              / "benchmarks/perf/scenarios/solver_sparse.json")
     warm, cold = SolverNetwork(scenario), SolverNetwork(scenario)
     share = warm.node.pci.capacity / 2
-    pairs = {(src, dst) for _i, src, dst, _n, _t in
-             _application_flows(scenario)}
+    pairs = {(f.src, f.dst) for f in scenario_flows(scenario)}
     assert len(pairs) > 1000
     for src, dst in sorted(pairs):
         route = warm.routes.route(warm.rank[src], warm.rank[dst])

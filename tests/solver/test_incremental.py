@@ -13,17 +13,17 @@ import math
 import pytest
 
 from repro.solver import max_min_rates, solve
-from repro.solver.core import _application_flows
 from repro.solver.network import SolverNetwork
 from repro.solver.validate import (multirail_scenario, ping_scenario,
                                    traffic_scenario)
+from repro.traffic import scenario_flows
 
 
 def _rails(net: SolverNetwork, scenario):
     rails = []
-    for index, src, dst, nbytes, arrival in _application_flows(scenario):
-        rails.extend(net.routed_flows(index, src, dst, nbytes,
-                                      arrival=arrival))
+    for f in scenario_flows(scenario):
+        rails.extend(net.routed_flows(f.index, f.src, f.dst, f.nbytes,
+                                      arrival=f.arrival))
     return rails
 
 CELLS = [traffic_scenario("torus", 8),

@@ -126,3 +126,22 @@ def test_bench_sweep_rails_solver_mode(capsys):
     assert main(["bench", "--sweep-rails", "--mode", "solver"]) == 0
     out = capsys.readouterr().out
     assert "solved | model" in out
+
+
+@pytest.mark.parametrize("mode", ["des", "solver"])
+def test_bench_scenario_runs_a_message_only_scenario(tmp_path, capsys, mode):
+    """A scenario with messages and no traffic spec used to be refused
+    (exit 2, "scenario has no traffic spec") in both modes."""
+    from repro.scenario import (MessageSpec, Scenario, Topology,
+                                dump_scenario)
+    path = tmp_path / "two_messages.json"
+    dump_scenario(Scenario(
+        seed=2,
+        topology=Topology("chain", ("myrinet", "sci"), sizes=(2, 2),
+                          gateways=(1,)),
+        messages=(MessageSpec("a0", "b0", 30_000),
+                  MessageSpec("a1", "b1", 12_000))), path)
+    assert main(["bench", "--scenario", str(path), "--mode", mode]) == 0
+    rows = dict(line.split() for line in
+                capsys.readouterr().out.splitlines()[1:])
+    assert rows["flows"] == "2" and rows["completed"] == "2"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.madeleine import reset_global_ids
-from repro.scenario import Scenario, Topology, TrafficSpec
+from repro.scenario import MessageSpec, Scenario, Topology, TrafficSpec
 from repro.traffic import run_traffic
 
 
@@ -85,13 +85,69 @@ def test_lossy_reliable_traffic_ends_typed():
 
 
 def test_traffic_requires_spec():
+    """What the engine requires is something to drive, not a TrafficSpec: a
+    message-only scenario runs (the engine used to refuse it with "no
+    traffic spec"), and a scenario with neither is refused once, where every
+    reader of a scenario looks."""
     from repro.madeleine import Session
-    from repro.scenario import MessageSpec
-    from repro.traffic import TrafficEngine
 
-    sc = _scenario(traffic=None,
-                   messages=(MessageSpec("t0_0", "t1_1", 1024),))
-    reset_global_ids()
-    session = Session.from_scenario(sc)
-    with pytest.raises(ValueError, match="no traffic spec"):
-        TrafficEngine(session, sc)
+    session, engine = _run(traffic=None,
+                           messages=(MessageSpec("t0_0", "t1_1", 1024),))
+    assert [(f.index, f.src, f.dst, f.nbytes, f.arrival)
+            for f in engine.flows] == [(0, "t0_0", "t1_1", 1024, 0.0)]
+    assert engine.summary()["completed"] == 1
+    with pytest.raises(ValueError, match="no traffic"):
+        Session.from_scenario(_scenario(traffic=None))
+
+
+# -- one flow list, read by the DES and the solver -----------------------------
+
+_MESSAGES = (MessageSpec("t0_0", "t1_1", 24 << 10, "plain"),
+             MessageSpec("t2_0", "t1_1", 6 << 10, "plain"),
+             MessageSpec("t0_0", "t2_2", 1 << 10, "plain"))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(traffic=None, messages=_MESSAGES),
+    dict(),
+    dict(messages=_MESSAGES),
+], ids=["messages", "traffic", "both"])
+def test_engine_and_solver_read_one_flow_list(kw):
+    from repro.solver import solve
+    from repro.traffic import scenario_flows
+
+    scenario = _scenario(**kw)
+    _session, engine = _run(**kw)
+    driven = [(f.index, f.src, f.dst, f.nbytes, f.arrival)
+              for f in engine.flows]
+    assert engine.flows == scenario_flows(scenario)
+    assert driven == [(f.index, f.src, f.dst, f.nbytes, f.arrival)
+                      for f in solve(scenario).flows]
+    n = len(scenario.messages)
+    assert [f.index for f in engine.flows] == list(range(len(driven)))
+    assert driven[:n] == [(i, m.src, m.dst, m.nbytes, 0.0)
+                          for i, m in enumerate(scenario.messages)]
+    assert sorted(r.flow.index for r in engine.records) \
+        == list(range(len(driven)))
+
+
+def test_explicit_plain_messages_leave_a_source_in_list_order():
+    """One sender process per source: t0_0's second message starts only
+    when its first is packed, whatever their sizes."""
+    _session, engine = _run(traffic=None, messages=_MESSAGES)
+    done = {r.flow.index: r.completed_at for r in engine.records}
+    assert done[0] < done[2]
+
+
+def test_flow_records_carry_the_reliable_attempt_count():
+    from repro.faults import ChannelFaults, FaultPlan
+
+    session, engine = _run(
+        traffic=None,
+        messages=(MessageSpec("t0_0", "t1_1", 60_000),
+                  MessageSpec("t0_0", "t2_2", 60_000)),
+        faults=FaultPlan(seed=5, default=ChannelFaults(drop_p=0.05)),
+        gw_stall_timeout=5_000.0)
+    attempts = [r.attempts for r in engine.records]
+    assert len(attempts) == 2 and max(attempts) > 1
+    assert session.metrics.total("reliable.attempts") == sum(attempts)

@@ -1,9 +1,10 @@
 """Chaos harness: reliable forwarding under a randomized fault schedule.
 
-Builds the canonical cluster-of-clusters testbed (a Myrinet sender, two
-Myrinet+SCI gateways, an SCI receiver), arms a seeded
-:class:`~repro.faults.FaultPlan`, pushes a batch of reliable transfers
-through the virtual channel, and verifies every payload arrives intact.
+Describes the canonical cluster-of-clusters testbed (a Myrinet sender, two
+Myrinet+SCI gateways, an SCI receiver) as a :class:`~repro.scenario.Scenario`
+with a seeded :class:`~repro.faults.FaultPlan`, pushes a batch of reliable
+transfers through it with the traffic engine every scenario runs on, and
+verifies every payload arrives intact.
 The schedule is a pure function of ``--seed``, so a failing run is a
 reproducible bug report: re-run with the same arguments and the same
 fragment is dropped at the same simulated microsecond.
@@ -31,10 +32,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.faults import ChannelFaults, FaultPlan, LinkEvent, NodeEvent
-from repro.hw import build_world
-from repro.hw.params import GatewayParams
-from repro.madeleine import ReliableEndpoint, RetryPolicy, Session
-from repro.sim.errors import ProcessCrashed, RetryExhausted
+from repro.madeleine import Session
+from repro.scenario import MessageSpec, Scenario, Topology
+from repro.sim.errors import ProcessCrashed
+from repro.traffic.engine import TrafficEngine, _payload
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos", "replay_command",
            "main"]
@@ -119,74 +120,57 @@ def random_config(seed: int, messages: int = 4,
 
 def run_chaos(cfg: ChaosConfig) -> ChaosReport:
     """Execute one chaos run; never raises on injected faults."""
-    w = build_world({
-        "m0": ["myrinet"], "gwA": ["myrinet", "sci"],
-        "gwB": ["myrinet", "sci"], "s0": ["sci"],
-    })
-    s = Session(w, telemetry=True)
-    myri = s.channel("myrinet", ["m0", "gwA", "gwB"])
-    sci = s.channel("sci", ["gwA", "gwB", "s0"])
+    # a0 -myrinet (c0)- {gw00, gw01} -sci (c1)- b0; "gwA" is gw00.
+    topo = Topology("chain", ("myrinet", "sci"), sizes=(1, 1), gateways=(2,))
     faults = ChannelFaults(drop_p=cfg.drop_p, corrupt_p=cfg.corrupt_p,
                            delay_p=cfg.delay_p, delay_us=cfg.delay_us)
     node_events = []
     if cfg.crash_at is not None:
-        node_events.append(NodeEvent(time=cfg.crash_at, node="gwA"))
+        node_events.append(NodeEvent(time=cfg.crash_at, node="gw00"))
         if cfg.restart_after is not None:
             node_events.append(NodeEvent(time=cfg.crash_at + cfg.restart_after,
-                                         node="gwA", up=True))
+                                         node="gw00", up=True))
     link_events = []
     for down_at, up_at in cfg.flaps:
         # Flap the Myrinet rail: the link driver takes the channel down and
         # back up; in-flight fragments during the window are dropped.
-        link_events.append(LinkEvent(time=down_at, channel=myri.id))
-        link_events.append(LinkEvent(time=up_at, channel=myri.id, up=True))
-    plan = FaultPlan(seed=cfg.seed,
-                     channels={myri.id: faults, sci.id: faults},
-                     link_events=tuple(link_events),
-                     node_events=tuple(node_events))
-    plan.arm(w)
-    vch = s.virtual_channel(
-        [myri, sci], packet_size=cfg.packet_size,
-        gateway_params=GatewayParams(stall_timeout=cfg.gw_stall_timeout))
-
-    rng = np.random.default_rng(cfg.seed)
-    payloads = [rng.integers(0, 256, cfg.nbytes, dtype=np.uint8).tobytes()
-                for _ in range(cfg.messages)]
-    policy = RetryPolicy(max_attempts=cfg.max_attempts)
-    rel_src = ReliableEndpoint(vch.endpoint(s.rank("m0")), policy)
-    rel_dst = ReliableEndpoint(vch.endpoint(s.rank("s0")), policy)
+        link_events.append(LinkEvent(time=down_at, channel="c0"))
+        link_events.append(LinkEvent(time=up_at, channel="c0", up=True))
+    scenario = Scenario(
+        seed=cfg.seed, topology=topo, packet_size=cfg.packet_size,
+        messages=(MessageSpec("a0", "b0", cfg.nbytes),) * cfg.messages,
+        faults=FaultPlan(seed=cfg.seed, channels={"c0": faults, "c1": faults},
+                         link_events=tuple(link_events),
+                         node_events=tuple(node_events)),
+        max_attempts=cfg.max_attempts, gw_stall_timeout=cfg.gw_stall_timeout)
+    s = Session.from_scenario(scenario)
+    engine = TrafficEngine(s, scenario)
+    engine.start()
     report = ChaosReport(ok=False, delivered=0, expected=cfg.messages)
-    got: List[bytes] = []
-
-    def sender():
-        for p in payloads:
-            n = yield from rel_src.send(s.rank("s0"), p)
-            report.attempts.append(n)
-
-    def receiver():
-        for _ in payloads:
-            _src, data, _tid = yield from rel_dst.recv()
-            got.append(data)
-
-    s.spawn(sender(), name="chaos-send")
-    s.spawn(receiver(), name="chaos-recv")
     try:
         s.run()
     except ProcessCrashed as exc:
         report.error = f"{type(exc.__cause__ or exc).__name__}: {exc}"
-    except RetryExhausted as exc:
-        report.error = f"RetryExhausted: {exc}"
+    if engine.failed:
+        report.error = "; ".join(f"{error}: message {flow.index}"
+                                 for flow, error in engine.failed)
 
+    sent = {_payload(cfg.seed, f.index, f.nbytes) for f in engine.flows}
+    got = []
+    deliveries = engine.reliable[s.rank("b0")].deliveries
+    while len(deliveries):
+        _ok, (_src, data, _transfer) = deliveries.try_get()
+        got.append(data)
+    report.attempts = [r.attempts for r in engine.records]
     report.delivered = len(got)
-    report.corrupt = [i for i, data in enumerate(got)
-                      if data != payloads[i]]
+    report.corrupt = [i for i, data in enumerate(got) if data not in sent]
     report.ok = (report.delivered == cfg.messages and not report.corrupt
                  and report.error is None)
     # Recovery statistics come from the telemetry registry — the same
     # numbers `python -m repro stats` prints.
     m = s.metrics
     report.retransmits = m.value("reliable.retransmits",
-                                 vchannel=vch.name, rank=s.rank("m0"))
+                                 vchannel=engine.vch.name, rank=s.rank("a0"))
     report.fragments_dropped = m.total("faults.fragments_dropped")
     report.fragments_corrupted = m.total("faults.fragments_corrupted")
     report.messages_abandoned = m.total("gateway.messages_abandoned")
