@@ -142,8 +142,15 @@ class PingHarness:
     """Builds a fresh paper-style testbed per measurement point.
 
     Simulated state is cheap, so each point runs in a pristine world — the
-    equivalent of the paper's repeated, isolated test runs.
+    equivalent of the paper's repeated, isolated test runs.  The harness
+    keeps one testbed alive: :meth:`build` (and so :meth:`measure`) closes
+    the world it returned last (``World.close``), so a sweep holds one
+    testbed's pool blocks, not one per point waiting for the cycle
+    collector.
     """
+
+    #: the world :meth:`build` returned last; the next build closes it.
+    _world = None
 
     def __init__(self, packet_size: int = 16 << 10,
                  gateway_params=None, protocols=("myrinet", "sci"),
@@ -159,8 +166,10 @@ class PingHarness:
 
     def build(self):
         from ..hw import build_world
+        if self._world is not None:
+            self._world.close()
         pa, pb = self.protocols
-        world = build_world({
+        world = self._world = build_world({
             "a0": [pa, "fast_ethernet"],
             "gw": [pa, pb, "fast_ethernet"],
             "b0": [pb, "fast_ethernet"],
@@ -200,8 +209,11 @@ class MultirailHarness:
     — distinct sender NIC, gateway, and receiver NIC — connect ``a0`` and
     ``b0``.  With ``stripe_policy=None`` the virtual channel uses one route
     (the single-rail reference); with a policy each large paquet is striped
-    across up to ``max_rails`` of them.
+    across up to ``max_rails`` of them.  Like :class:`PingHarness` it keeps
+    one testbed alive: :meth:`build` closes the world it returned last.
     """
+
+    _world = None
 
     def __init__(self, packet_size: int = 8 << 10, rails: int = 2,
                  protocols=("myrinet", "sci"), stripe_policy=None,
@@ -220,12 +232,14 @@ class MultirailHarness:
 
     def build(self):
         from ..hw import build_world
+        if self._world is not None:
+            self._world.close()
         pa, pb = self.protocols
         gws = [f"gw{i}" for i in range(self.rails)]
         nodes = {"a0": [pa] * self.rails + ["fast_ethernet"],
                  **{gw: [pa, pb] for gw in gws},
                  "b0": [pb] * self.rails + ["fast_ethernet"]}
-        world = build_world(nodes, node_params=self.node_params)
+        world = self._world = build_world(nodes, node_params=self.node_params)
         session = Session(world)
         members = []
         for i, gw in enumerate(gws):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
 from ..memory import Buffer, CopyAccounting, StaticBufferPool
-from ..sim import Event, FluidNetwork, FluidResource, Queue, Simulator, TraceRecorder
+from ..sim import (Event, FluidNetwork, FluidPath, FluidResource, Queue,
+                   Simulator, TraceRecorder)
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .node import Node
 from .params import ProtocolParams
@@ -144,6 +145,8 @@ class NIC:
                                          protocol.max_mtu, f"{label}.rxpool",
                                          telemetry=telemetry)
                         if protocol.rx_static else None)
+        fabric.pools += [pool for pool in (self.tx_pool, self.rx_pool)
+                         if pool is not None]
         self._m_fragments = telemetry.metrics.counter(
             "wire.fragments", proto=protocol.name, nic=label)
         self._m_bytes = telemetry.metrics.counter(
@@ -159,9 +162,10 @@ class NIC:
         self._m_failed = telemetry.metrics.counter(
             "wire.fragments_failed", proto=protocol.name, nic=label)
         self._txq: Queue = Queue(sim, name=f"{label}.txq")
-        #: destination NIC -> (flow name, path, peak) of a fragment to it:
-        #: all fixed by the two NICs, so built on the first fragment only.
-        self._wire_to: dict["NIC", tuple[str, tuple, float]] = {}
+        #: destination NIC -> (flow name, fluid path, peak) of a fragment to
+        #: it: all fixed by the two NICs, so built on the first fragment
+        #: only, and every fragment's flow shares the one FluidPath.
+        self._wire_to: dict["NIC", tuple[str, FluidPath, float]] = {}
         self._txov_wire_name = f"{label}.txov+wire"
         sim.process(self._tx_engine(), name=f"nic:{label}")
         node.nics[(protocol.name, index)] = self
@@ -202,6 +206,9 @@ class NIC:
         sim = self.fabric.sim
         proto = self.protocol
         while True:
+            # Hold no finished fragment while waiting: its payload and
+            # landing buffers (pool blocks) would outlive ``World.close``.
+            req = slot = None
             req, slot = yield self._txq.get()
             if slot.blackhole:
                 # The send was given up on (message abort / peer crash): the
@@ -290,7 +297,7 @@ class NIC:
             req.done.succeed(req.nbytes)
             self.fabric._complete_recv(req.dst, slot, req)
 
-    def _wire(self, dst: "NIC") -> tuple[str, tuple, float]:
+    def _wire(self, dst: "NIC") -> tuple[str, FluidPath, float]:
         """Flow name, fluid path and peak of a fragment to ``dst``."""
         proto = self.protocol
         path = (
@@ -299,7 +306,7 @@ class NIC:
             (dst.rx_link, "dma"),
             (dst.node.pci, proto.rx_kind),
         )
-        wire = (f"{self.name}->{dst.name}", path,
+        wire = (f"{self.name}->{dst.name}", FluidPath(path),
                 min(proto.host_peak, dst.protocol.host_peak))
         self._wire_to[dst] = wire
         return wire
@@ -321,10 +328,15 @@ class Fabric:
         self.trace = trace if trace is not None else TraceRecorder()
         self.accounting = accounting if accounting is not None else CopyAccounting()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: (nic id, tag) -> its match point, created on first use; lookups
-        #: that must not create one use ``get``.
+        #: (nic id, tag) -> its match point, created on first use and
+        #: deleted once a handoff leaves it with no slot and no sender (tags
+        #: carry message ids, so kept entries would grow with every
+        #: message); lookups that must not create one use ``get``.
         self._match: defaultdict[tuple[int, Any], _MatchPoint] = \
             defaultdict(_MatchPoint)
+        #: every static pool built on this fabric (NIC tx/rx pools, gateway
+        #: staging rings), for :meth:`repro.hw.World.close`.
+        self.pools: list[StaticBufferPool] = []
         #: optional duck-typed fault hook with a ``fragment_verdict(nic, req)``
         #: method (see :mod:`repro.faults`).  ``None`` keeps the happy path
         #: untouched.
@@ -344,11 +356,14 @@ class Fabric:
         views = _as_views(buffer)
         cap = capacity if capacity is not None else _total_bytes(views)
         slot = _RecvSlot(buffer=views, capacity=cap, done=self.sim.event())
-        point = self._match[(nic.id, tag)]
+        key = (nic.id, tag)
+        point = self._match[key]
         # Handoff is synchronous so the slots/senders lists never hold both
         # kinds at once (no lost-wakeup or double-grab races).
         if point.senders:
             point.senders.pop(0).succeed(slot)
+            if not point.senders:
+                del self._match[key]
         else:
             point.slots.append(slot)
         return slot.done
@@ -362,12 +377,15 @@ class Fabric:
         trigger ``done_ev``, so the caller must wait for that before
         reusing the memory.
         """
-        point = self._match.get((nic.id, tag))
+        key = (nic.id, tag)
+        point = self._match.get(key)
         if point is None:
             return False
         for i, slot in enumerate(point.slots):
             if slot.done is done_ev:
                 del point.slots[i]
+                if not point.slots:
+                    del self._match[key]
                 return True
         return False
 
@@ -375,9 +393,12 @@ class Fabric:
     def _match_sender(self, dst: NIC, tag: Any) -> Event:
         """Event triggering with the matched :class:`_RecvSlot`."""
         ev = self.sim.event()
-        point = self._match[(dst.id, tag)]
+        key = (dst.id, tag)
+        point = self._match[key]
         if point.slots:
             ev.succeed(point.slots.pop(0))
+            if not point.slots:
+                del self._match[key]
         else:
             point.senders.append(ev)
         return ev
@@ -438,16 +459,19 @@ class Fabric:
         number of sends released.
         """
         n = 0
-        for (_nic_id, tag), point in self._match.items():
+        for key, point in list(self._match.items()):
+            tag = key[1]
             if not (isinstance(tag, tuple) and len(tag) >= 2
                     and tag[1] == channel_id):
                 continue
             if msg_id is not None and not (tag[0] == "body"
                                            and tag[-1] == msg_id):
                 continue
-            while point.senders:
-                point.senders.pop(0).succeed(self._blackhole_slot())
-                n += 1
+            if point.senders:
+                while point.senders:
+                    point.senders.pop(0).succeed(self._blackhole_slot())
+                    n += 1
+                del self._match[key]
         return n
 
     def crash_node(self, node: Node, exc: BaseException) -> int:
@@ -460,14 +484,14 @@ class Fabric:
         """
         nic_ids = {nic.id for nic in node.nics.values()}
         n = 0
-        for (nic_id, _tag), point in self._match.items():
-            if nic_id not in nic_ids:
+        for key, point in list(self._match.items()):
+            if key[0] not in nic_ids:
                 continue
             for slot in point.slots:
                 if not slot.done.triggered:
                     slot.done.fail(exc)
                     n += 1
-            point.slots.clear()
             while point.senders:
                 point.senders.pop(0).succeed(self._blackhole_slot())
+            del self._match[key]
         return n

@@ -218,10 +218,12 @@ class ForwardingWorker:
         if ring is None or ring.block_size < size:
             # Outstanding blocks of a smaller predecessor keep their owner
             # reference through ``_Item.pool``, so their releases stay safe.
+            fabric = self.in_channel.fabric
             self._ring = ring = StaticBufferPool(
                 self.sim, self.pipeline.depth, size,
                 name=f"gw{self.gw_rank}.{self.in_channel.id}.ring",
-                telemetry=self.in_channel.fabric.telemetry)
+                telemetry=fabric.telemetry)
+            fabric.pools.append(ring)
         return ring
 
     def _bounded_acquire(self, pool: StaticBufferPool):

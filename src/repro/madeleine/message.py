@@ -62,6 +62,10 @@ class _Aborted(Exception):
 class _ExecutorMixin:
     """Runs queued generator ops strictly in order."""
 
+    #: the Buffer Management Module a message built directly meets the
+    #: wire through (None where a subclass supplies its own wire plan).
+    bmm = None
+
     def _init_executor(self, sim, name: str) -> None:
         self.sim = sim
         self._ops: Queue = Queue(sim, name=f"{name}.ops")
@@ -88,7 +92,7 @@ class _ExecutorMixin:
             try:
                 result = yield from gen
             except BaseException as exc:
-                self._exec_done = True
+                self._exec_returned()
                 done.fail(exc)
                 return
             # The op's return value rides on the completion event, so ops
@@ -97,8 +101,18 @@ class _ExecutorMixin:
             # event count and trigger instants are unchanged.
             done.succeed(result)
             if last:
-                self._exec_done = True
+                self._exec_returned()
                 return
+
+    def _exec_returned(self) -> None:
+        """No op will run any more.  The BMM and the message referred to
+        each other; the BMM lets go, so a finished message (payload and
+        landing buffers included) dies by reference counting.  The message
+        keeps its BMM: an abort after this point still hands back a landing
+        block a failed op left held, as it always did."""
+        self._exec_done = True
+        if self.bmm is not None:
+            self.bmm.msg = None
 
 
 def _as_buffer(data: Union[Buffer, bytes, bytearray, np.ndarray]) -> Buffer:

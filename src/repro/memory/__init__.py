@@ -8,10 +8,10 @@ on every forwarding path.
 
 from .accounting import CopyAccounting, CopySample
 from .buffer import Buffer, DYNAMIC, STATIC, as_payload
-from .pool import PoolExhausted, StaticBufferPool
+from .pool import PoolClosed, PoolExhausted, StaticBufferPool
 
 __all__ = [
     "CopyAccounting", "CopySample",
     "Buffer", "DYNAMIC", "STATIC", "as_payload",
-    "PoolExhausted", "StaticBufferPool",
+    "PoolClosed", "PoolExhausted", "StaticBufferPool",
 ]

@@ -14,21 +14,31 @@ from typing import TYPE_CHECKING, Deque, Optional
 
 import numpy as np
 
-from ..sim import Event, Simulator
+from ..sim import Event, SimError, Simulator
 from .buffer import Buffer, STATIC
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..telemetry import Telemetry
 
-__all__ = ["StaticBufferPool", "PoolExhausted"]
+__all__ = ["StaticBufferPool", "PoolExhausted", "PoolClosed"]
 
 
 class PoolExhausted(RuntimeError):
     """try_acquire() on an empty pool."""
 
 
+class PoolClosed(SimError):
+    """An acquire on a pool whose blocks :meth:`StaticBufferPool.close`
+    released (its world was closed)."""
+
+
 class StaticBufferPool:
-    """Fixed number of fixed-size STATIC buffers with FIFO blocking acquire."""
+    """Fixed number of fixed-size STATIC buffers with FIFO blocking acquire.
+
+    A pool and its blocks refer to each other (each block's ``owner``), so
+    a dropped pool's memory waits for the cycle collector; :meth:`close`
+    lets the blocks go at once.
+    """
 
     def __init__(self, sim: Simulator, count: int, block_size: int,
                  name: str = "pool",
@@ -58,6 +68,7 @@ class StaticBufferPool:
         self._waiters: Deque[Event] = deque()
         self._outstanding: set[Buffer] = set()
         self._retired: set[Buffer] = set()
+        self._closed = False
 
     @property
     def available(self) -> int:
@@ -75,6 +86,8 @@ class StaticBufferPool:
 
     def acquire(self) -> Event:
         """Event that triggers with a free STATIC buffer."""
+        if self._closed:
+            raise PoolClosed(f"pool {self.name!r} is closed")
         ev = self.sim.event(name=f"{self.name}.acquire")
         if self._free and not self._waiters:
             buf = self._free.popleft()
@@ -89,6 +102,8 @@ class StaticBufferPool:
 
     def try_acquire(self) -> Buffer:
         """Immediate acquire; raises :class:`PoolExhausted` if empty."""
+        if self._closed:
+            raise PoolClosed(f"pool {self.name!r} is closed")
         if not self._free or self._waiters:
             raise PoolExhausted(f"pool {self.name!r} has no free block")
         buf = self._free.popleft()
@@ -100,6 +115,8 @@ class StaticBufferPool:
     def release(self, buf: Buffer) -> None:
         if buf.owner is not self:
             raise ValueError(f"buffer {buf!r} does not belong to pool {self.name!r}")
+        if self._closed:
+            return      # the block goes with whoever still holds it
         if buf in self._retired:
             # The pool was reset (node restart) while this block was still
             # checked out by a dying pipeline: swallow the stale release.
@@ -136,6 +153,18 @@ class StaticBufferPool:
         if still queued, else handed straight back when it is granted."""
         if not self.cancel_acquire(ev):
             ev.add_callback(lambda e: self.release(e.value) if e.ok else None)
+
+    def close(self) -> None:
+        """Let every block go (idempotent).  A later acquire raises
+        :class:`PoolClosed`, a blocked one fails with it, and a release is
+        a no-op."""
+        if self._closed:
+            return
+        self._closed = True
+        self._free.clear()
+        self._outstanding.clear()
+        self._retired.clear()
+        self.fail_waiters(PoolClosed(f"pool {self.name!r} was closed"))
 
     # -- fault recovery ---------------------------------------------------------
     def fail_waiters(self, exc: BaseException) -> int:

@@ -91,15 +91,20 @@ def _shortest_paths(g: ChannelGraph, src: int, dst: int):
                 elif level[nbr] == d:
                     pred[nbr].append(node)
         frontier = nxt
-
-    def back(node: int, tail: tuple):
-        if node == src:
-            yield [src, *tail]
-        for p in pred[node]:
-            yield from back(p, (node, *tail))
-
     if dst in level:
-        yield from back(dst, ())
+        yield from _read_back(pred, src, dst, ())
+
+
+def _read_back(pred: dict[int, list[int]], src: int, node: int,
+               tail: tuple):
+    """The paths from ``src`` that end ``(node, *tail)``, first predecessor
+    first.  A module-level generator rather than a closure: a recursive
+    closure refers to itself through its cell, which is a reference cycle
+    per call."""
+    if node == src:
+        yield [src, *tail]
+    for p in pred[node]:
+        yield from _read_back(pred, src, p, (node, *tail))
 
 
 class RouteTable:

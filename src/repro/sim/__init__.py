@@ -6,8 +6,9 @@ Public surface:
   generator-based processes (:mod:`repro.sim.engine`);
 * :class:`Semaphore`, :class:`Mutex`, :class:`Queue`, :class:`Barrier`,
   :class:`Signal` — FIFO synchronization (:mod:`repro.sim.sync`);
-* :class:`FluidNetwork`, :class:`FluidResource`, :class:`Flow` — fluid-flow
-  bandwidth sharing with priority arbitration (:mod:`repro.sim.fluid`);
+* :class:`FluidNetwork`, :class:`FluidResource`, :class:`FluidPath`,
+  :class:`Flow` — fluid-flow bandwidth sharing with priority arbitration
+  (:mod:`repro.sim.fluid`);
 * :class:`TraceRecorder` — simulated-time instrumentation
   (:mod:`repro.sim.trace`).
 """
@@ -16,7 +17,7 @@ from .engine import (AllOf, AnyOf, Event, Process, Simulator, Timeout,
                      PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT)
 from .errors import (DeadlockError, FaultError, GatewayCrashed, ProcessCrashed,
                      RetryExhausted, SchedulingError, SimError, TransferTimeout)
-from .fluid import DMA, PIO, Flow, FluidNetwork, FluidResource
+from .fluid import DMA, PIO, Flow, FluidNetwork, FluidPath, FluidResource
 from .sync import Barrier, Mutex, Queue, Semaphore, Signal
 from .trace import TraceRecord, TraceRecorder
 
@@ -25,7 +26,7 @@ __all__ = [
     "PRIORITY_LATE", "PRIORITY_NORMAL", "PRIORITY_URGENT",
     "DeadlockError", "FaultError", "GatewayCrashed", "ProcessCrashed",
     "RetryExhausted", "SchedulingError", "SimError", "TransferTimeout",
-    "DMA", "PIO", "Flow", "FluidNetwork", "FluidResource",
+    "DMA", "PIO", "Flow", "FluidNetwork", "FluidPath", "FluidResource",
     "Barrier", "Mutex", "Queue", "Semaphore", "Signal",
     "TraceRecord", "TraceRecorder",
 ]

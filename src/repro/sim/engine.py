@@ -33,6 +33,11 @@ bit-identical to the unoptimized kernel, see ``tests/sim/reference_engine.py``):
   triggers (``succeed``, ``succeed_later``, timeouts) push onto the heap
   themselves instead of through ``_enqueue``.
 
+Object lifetime: nothing the kernel is done with waits for the cycle
+collector.  A process drops its bound resume when it returns or crashes,
+and a race (:class:`AnyOf`) takes its one hook off the children that lost,
+so a finished process or race dies by reference counting.
+
 ``events_processed`` counts dispatched events; ``events_cancelled`` counts
 lazily discarded ones.  The benchmark-regression harness tracks
 events-processed-per-MB as the kernel-efficiency figure of merit.
@@ -258,7 +263,9 @@ class Process(Event):
         self.gen = gen
         self._target: Optional[Event] = None
         #: ``_resume`` bound once: every yielded event calls back this one
-        #: object (a reference cycle per process, collected with it).
+        #: object.  It refers back to the process, so it is dropped when
+        #: the process returns or crashes, and a finished process dies by
+        #: reference counting.
         self._resume_bound = self._resume
         Initialize(sim).callbacks.append(self._resume_bound)
 
@@ -277,6 +284,7 @@ class Process(Event):
                 next_ev = self.gen.throw(event._value)
         except StopIteration as stop:
             sim._active_process = None
+            self._resume_bound = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
@@ -300,6 +308,7 @@ class Process(Event):
     def _crash(self, exc: BaseException) -> None:
         """Fail this process with ``exc`` (re-raised by the kernel as
         :class:`ProcessCrashed` unless a waiter handles it)."""
+        self._resume_bound = None
         self._ok = False
         self._value = exc
         self.sim._enqueue(self.sim.now, PRIORITY_NORMAL, self)
@@ -340,28 +349,47 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Triggers when the first child event triggers; value = (index, value)."""
+    """Triggers when the first child event triggers; value = (index, value).
 
-    __slots__ = ("_children",)
+    The race hangs one bound hook on its children.  When the first child
+    fires, the hook leaves every other child: each loser is marked defused
+    (a failure it suffers later does not crash the run, which callers that
+    walk away from a race rely on) and loses the hook, so a long-lived
+    event raced over and over (a gateway's abort switch) carries no hook
+    per lost race and keeps no finished race alive.
+    """
+
+    __slots__ = ("_children", "_hook")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim, name="any_of")
         self._children = list(events)
         if not self._children:
             raise ValueError("AnyOf requires at least one event")
-        for idx, ev in enumerate(self._children):
-            ev.add_callback(lambda e, i=idx: self._check(i, e))
-
-    def _check(self, idx: int, ev: Event) -> None:
-        if self.triggered:
-            if not ev._ok:
+        self._hook = self._check
+        for ev in self._children:
+            if self._hook is None:      # an earlier child had already fired
                 ev._defused = True
-            return
+            else:
+                ev.add_callback(self._hook)
+
+    def _check(self, ev: Event) -> None:
+        hook, self._hook = self._hook, None
+        if hook is None:
+            return      # ``ev`` was listed twice and has already won
+        for child in self._children:
+            if child is not ev:
+                child._defused = True
+                callbacks = child.callbacks
+                # a child listed after one that had fired at construction
+                # never got the hook
+                if callbacks and hook in callbacks:
+                    callbacks.remove(hook)
         if not ev._ok:
             ev._defused = True
             self.fail(ev._value)
             return
-        self.succeed((idx, ev._value))
+        self.succeed((self._children.index(ev), ev._value))
 
 
 class Simulator:

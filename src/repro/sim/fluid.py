@@ -44,8 +44,8 @@ its resources): linear in the giant component of a dense fabric, where one
 member scan per (flow, resource) crossing would be quadratic.  An arrival
 whose resources carry no other flow — most fragments of a DES run — is its
 own component and skips the walk: :meth:`FluidNetwork._attach` sees that
-while it adds the flow, from facts a :class:`Flow` computes once (its
-distinct resources, those it counts as DMA on, its PIO hops).
+while it adds the flow, from facts its :class:`FluidPath` computes once per
+path (its distinct resources, those it counts as DMA on, its PIO hops).
 
 **One contract, two executions.**  :func:`fill` is the only filling
 contract; below :data:`ARRAY_ENTRIES` footprint entries its rounds run as a
@@ -75,7 +75,8 @@ import numpy as np
 
 from .engine import Event, Simulator
 
-__all__ = ["FluidResource", "Flow", "FluidNetwork", "DMA", "PIO", "fill",
+__all__ = ["FluidResource", "FluidPath", "Flow", "FluidNetwork", "DMA",
+           "PIO", "fill",
            "component", "departure_seeds", "Layout", "ARRAY_ENTRIES"]
 
 _EPS = 1e-9
@@ -145,48 +146,73 @@ class FluidResource:
         return f"<FluidResource {self.name} cap={self.capacity}B/µs>"
 
 
-class Flow:
-    """One transfer of ``size`` bytes along ``path``.
+class FluidPath:
+    """What a flow's bookkeeping reads off its path, computed once per path.
 
-    ``path`` is a sequence of ``(resource, kind)`` hops; ``peak`` caps the
-    flow's standalone rate (e.g. the slowest NIC engine on the path).
+    ``hops`` is the path as a tuple of ``(resource, kind)``; ``footprint``
+    is what :func:`fill` sees of it (weight 1 per hop); ``resources`` are
+    the distinct resources in path order, ``dma_on`` those whose first hop
+    is DMA (a flow counts in their ``dma_flows``), and ``pio_hops`` every
+    PIO hop with 1 where the flow itself counts in that resource's
+    ``dma_flows``.  All of it is fixed by the hops, so a caller that sends
+    many flows along one path (a NIC, per destination) builds it once and
+    passes it wherever a path is expected.
     """
 
-    _ids = itertools.count()
+    __slots__ = ("hops", "footprint", "resources", "dma_on", "pio_hops")
 
-    __slots__ = ("id", "name", "size", "remaining", "path", "footprint",
-                 "peak", "rate", "done", "started_at", "finished_at",
-                 "_last_update", "_seq", "_resources", "_dma_on",
-                 "_pio_hops")
-
-    def __init__(self, name: str, size: float,
-                 path: Sequence[tuple[FluidResource, str]], peak: float) -> None:
-        if size < 0:
-            raise ValueError("flow size must be >= 0")
-        if peak <= 0:
-            raise ValueError("flow peak rate must be > 0")
+    def __init__(self, hops: Sequence[tuple[FluidResource, str]]) -> None:
         first_kind: dict = {}           # resource -> kind of its first hop
-        for res, kind in path:
+        for res, kind in hops:
             if kind != DMA and kind != PIO:
                 raise ValueError(f"unknown transaction kind {kind!r}")
             if res not in first_kind:
                 first_kind[res] = kind
+        self.hops = tuple(hops)
+        self.footprint = tuple([(res, 1) for res, _kind in self.hops])
+        self.resources = tuple(first_kind)
+        self.dma_on = tuple([res for res, kind in first_kind.items()
+                             if kind == DMA])
+        self.pio_hops = tuple([(res, 1 if first_kind[res] == DMA else 0)
+                               for res, kind in self.hops if kind == PIO])
+
+
+class Flow:
+    """One transfer of ``size`` bytes along ``path``.
+
+    ``path`` is a :class:`FluidPath` or a sequence of ``(resource, kind)``
+    hops, which the flow turns into one; ``peak`` caps the flow's
+    standalone rate (e.g. the slowest NIC engine on the path).  Every flow
+    reads its path facts from its :attr:`route`, shared by all the flows
+    built on the same :class:`FluidPath`.
+
+    A flow owns its completion event only while it is in flight: the
+    network sets ``done`` to ``None`` as it triggers it (with the flow as
+    the value), so a finished flow and its event refer to each other in
+    one direction only and both die by reference counting.
+    """
+
+    _ids = itertools.count()
+
+    __slots__ = ("id", "name", "size", "remaining", "route", "path",
+                 "footprint", "peak", "rate", "done", "started_at",
+                 "finished_at", "_last_update", "_seq")
+
+    def __init__(self, name: str, size: float,
+                 path: "FluidPath | Sequence[tuple[FluidResource, str]]",
+                 peak: float) -> None:
+        if size < 0:
+            raise ValueError("flow size must be >= 0")
+        if peak <= 0:
+            raise ValueError("flow peak rate must be > 0")
+        route = path if type(path) is FluidPath else FluidPath(path)
         self.id = next(Flow._ids)
         self.name = name
         self.size = float(size)
         self.remaining = float(size)
-        self.path = tuple(path)
-        #: what :func:`fill` sees of the path: weight 1 per hop.
-        self.footprint = tuple([(res, 1) for res, _kind in self.path])
-        # What the network's bookkeeping reads, fixed by the path: the
-        # distinct resources (in path order), those whose first hop is DMA
-        # (the flow counts in their ``dma_flows``), and every PIO hop with
-        # 1 where the flow itself counts in that resource's ``dma_flows``.
-        self._resources = tuple(first_kind)
-        self._dma_on = tuple([res for res, kind in first_kind.items()
-                              if kind == DMA])
-        self._pio_hops = tuple([(res, 1 if first_kind[res] == DMA else 0)
-                                for res, kind in self.path if kind == PIO])
+        self.route = route
+        self.path = route.hops
+        self.footprint = route.footprint
         self.peak = float(peak)
         self.rate = 0.0
         self.done: Optional[Event] = None
@@ -495,18 +521,18 @@ class FluidNetwork:
 
     # -- public API ---------------------------------------------------------
     def transfer(self, name: str, size: float,
-                 path: Sequence[tuple[FluidResource, str]],
+                 path: "FluidPath | Sequence[tuple[FluidResource, str]]",
                  peak: float) -> Event:
         """Start a flow; returns an event that triggers (with the flow) when
         the last byte has moved."""
         flow = Flow(name, size, path, peak)
-        flow.done = self.sim.event(name=f"flow:{name}")
+        done = self.sim.event(name=f"flow:{name}")
         flow.started_at = self.sim.now
         flow._last_update = self.sim.now
         if flow.size <= _EPS:
             flow.finished_at = self.sim.now
-            flow.done.succeed(flow)
-            return flow.done
+            return done.succeed(flow)
+        flow.done = done
         self._advance()
         if self._attach(flow) and self.incremental:
             # a lone arrival is its own component: no walk, no sort
@@ -514,7 +540,7 @@ class FluidNetwork:
             self._close_epoch(1)
         else:
             self._recompute([flow])
-        return flow.done
+        return done
 
     def utilization(self, resource: FluidResource) -> float:
         """Instantaneous total rate through ``resource``."""
@@ -526,27 +552,29 @@ class FluidNetwork:
         of them carried another flow (its component is the flow alone)."""
         flow._seq = next(self._seq)
         self.flows.add(flow)
+        route = flow.route
         alone = True
-        for res in flow._resources:
+        for res in route.resources:
             if res.flows:
                 alone = False
             res.flows.add(flow)
-        for res in flow._dma_on:
+        for res in route.dma_on:
             res.dma_flows += 1
         return alone
 
     def _detach(self, flow: Flow) -> None:
         self.flows.discard(flow)
-        for res in flow._resources:
+        route = flow.route
+        for res in route.resources:
             res.flows.discard(flow)
-        for res in flow._dma_on:
+        for res in route.dma_on:
             res.dma_flows -= 1
 
     def _effective_cap(self, flow: Flow) -> float:
         """Flow's standalone cap with PIO-under-DMA applied, from the
         maintained per-resource DMA membership counts (O(path))."""
         cap = flow.peak
-        for res, own in flow._pio_hops:
+        for res, own in flow.route.pio_hops:
             if res.dma_flows > own:     # another flow's DMA is on it
                 slowed = flow.peak / res.preempt_slowdown
                 if slowed < cap:
@@ -571,7 +599,8 @@ class FluidNetwork:
         flow.finished_at = self.sim.now
         for obs in self.rate_observers:
             obs(self.sim.now, flow, 0.0)
-        flow.done.succeed(flow)
+        done, flow.done = flow.done, None
+        done.succeed(flow)
 
     def _recompute(self, seeds: Iterable[Flow]) -> None:
         """Re-solve the contention component(s) reachable from ``seeds``

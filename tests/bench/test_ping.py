@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.bench import (PingHarness, Series, bandwidth_sweep,
-                         format_comparison, format_series_table,
-                         human_size, measure_ack_latency, PaperPoint)
+from repro.bench import (MultirailHarness, PingHarness, Series,
+                         bandwidth_sweep, figure_sweep, format_comparison,
+                         format_series_table, human_size,
+                         measure_ack_latency, PaperPoint)
 from repro.hw import build_world
 from repro.madeleine import Session
 
@@ -74,3 +75,26 @@ def test_format_comparison():
     out = format_comparison(pts, title="check")
     assert "0.92x" in out
     assert "fig 6" in out
+
+
+def test_a_harness_keeps_one_testbed_alive():
+    harness = PingHarness(packet_size=32 << 10)
+    first = harness.build()[0]
+    second = harness.build()[0]
+    assert first.fabric.pools and all(p._closed for p in first.fabric.pools)
+    assert not any(p._closed for p in second.fabric.pools)
+    # the results are those of the one-world-per-harness sweep, bit for bit
+    assert [repr(harness.measure(n, "a0->b0").one_way_us)
+            for n in (64 << 10, 256 << 10)] == ["2403.758553274682",
+                                                "7606.585532746823"]
+    (curve,) = figure_sweep("b0->a0", packet_sizes=(32 << 10,),
+                            message_sizes=(64 << 10, 256 << 10))
+    assert [repr(b) for b in curve.bandwidths] == ["29.920337098563305",
+                                                   "42.95954884850495"]
+
+
+def test_a_multirail_harness_keeps_one_testbed_alive():
+    harness = MultirailHarness(packet_size=8 << 10, rails=2)
+    first = harness.build()[0]
+    assert repr(harness.measure(64 << 10).one_way_us) == "2759.8523949169107"
+    assert all(p._closed for p in first.fabric.pools)

@@ -1,9 +1,14 @@
 """Unit tests for world/topology construction."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.bench import PingHarness, one_way_ping
 from repro.hw import (ClusterSpec, GatewayLink, NodeParams, World,
                       build_cluster_of_clusters, build_world)
+from repro.memory import PoolClosed
 
 
 def test_build_world_ranks_follow_insertion_order():
@@ -96,3 +101,37 @@ def test_three_cluster_chain_has_two_gateways():
     )
     assert gws == ["a1", "b1"]
     assert world.node("b1").has_protocol("sbp")
+
+
+
+@pytest.mark.parametrize("protocols,pool", [
+    (("myrinet", "sci"), ".rxpool"),            # NIC pools
+    (("myrinet", "gigabit_tcp"), ".ring"),      # a gateway staging ring
+])
+def test_close_releases_every_pool_and_keeps_metrics_and_trace(protocols,
+                                                                pool):
+    world, session, vch, ack = PingHarness(packet_size=32 << 10,
+                                           protocols=protocols).build()
+    world.telemetry.enable()
+    one_way_ping(session, vch, ack, session.rank("b0"), session.rank("a0"),
+                 256 << 10)
+    pools = world.fabric.pools
+    assert any(p.name.endswith(pool) for p in pools)
+    # the memory of every block, whoever still holds a view of it
+    blocks = [weakref.ref(b.data.base) for p in pools for b in p._free]
+    assert blocks
+    fragments = world.telemetry.metrics.total("wire.fragments")
+    records = len(world.trace)
+    gc.disable()
+    try:
+        world.close()
+        assert [ref() for ref in blocks] == [None] * len(blocks)
+    finally:
+        gc.enable()
+    assert all(p._closed and p.available == 0 for p in pools)
+    with pytest.raises(PoolClosed):
+        pools[0].acquire()
+    assert fragments > 0
+    assert world.telemetry.metrics.total("wire.fragments") == fragments
+    assert len(world.trace) == records > 0
+    world.close()                        # idempotent

@@ -1,8 +1,12 @@
 """Unit tests for static buffer pools."""
 
+import weakref
+
 import pytest
 
-from repro.memory import Buffer, PoolExhausted, StaticBufferPool, STATIC
+from repro.memory import (Buffer, PoolClosed, PoolExhausted, StaticBufferPool,
+                          STATIC)
+from repro.sim import SimError
 
 
 def test_pool_basic_acquire_release(sim):
@@ -198,3 +202,25 @@ def test_reset_skips_failed_waiters(sim):
     pool.release(live.value)
     pool.release(held)
     assert pool.available == 1
+
+
+def test_close_lets_the_blocks_go_and_refuses_acquires(sim):
+    pool = StaticBufferPool(sim, count=2, block_size=8)
+    held = pool.try_acquire()
+    waiter_pool = StaticBufferPool(sim, count=1, block_size=8)
+    waiter_pool.try_acquire()
+    blocked = waiter_pool.acquire()
+    free_block = weakref.ref(pool._free[0].data)
+    pool.close()
+    waiter_pool.close()
+    assert free_block() is None          # freed by reference counting
+    assert pool._closed and pool.available == 0 and pool.outstanding == 0
+    assert issubclass(PoolClosed, SimError)
+    with pytest.raises(PoolClosed):
+        pool.acquire()
+    with pytest.raises(PoolClosed):
+        pool.try_acquire()
+    pool.release(held)                   # a late release is a no-op
+    assert isinstance(blocked.value, PoolClosed)
+    blocked.defuse()
+    pool.close()                         # idempotent
