@@ -19,6 +19,7 @@ MESSAGE = 2 << 20
 def run():
     harness = PingHarness(packet_size=PACKET)
     world, session, vch, ack = harness.build()
+    world.trace.enable()
     import numpy as np
     data = np.zeros(MESSAGE, dtype=np.uint8)
     done = {}

@@ -24,6 +24,7 @@ def run(direction):
     from repro.analysis import BusMonitor
     harness = PingHarness(packet_size=PACKET)
     world, session, vch, ack = harness.build()
+    world.trace.enable()
     monitor = BusMonitor(world.fnet)
     data = np.zeros(MESSAGE, dtype=np.uint8)
     src, dst = (("a0", "b0") if direction == "myri->sci" else ("b0", "a0"))

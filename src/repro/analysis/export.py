@@ -22,6 +22,7 @@ from typing import Any, Union
 
 from ..sim.trace import TraceRecorder
 from ..telemetry import MetricsRegistry, SpanTracker
+from .pipeline import require_trace
 
 __all__ = ["to_chrome_trace", "write_chrome_trace",
            "spans_to_chrome", "write_spans_chrome",
@@ -35,7 +36,10 @@ def to_chrome_trace(trace: TraceRecorder) -> list[dict]:
 
     * one track per NIC-to-NIC direction for wire transfers;
     * per gateway, a receive track and a send track.
+
+    The trace must have been enabled before the run (``trace.enable()``).
     """
+    require_trace(trace, "to_chrome_trace")
     events: list[dict] = []
     for rec in trace:
         if rec.category == "xfer" and rec.event == "fragment":

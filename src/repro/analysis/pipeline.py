@@ -58,9 +58,20 @@ class PipelineStats:
     send_recv_ratio: float         # > 1 means sends are the bottleneck (Fig 8)
 
 
+def require_trace(trace: TraceRecorder, reader: str) -> None:
+    """Raise unless ``trace`` is on or holds records: ``reader`` would
+    otherwise report zeros for a trace that was never taken."""
+    if not trace.enabled and not len(trace):
+        raise ValueError(
+            f"{reader} reads the raw trace, which is off and empty: call "
+            f"trace.enable() (world.trace or session.trace) before the run")
+
+
 def extract_timeline(trace: TraceRecorder, msg_id: Optional[int] = None,
                      gw: Optional[int] = None) -> list[StepTimeline]:
     """Reconstruct the per-item timeline from gateway trace records."""
+    require_trace(trace, "extract_timeline")
+
     def keep(rec):
         if msg_id is not None and rec.attrs.get("msg") != msg_id:
             return False

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hw.topology import World
+from .pipeline import require_trace
 
 __all__ = ["SessionStats", "collect_stats", "format_stats"]
 
@@ -33,6 +34,9 @@ class SessionStats:
 
 
 def collect_stats(world: World) -> SessionStats:
+    """Summarise ``world``'s trace and copy accounting; its trace must have
+    been enabled before the run (``world.trace.enable()``)."""
+    require_trace(world.trace, "collect_stats")
     stats = SessionStats(elapsed_us=world.sim.now)
     for rec in world.trace:
         if rec.category == "xfer" and rec.event == "fragment":

@@ -160,10 +160,11 @@ def _scenario_fig5() -> dict:
 
     harness = PingHarness(packet_size=_PACKET)
     world, session, vch, _ack = harness.build()
-    # Metrics create no simulator events, so enabling them is
-    # schedule-preserving; they expose the wire-record count header
-    # batching is actually about.
+    # Metrics and the trace create no simulator events, so enabling them is
+    # schedule-preserving; the metrics expose the wire-record count header
+    # batching is actually about, the trace the pipeline timeline.
     world.telemetry.metrics.enable()
+    world.trace.enable()
     elapsed = _one_message(session, vch, "b0", "a0",
                            [np.zeros(_MESSAGE, dtype=np.uint8)])
     stats = pipeline_stats(extract_timeline(world.trace))
@@ -222,6 +223,7 @@ def _scenario_fig8() -> dict:
     def ratios(direction: str):
         harness = PingHarness(packet_size=_PACKET)
         world, session, vch, _ack = harness.build()
+        world.trace.enable()
         src, dst = (("a0", "b0") if direction == "myri->sci"
                     else ("b0", "a0"))
         _one_message(session, vch, src, dst,

@@ -130,7 +130,7 @@ _DIRECTIONS = {"sci-to-myri": ("s0", "m0"), "myri-to-sci": ("m0", "s0")}
 
 
 def _forwarded_run(args):
-    """One telemetry-enabled reliable transfer across the canonical
+    """One telemetry-enabled, traced reliable transfer across the canonical
     two-gateway testbed (m0 —myrinet— {gwA,gwB} —sci— s0).
 
     Returns ``(session, elapsed_us, attempts)``.
@@ -151,6 +151,7 @@ def _forwarded_run(args):
                          "gwB": ["myrinet", "sci"], "s0": ["sci"]})
     session = Session(world, packet_size=args.packet, telemetry=True,
                       fault_plan=plan)
+    session.trace.enable()
     myri = session.channel("myrinet", ["m0", "gwA", "gwB"])
     sci = session.channel("sci", ["gwA", "gwB", "s0"])
     # The bounded gateway stall keeps an abandoned attempt (chaos mode)

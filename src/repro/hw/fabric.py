@@ -287,11 +287,13 @@ class NIC:
                         sim.now, "fault", "fragment_corrupted",
                         src=self.name, dst=req.dst.name,
                         nbytes=req.nbytes, tag=str(req.tag))
-            self.fabric.trace.emit(
-                sim.now, "xfer", "fragment",
-                src=self.name, dst=req.dst.name, proto=proto.name,
-                nbytes=req.nbytes, start=t0, tag=str(req.tag),
-                kind=req.meta.get("type"))
+            trace = self.fabric.trace
+            if trace.enabled:
+                trace.emit(
+                    sim.now, "xfer", "fragment",
+                    src=self.name, dst=req.dst.name, proto=proto.name,
+                    nbytes=req.nbytes, start=t0, tag=str(req.tag),
+                    kind=req.meta.get("type"))
             self._m_fragments.inc()
             self._m_bytes.inc(req.nbytes)
             req.done.succeed(req.nbytes)
@@ -325,7 +327,8 @@ class Fabric:
         self.sim = sim
         self.fnet = fnet
         # `is not None` matters: an empty TraceRecorder is falsy (__len__).
-        self.trace = trace if trace is not None else TraceRecorder()
+        self.trace = (trace if trace is not None
+                      else TraceRecorder(enabled=False))
         self.accounting = accounting if accounting is not None else CopyAccounting()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: (nic id, tag) -> its match point, created on first use and

@@ -23,11 +23,17 @@ __all__ = ["World", "build_world", "ClusterSpec", "build_cluster_of_clusters"]
 
 
 class World:
-    """All simulation state for one experiment run."""
+    """All simulation state for one experiment run.
+
+    Observability is paid for per use.  The raw ``trace`` keeps one record
+    per wire fragment and gateway step, so it is off until
+    ``world.trace.enable()``; the telemetry (metrics and spans) is off
+    until ``world.telemetry.enable()``.  Neither moves the schedule.
+    """
 
     def __init__(self, node_params: Optional[NodeParams] = None) -> None:
         self.sim = Simulator()
-        self.trace = TraceRecorder()
+        self.trace = TraceRecorder(enabled=False)
         self.accounting = CopyAccounting()
         # Off by default: a disabled registry records nothing and keeps
         # benchmark numbers bit-identical (Session(telemetry=True) enables it).

@@ -28,9 +28,11 @@ Configuration is keyword-only: ``packet_size=`` sets the default virtual
 channel packet size, ``telemetry=True/False`` enables/disables the world's
 telemetry (``None`` leaves it as it is — off for a fresh world), and
 ``fault_plan=`` arms a :class:`~repro.faults.FaultPlan` before any channel
-exists.  A closed session (after the ``with`` block, or ``close()``)
-refuses to build channels or spawn processes; its telemetry stays readable
-so results can be collected after the fact.
+exists.  The raw trace (one record per wire fragment and gateway step) is
+not part of ``telemetry=``: it is off until ``session.trace.enable()``.
+A closed session (after the ``with`` block, or ``close()``) refuses to
+build channels or spawn processes; its telemetry stays readable so results
+can be collected after the fact.
 """
 
 from __future__ import annotations
@@ -155,6 +157,8 @@ class Session:
 
     @property
     def trace(self) -> TraceRecorder:
+        """The world's raw trace: off until ``session.trace.enable()``,
+        which must come before :meth:`run` to record the run."""
         return self.world.trace
 
     # -- naming ------------------------------------------------------------------

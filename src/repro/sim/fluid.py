@@ -61,8 +61,9 @@ in it, so the loop's execution takes that round and stops
 Work done is observable on the network (``recompute_epochs``,
 ``recomputed_flows``, ``live_flow_epochs``) and, when a metrics registry is
 attached, as ``fluid.recomputes``/``fluid.recompute_flows``/
-``fluid.epoch_live_flows`` counters plus the ``fluid.component_size``
-histogram (docs/telemetry.md).
+``fluid.epoch_live_flows`` counters (pulled: the registry reads those three
+ints, an epoch pushes nothing) plus the ``fluid.component_size`` histogram
+(docs/telemetry.md).
 """
 
 from __future__ import annotations
@@ -508,15 +509,16 @@ class FluidNetwork:
         #: epoch had to touch.
         self.live_flow_epochs = 0
         if metrics is not None:
-            self._m_recomputes = metrics.counter("fluid.recomputes")
-            self._m_recompute_flows = metrics.counter("fluid.recompute_flows")
-            self._m_epoch_live = metrics.counter("fluid.epoch_live_flows")
+            # the registry reads the three ints above; nothing is pushed
+            metrics.pulled_counter("fluid.recomputes",
+                                   lambda: self.recompute_epochs)
+            metrics.pulled_counter("fluid.recompute_flows",
+                                   lambda: self.recomputed_flows)
+            metrics.pulled_counter("fluid.epoch_live_flows",
+                                   lambda: self.live_flow_epochs)
             self._m_component = metrics.histogram("fluid.component_size",
                                                   bounds=_COMPONENT_BOUNDS)
         else:
-            self._m_recomputes = None
-            self._m_recompute_flows = None
-            self._m_epoch_live = None
             self._m_component = None
 
     # -- public API ---------------------------------------------------------
@@ -638,10 +640,6 @@ class FluidNetwork:
         self.recompute_epochs += 1
         self.recomputed_flows += touched
         self.live_flow_epochs += len(self.flows)
-        if self._m_recomputes is not None:
-            self._m_recomputes.inc()
-            self._m_recompute_flows.inc(touched)
-            self._m_epoch_live.inc(len(self.flows))
         self._schedule_wakeup()
 
     def _schedule_wakeup(self) -> None:

@@ -3,35 +3,56 @@
 Replaces the paper's ``rdtsc`` instrumentation: components emit timestamped
 records into a :class:`TraceRecorder`, and the analysis layer reconstructs
 pipeline timelines (Figures 5 and 8) from them.
+
+The raw trace is the one part of the observability layer whose memory grows
+with every wire fragment and every forwarded item, so it records only when
+asked.  A :class:`~repro.hw.topology.World` builds its recorder disabled;
+``world.trace.enable()`` (or ``session.trace.enable()``) before the run
+turns it on.  Nothing emits before the first simulation event, so enabling
+right after the build loses no record.  On or off, the trace creates no
+simulation event: the schedule is the same either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 __all__ = ["TraceRecord", "TraceRecorder"]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One instrumentation sample."""
+class TraceRecord(NamedTuple):
+    """One instrumentation sample: ``rec.t``, ``rec.category``,
+    ``rec.event``, ``rec.attrs``; ``rec["key"]`` reads one attribute."""
 
     t: float                      # simulated time, µs
     category: str                 # e.g. "gateway", "nic", "pci"
     event: str                    # e.g. "recv_start", "send_end", "swap"
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: dict[str, Any]
 
-    def __getitem__(self, key: str) -> Any:
-        return self.attrs[key]
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return self.attrs[key]
+        return tuple.__getitem__(self, key)
 
 
 class TraceRecorder:
-    """Append-only store of trace records with simple filtered queries."""
+    """Append-only store of trace records with simple filtered queries.
+
+    Records only while :attr:`enabled`; a recorder built by a world starts
+    disabled, one built directly starts enabled."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.records: list[TraceRecord] = []
+
+    def enable(self) -> "TraceRecorder":
+        self.enabled = True
+        return self
+
+    def disable(self) -> "TraceRecorder":
+        """Stop recording; the records kept so far stay readable."""
+        self.enabled = False
+        return self
 
     def emit(self, t: float, category: str, event: str, **attrs: Any) -> None:
         if self.enabled:

@@ -140,6 +140,7 @@ def _des_pipeline_stats(direction: str, packet: int):
     from ..bench.ping import PingHarness
     harness = PingHarness(packet_size=packet)
     world, session, vch, _ack = harness.build()
+    world.trace.enable()
     src, dst = (("a0", "b0") if direction == "myri->sci" else ("b0", "a0"))
     data = np.zeros(_MESSAGE, dtype=np.uint8)
 

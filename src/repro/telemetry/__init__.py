@@ -10,8 +10,17 @@ bit-identical with or without it).
 
 Every :class:`~repro.hw.topology.World` owns one disabled ``Telemetry``;
 ``Session(world, telemetry=True)`` (or ``world.telemetry.enable()``) turns
-it on.  The transport stack holds live instrument handles either way, which
-is what makes late enabling work.
+it on.  The transport stack holds instrument handles either way: each is
+bound to a live body or to a no-op one, and enabling or disabling the
+registry rebinds them, which is what makes late enabling work and what
+makes a disabled registry run no instrument code.  Counts a component keeps
+as plain ints anyway are *pulled* (:class:`PulledCounter`) rather than
+pushed.
+
+Metrics and spans are bounded aggregates.  The raw
+:class:`~repro.sim.trace.TraceRecorder` is not (one record per fragment),
+so it has its own switch, ``world.trace.enable()``, and is off by default
+too; spans are mirrored into it only while it is on.
 
 See ``docs/telemetry.md`` for the metric catalog.
 """
@@ -24,11 +33,11 @@ from ..sim.trace import TraceRecorder
 from .conservation import (ConservationLaw, LawViolation, FRAGMENT_LAW,
                            STRIPE_LAW, STANDARD_LAWS, check_laws)
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
-                       NullRegistry, format_metrics)
+                       NullRegistry, PulledCounter, format_metrics)
 from .spans import Span, SpanTracker
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "NullRegistry", "format_metrics", "Span", "SpanTracker",
+           "NullRegistry", "PulledCounter", "format_metrics", "Span", "SpanTracker",
            "Telemetry", "NULL_TELEMETRY",
            "ConservationLaw", "LawViolation", "FRAGMENT_LAW", "STRIPE_LAW",
            "STANDARD_LAWS", "check_laws"]

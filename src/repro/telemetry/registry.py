@@ -6,13 +6,26 @@ once — ``registry.counter("reliable.retransmits", rank=3)`` — and hit them
 on their hot paths; an instrument is identified by its name plus its label
 set, so two endpoints incrementing the same metric name produce two series.
 
-Disabled registries are (almost) free: every instrument checks a single
-``enabled`` flag before touching state, no simulation events are ever
-created, and :meth:`MetricsRegistry.snapshot` returns an empty mapping.
-Because instruments are live handles onto the registry, a registry can be
+**A disabled registry runs no instrument code.**  Every instrument kind has
+a live class and a no-op twin (same slots, empty bodies); an instrument is
+created as the one that matches the registry, and
+:meth:`MetricsRegistry.enable`/:meth:`~MetricsRegistry.disable` rebind the
+existing instruments by switching their class.  So ``counter.inc()`` on a
+disabled registry is one call of an empty method: no flag is read, no state
+is touched, no simulation event is ever created, and
+:meth:`MetricsRegistry.snapshot` returns an empty mapping.  Because
+instruments are handles that survive the rebinding, a registry can be
 enabled *after* the instruments were created (the
 :class:`~repro.madeleine.session.Session` does exactly that: the world's
-NICs and pools are built before the session turns telemetry on).
+NICs and pools are built before the session turns telemetry on).  An
+instrument keeps what it recorded across a disable and an enable.
+
+**Pulled counters** (:meth:`MetricsRegistry.pulled_counter`) are for counts
+their owner keeps as plain ints anyway (the fluid network's epoch counts):
+the registry reads the int instead of being pushed every increment.  They
+count only while the registry is on, like every other instrument: a base
+is taken at enable and at :meth:`~MetricsRegistry.reset`, and the value is
+frozen at disable.
 
 Histograms support **simulated-time windows**: constructed with
 ``window=<µs>``, a histogram additionally keeps per-window statistics that
@@ -22,10 +35,11 @@ view a long soak run wants next to the lifetime aggregate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "NullRegistry", "format_metrics"]
+__all__ = ["Counter", "Gauge", "Histogram", "PulledCounter",
+           "MetricsRegistry", "NullRegistry", "format_metrics"]
 
 #: default histogram bucket upper bounds (µs-flavoured, powers of 10/2).
 DEFAULT_BOUNDS = (10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0)
@@ -36,21 +50,38 @@ def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
 
 
 class Instrument:
-    """Base of all instruments: a name, a label set, and the owning registry."""
+    """Base of all instruments: the owning registry and the instrument's
+    registry key ``(name, sorted label items)``.
+
+    Each kind sets ``_live`` (itself) and ``_off`` (its no-op twin);
+    :meth:`_bind` switches between them."""
 
     kind = "?"
+    _live: type
+    _off: type
 
-    __slots__ = ("registry", "name", "labels")
+    __slots__ = ("registry", "key")
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: dict[str, Any]) -> None:
+    def __init__(self, registry: "MetricsRegistry",
+                 key: tuple[str, tuple[tuple[str, Any], ...]]) -> None:
         self.registry = registry
-        self.name = name
-        self.labels = labels
+        self.key = key
+
+    @property
+    def name(self) -> str:
+        return self.key[0]
+
+    @property
+    def labels(self) -> dict[str, Any]:
+        return dict(self.key[1])
 
     @property
     def enabled(self) -> bool:
         return self.registry.enabled
+
+    def _bind(self, on: bool) -> None:
+        """Run the live body (``on``) or the no-op one from now on."""
+        self.__class__ = self._live if on else self._off
 
     def data(self) -> dict[str, Any]:
         raise NotImplementedError
@@ -69,21 +100,27 @@ class Counter(Instrument):
 
     __slots__ = ("value",)
 
-    def __init__(self, registry, name, labels) -> None:
-        super().__init__(registry, name, labels)
+    def __init__(self, registry, key) -> None:
+        super().__init__(registry, key)
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
-        if self.registry.enabled:
-            if n < 0:
-                raise ValueError("counters only go up")
-            self.value += n
+        if n < 0:
+            raise ValueError("counters only go up")
+        self.value += n
 
     def data(self) -> dict[str, Any]:
         return {"value": self.value}
 
     def reset(self) -> None:
         self.value = 0
+
+
+class _OffCounter(Counter):
+    __slots__ = ()
+
+    def inc(self, n: int = 1) -> None:
+        pass
 
 
 class Gauge(Instrument):
@@ -94,23 +131,21 @@ class Gauge(Instrument):
 
     __slots__ = ("value", "hwm")
 
-    def __init__(self, registry, name, labels) -> None:
-        super().__init__(registry, name, labels)
+    def __init__(self, registry, key) -> None:
+        super().__init__(registry, key)
         self.value = 0
         self.hwm = 0
 
     def set(self, value) -> None:
-        if self.registry.enabled:
-            self.value = value
-            if value > self.hwm:
-                self.hwm = value
+        self.value = value
+        if value > self.hwm:
+            self.hwm = value
 
     def inc(self, n=1) -> None:
         self.set(self.value + n)
 
     def dec(self, n=1) -> None:
-        if self.registry.enabled:
-            self.value -= n
+        self.value -= n
 
     def data(self) -> dict[str, Any]:
         return {"value": self.value, "hwm": self.hwm}
@@ -120,42 +155,60 @@ class Gauge(Instrument):
         self.hwm = 0
 
 
+class _OffGauge(Gauge):
+    __slots__ = ()
+
+    def set(self, value) -> None:
+        pass
+
+    def inc(self, n=1) -> None:
+        pass
+
+    def dec(self, n=1) -> None:
+        pass
+
+
 class Histogram(Instrument):
     """Distribution of observed values, with optional simulated-time windows.
 
     Lifetime aggregates (count/sum/min/max + cumulative buckets) always
     accumulate; with ``window`` set, a rolling ``(window_start, count, sum)``
-    triple resets whenever the registry clock enters a new window.
+    triple resets whenever the registry clock enters a new window.  A value
+    lands in the first bucket whose bound it does not exceed; values above
+    the last bound, and NaN, land in the last bucket.
     """
 
     kind = "histogram"
 
-    __slots__ = ("bounds", "buckets", "count", "total", "min", "max",
+    __slots__ = ("bounds", "_last", "buckets", "count", "total", "min", "max",
                  "window", "window_start", "window_count", "window_total")
 
-    def __init__(self, registry, name, labels,
+    def __init__(self, registry, key,
                  bounds: tuple[float, ...] = DEFAULT_BOUNDS,
                  window: Optional[float] = None) -> None:
-        super().__init__(registry, name, labels)
+        super().__init__(registry, key)
         if window is not None and window <= 0:
             raise ValueError("window must be > 0")
         self.bounds = tuple(sorted(bounds))
+        self._last = len(self.bounds) - 1
         self.window = window
         self.reset()
 
     def observe(self, value: float) -> None:
-        if not self.registry.enabled:
-            return
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.buckets[i] += 1
-                break
+        low = self.min
+        if low is None:
+            self.min = self.max = value
         else:
-            self.buckets[-1] += 1
+            if value < low:
+                self.min = value
+            if value > self.max:
+                self.max = value
+        if value != value:          # NaN: not below any bound
+            self.buckets[self._last] += 1
+        else:
+            self.buckets[bisect_left(self.bounds, value, 0, self._last)] += 1
         if self.window is not None:
             now = self.registry.clock()
             start = (now // self.window) * self.window
@@ -195,6 +248,61 @@ class Histogram(Instrument):
         self.window_total = 0.0
 
 
+class _OffHistogram(Histogram):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+class PulledCounter(Instrument):
+    """A counter whose count its owner keeps: ``read()`` returns the
+    owner's running total, and the counter reports how much it grew while
+    the registry was on (a ``counter`` in snapshots)."""
+
+    kind = "counter"
+
+    __slots__ = ("read", "base", "frozen")
+
+    def __init__(self, registry, key, read: Callable[[], int]) -> None:
+        super().__init__(registry, key)
+        self.read = read
+        self.base = read()
+        self.frozen = 0
+
+    @property
+    def value(self) -> int:
+        return self.read() - self.base
+
+    def _bind(self, on: bool) -> None:
+        if on:
+            self.base = self.read() - self.frozen
+        else:
+            self.frozen = self.value
+        super()._bind(on)
+
+    def data(self) -> dict[str, Any]:
+        return {"value": self.value}
+
+    def reset(self) -> None:
+        self.base = self.read()
+        self.frozen = 0
+
+
+class _OffPulledCounter(PulledCounter):
+    __slots__ = ()
+
+    @property
+    def value(self) -> int:
+        return self.frozen
+
+
+Counter._live, Counter._off = Counter, _OffCounter
+Gauge._live, Gauge._off = Gauge, _OffGauge
+Histogram._live, Histogram._off = Histogram, _OffHistogram
+PulledCounter._live, PulledCounter._off = PulledCounter, _OffPulledCounter
+
+
 class MetricsRegistry:
     """Get-or-create instrument store keyed by ``(name, labels)``.
 
@@ -210,10 +318,18 @@ class MetricsRegistry:
 
     # -- lifecycle ---------------------------------------------------------------
     def enable(self) -> None:
-        self.enabled = True
+        """Bind every instrument to its live body (a no-op when on)."""
+        if not self.enabled:
+            self.enabled = True
+            for inst in self._instruments.values():
+                inst._bind(True)
 
     def disable(self) -> None:
-        self.enabled = False
+        """Bind every instrument to its no-op body; values are kept."""
+        if self.enabled:
+            self.enabled = False
+            for inst in self._instruments.values():
+                inst._bind(False)
 
     def reset(self) -> None:
         """Zero every instrument (the instrument handles stay valid)."""
@@ -221,15 +337,15 @@ class MetricsRegistry:
             inst.reset()
 
     # -- instrument factories ------------------------------------------------------
-    def _get(self, cls, name: str, labels: dict[str, Any], **kwargs):
+    def _get(self, cls, name: str, labels: dict[str, Any], *args):
         key = (name, _label_key(labels))
         inst = self._instruments.get(key)
         if inst is None:
-            inst = cls(self, name, labels, **kwargs)
+            inst = (cls if self.enabled else cls._off)(self, key, *args)
             self._instruments[key] = inst
-        elif not isinstance(inst, cls):
-            raise ValueError(
-                f"metric {name!r} already registered as {inst.kind}")
+        elif inst._live is not cls:
+            raise ValueError(f"metric {name!r} already registered as a "
+                             f"{inst._live.__name__}")
         return inst
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -241,8 +357,16 @@ class MetricsRegistry:
     def histogram(self, name: str, bounds: tuple[float, ...] = DEFAULT_BOUNDS,
                   window: Optional[float] = None,
                   **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels, bounds=bounds,
-                         window=window)
+        return self._get(Histogram, name, labels, bounds, window)
+
+    def pulled_counter(self, name: str, read: Callable[[], int],
+                       **labels: Any) -> PulledCounter:
+        """A counter read from ``read()``, a running total its owner keeps
+        (see :class:`PulledCounter`); one reader per series."""
+        inst = self._get(PulledCounter, name, labels, read)
+        if inst.read is not read:
+            raise ValueError(f"metric {name!r} {labels} already has a reader")
+        return inst
 
     # -- queries ---------------------------------------------------------------
     def value(self, name: str, **labels: Any) -> Any:
@@ -274,8 +398,7 @@ class MetricsRegistry:
         for (name, _key), inst in sorted(self._instruments.items(),
                                          key=lambda kv: kv[0]):
             entry = out.setdefault(name, {"kind": inst.kind, "series": []})
-            entry["series"].append({"labels": dict(inst.labels),
-                                    **inst.data()})
+            entry["series"].append({"labels": inst.labels, **inst.data()})
         return out
 
     def __len__(self) -> int:

@@ -9,8 +9,10 @@ The tracker does two things with every span:
   Chrome ``about:tracing`` exporter
   (:func:`repro.analysis.export.spans_to_chrome`);
 * mirrors ``<name>_begin`` / ``<name>_end`` records into the attached
-  :class:`~repro.sim.trace.TraceRecorder`, so spans and legacy records stay
-  interleaved in one stream.
+  :class:`~repro.sim.trace.TraceRecorder` while that recorder is enabled,
+  so spans and legacy records stay interleaved in one stream.  With the
+  trace off (a world's default) spans still complete; they are only not
+  mirrored.
 
 Two usage shapes:
 

@@ -52,6 +52,7 @@ def gateway_trace(direction, packet=16 << 10, size=300_000):
     src, dst = (2, 0) if direction == "sci->myri" else (0, 2)
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
+    w.trace.enable()
     s = Session(w)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),

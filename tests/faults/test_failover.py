@@ -37,6 +37,7 @@ def test_gateway_crash_fails_over_to_survivor():
 
 def test_gateway_crash_and_restart_restores_route():
     w, s, myri, sci = two_gateway_world()
+    w.trace.enable()
     FaultPlan(seed=3, node_events=(
         NodeEvent(time=2_000.0, node="gwA"),
         NodeEvent(time=40_000.0, node="gwA", up=True))).arm(w)

@@ -73,6 +73,7 @@ def test_base_channel_id_strips_forwarding_twin():
 
 def test_injector_health_transitions_notify_and_trace():
     w, _s, myri, _sci = two_gateway_world()
+    w.trace.enable()
     injector = FaultPlan(seed=0).arm(w)
     seen = []
     injector.subscribe(lambda kind, subject: seen.append((kind, subject)))
@@ -96,6 +97,7 @@ def test_injector_health_transitions_notify_and_trace():
 
 def _faulty_run(seed):
     w, s, myri, sci = two_gateway_world()
+    w.trace.enable()
     faults = ChannelFaults(drop_p=0.05, corrupt_p=0.02)
     FaultPlan(seed=seed, channels={myri.id: faults, sci.id: faults},
               link_events=(LinkEvent(time=8_000.0, channel=myri.id),

@@ -25,6 +25,7 @@ SHORT = RetryPolicy(max_attempts=3, rto=5_000.0, rto_max=10_000.0,
 def _faulty_transfer(faults, seed=9, n=2, nbytes=60_000,
                      policy=None):
     w, s, myri, sci = two_gateway_world()
+    w.trace.enable()
     FaultPlan(seed=seed,
               channels={myri.id: faults, sci.id: faults}).arm(w)
     vch, rel_src, rel_dst = reliable_pair(s, myri, sci,

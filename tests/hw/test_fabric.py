@@ -210,6 +210,7 @@ def test_static_pools_created_per_discipline():
 
 def test_trace_records_transfers():
     w, na, nb = two_nodes()
+    w.trace.enable()
 
     def snd():
         yield na.send(nb, "t", Buffer.wrap(payload(256)))

@@ -113,6 +113,7 @@ def test_close_releases_every_pool_and_keeps_metrics_and_trace(protocols,
     world, session, vch, ack = PingHarness(packet_size=32 << 10,
                                            protocols=protocols).build()
     world.telemetry.enable()
+    world.trace.enable()
     one_way_ping(session, vch, ack, session.rank("b0"), session.rank("a0"),
                  256 << 10)
     pools = world.fabric.pools

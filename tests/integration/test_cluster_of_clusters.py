@@ -25,6 +25,7 @@ def test_two_gateway_chain():
         "a0": ["myrinet"], "gw1": ["myrinet", "sci"],
         "gw2": ["sci", "sbp"], "c0": ["sbp"],
     })
+    w.trace.enable()
     s = Session(w)
     ch1 = s.channel("myrinet", ["a0", "gw1"])
     ch2 = s.channel("sci", ["gw1", "gw2"])

@@ -27,6 +27,7 @@ PRE_PR3_EVENTS_PER_MB = 546.5
 def run_fig5():
     harness = PingHarness(packet_size=PACKET)
     world, session, vch, _ack = harness.build()
+    world.trace.enable()
     data = np.zeros(MESSAGE, dtype=np.uint8)
     done = {}
 

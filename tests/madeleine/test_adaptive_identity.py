@@ -29,8 +29,10 @@ NEUTRAL = TransportPolicy(eager_threshold=0, gateway_balance=False)
 
 def _rows(world):
     """The full trace, hashable row per record (exact timestamps)."""
-    return [(r.t, r.category, r.event, tuple(sorted(r.attrs.items())))
+    rows = [(r.t, r.category, r.event, tuple(sorted(r.attrs.items())))
             for r in world.trace]
+    assert rows, "the trace was not recorded"
+    return rows
 
 
 def _run_fig5(policy):
@@ -42,6 +44,7 @@ def _run_fig5(policy):
         "gw": ["myrinet", "sci", "fast_ethernet"],
         "b0": ["sci", "fast_ethernet"],
     })
+    world.trace.enable()
     session = Session(world)
     ch_a = session.channel("myrinet", ["a0", "gw"])
     ch_b = session.channel("sci", ["gw", "b0"])
@@ -99,6 +102,7 @@ def _run_matrix(policy, seed):
         "gw0": ["myrinet", "sci"], "gw1": ["myrinet", "sci"],
         "b0": ["sci"], "b1": ["sci"],
     })
+    world.trace.enable()
     session = Session(world, packet_size=16 << 10)
     ch_a = session.channel("myrinet", ["a0", "a1", "gw0", "gw1"])
     ch_b = session.channel("sci", ["gw0", "gw1", "b0", "b1"])

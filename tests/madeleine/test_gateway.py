@@ -133,6 +133,7 @@ def test_larger_packets_amortize_overhead():
 
 def test_gateway_trace_has_balanced_recv_send():
     w, s, vch = chain("sci", "myrinet", packet_size=16 << 10)
+    w.trace.enable()
     data = payload(100_000)
     transfer_once(s, vch, 0, 2, data)
     recvs = w.trace.query(category="gateway", event="recv")

@@ -50,6 +50,7 @@ def body_fragments(w):
 
 def test_small_buffers_coalesce_into_one_fragment():
     w, s, ch = make_pair()
+    w.trace.enable()
     parts = [payload(100, seed=i) for i in range(20)]
     roundtrip(w, s, ch, parts)
     frags = body_fragments(w)
@@ -66,6 +67,7 @@ def test_gather_is_zero_copy():
 
 def test_express_closes_group():
     w, s, ch = make_pair()
+    w.trace.enable()
     parts = [payload(100, 1), payload(100, 2), payload(100, 3)]
     modes = [(SEND_CHEAPER, RECV_CHEAPER),
              (SEND_CHEAPER, RECV_EXPRESS),     # boundary after this one
@@ -77,6 +79,7 @@ def test_express_closes_group():
 
 def test_group_splits_at_mtu():
     w, s, ch = make_pair("myrinet_tiny_mtu")
+    w.trace.enable()
     parts = [payload(400, seed=i) for i in range(5)]   # 2000B over 1KB MTU
     roundtrip(w, s, ch, parts)
     frags = body_fragments(w)
@@ -85,6 +88,7 @@ def test_group_splits_at_mtu():
 
 def test_large_buffer_bypasses_group():
     w, s, ch = make_pair()
+    w.trace.enable()
     big = payload(MYRINET.max_mtu + 10, seed=7)
     parts = [payload(100, 1), big, payload(100, 2)]
     roundtrip(w, s, ch, parts)
@@ -121,6 +125,7 @@ def test_safer_member_still_shadowed():
 
 def test_later_members_grouped_at_end():
     w, s, ch = make_pair()
+    w.trace.enable()
     parts = [payload(100, 1), payload(100, 2), payload(100, 3)]
     modes = [(SEND_CHEAPER, RECV_CHEAPER),
              (SEND_LATER, RECV_CHEAPER),

@@ -18,6 +18,7 @@ from tests.conftest import payload, transfer_once
 def batched_testbed(header_batching=True, packet_size=16 << 10):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
+    w.trace.enable()
     s = Session(w)
     myri = s.channel("myrinet", ["m0", "gw"])
     sci = s.channel("sci", ["gw", "s0"])

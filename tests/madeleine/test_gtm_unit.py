@@ -96,6 +96,7 @@ def test_gtm_requires_multi_hop_route():
 
 def test_fragments_respect_mtu_on_wire():
     w, s, vch = paper_vch(packet_size=8 << 10)
+    w.trace.enable()
     transfer_once(s, vch, 0, 2, payload(50_000))
     frags = [r for r in w.trace.query(category="xfer", event="fragment")
              if r["kind"] == "frag"]
@@ -111,6 +112,7 @@ def test_descriptor_stream_structure():
     """Per §2.3: per buffer one descriptor then its fragments, then an empty
     terminating descriptor."""
     w, s, vch = paper_vch(packet_size=16 << 10)
+    w.trace.enable()
     parts = [payload(10_000, 1), payload(20_000, 2)]
     got = {}
 
@@ -163,6 +165,7 @@ def test_gtm_safer_copy_counted_on_dynamic_origin():
 
 def test_gtm_later_deferred_to_end():
     w, s, vch = paper_vch()
+    w.trace.enable()
     d1, d2 = payload(3_000, 1), payload(4_000, 2)
     got = {}
 

@@ -363,6 +363,7 @@ def test_small_buffers_share_sci_chunk():
     """Aggregation: many small packs should produce far fewer wire fragments
     than packs (they share 32 KB chunks)."""
     w, s, ch = make_pair("sci")
+    w.trace.enable()
     parts = [payload(100, seed=i) for i in range(50)]
 
     def snd():

@@ -11,6 +11,7 @@ def forward(packet=8 << 10, size=1_000_000, gateway_params=None,
             pipeline=None, telemetry=False, direction="sci->myri"):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
+    w.trace.enable()
     s = Session(w, telemetry=telemetry)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),

@@ -70,6 +70,7 @@ def test_telemetry_keyword_rejects_non_bool():
 def test_telemetry_readable_after_close():
     w = two_nodes()
     with Session(w, telemetry=True) as session:
+        session.trace.enable()
         ch = session.channel("myrinet", ["a", "b"])
 
         def sender():

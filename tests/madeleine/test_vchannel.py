@@ -112,6 +112,7 @@ def test_forwarded_message_last_hop_on_regular_channel():
     """§2.2.2: once past the last gateway, messages travel on the regular
     channel (so regular nodes poll a single channel)."""
     w, s, myri, sci, vch = paper_vch()
+    w.trace.enable()
     data = payload(64_000)
     transfer_once(s, vch, src=2, dst=0, data=data)
     frags = w.trace.query(category="xfer", event="fragment")
