@@ -4,8 +4,6 @@ formatting used by every figure/table reproduction in ``benchmarks/``."""
 from .ping import (MultirailHarness, PingHarness, PingResult,
                    measure_ack_latency, one_way_ping,
                    probe_protocol_rates)
-from .regress import (compare_to_baseline, format_report, run_regress,
-                      write_baseline, write_results)
 from .scale import format_sweep, run_traffic_scenario, sweep_nodes
 from .sweep import (PAPER_MESSAGE_SIZES, PAPER_PACKET_SIZES, Series,
                     bandwidth_sweep, figure_sweep, pipeline_sweep,
@@ -19,8 +17,6 @@ __all__ = [
     "probe_protocol_rates",
     "PAPER_MESSAGE_SIZES", "PAPER_PACKET_SIZES", "Series",
     "bandwidth_sweep", "figure_sweep", "pipeline_sweep", "rails_sweep",
-    "compare_to_baseline", "format_report", "run_regress",
-    "write_baseline", "write_results",
     "format_sweep", "run_traffic_scenario", "sweep_nodes",
     "PaperPoint", "format_comparison", "format_series_table", "human_size",
 ]

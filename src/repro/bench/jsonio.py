@@ -2,12 +2,12 @@
 
 ``json.dumps`` happily emits bare ``NaN``/``Infinity``/``-Infinity`` — a
 Python extension that is **not** JSON and breaks every strict parser (jq,
-browsers, the CI step-summary scripts).  Benchmark summaries legitimately
+browsers).  Benchmark summaries legitimately
 contain non-finite floats (a zero-completion traffic run has no FCT
 statistics, so they are NaN), so every bench artifact is written through
 :func:`json_safe`, which maps non-finite floats to ``null``, and read back
-through :func:`load_json`, which leaves the ``None`` for the comparator to
-reject explicitly rather than silently coerce.
+through :func:`load_json`, which leaves the ``None`` for the reader to
+handle explicitly rather than silently coerce.
 """
 
 from __future__ import annotations

@@ -7,10 +7,9 @@ high-water mark, and the kernel-cost figure of merit (dispatched events per
 transferred MB).  The default grid ends at a 256-node 3D torus under 128
 concurrent flows.
 
-``event_growth`` (events/MB at high flow count over events/MB at low flow
-count, same topology) is the committed scaling floor: growth must stay
-sub-linear (≤ ``sweep_nodes_event_growth`` in the regress baseline) as
-flows multiply 8×.
+The ``sweep_nodes`` and ``incremental_rates`` paper cells
+(``tests/bench/test_paper_cells.py``) build their tori with the same
+:func:`_cell_scenario` and run them through :func:`run_traffic_scenario`.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from ..madeleine import reset_global_ids
 from ..scenario import Scenario, Topology, TrafficSpec
 
 __all__ = ["DEFAULT_GRID", "sweep_nodes", "run_traffic_scenario",
-           "solve_traffic_scenario", "format_sweep", "scaling_scenario",
-           "incremental_rates_scenario"]
+           "solve_traffic_scenario", "format_sweep"]
 
 #: (kind, shape, flows) cells; shape is ``dims`` for torus.
 DEFAULT_GRID: tuple = (
@@ -128,87 +126,3 @@ def format_sweep(rows: list[dict]) -> str:
             + (f"{gwq:4d} " if gwq is not None else f"{'-':>4s} ")
             + f"{r['events_per_mb']:8.0f}")
     return "\n".join(lines)
-
-
-def scaling_scenario() -> dict:
-    """The regress cell: events/MB growth 8 → 64 flows on a 4×4 torus.
-
-    Sub-linear kernel cost is the commitment: with 8× the concurrent
-    flows, dispatched events per MB must grow by at most the committed
-    ``sweep_nodes_event_growth`` factor (< 1 in practice — fixed per-run
-    costs amortize).
-    """
-    topo = _topology("torus", (4, 4))
-    out = {}
-    for flows in (8, 64):
-        sc = _cell_scenario(topo, flows, pattern="uniform", size=32 << 10,
-                            mean_interarrival=200.0, seed=11)
-        row = run_traffic_scenario(sc)
-        if row["completed"] < flows:
-            # A partial run's FCT/event statistics describe only the flows
-            # that happened to finish — comparing them against the baseline
-            # would be meaningless, so refuse loudly instead.
-            raise RuntimeError(
-                f"scaling cell torus(4,4) x {flows} flows: only "
-                f"{row['completed']}/{flows} flows completed; refusing to "
-                f"report partial FCT statistics")
-        out[f"events_per_mb_{flows}f"] = row["events_per_mb"]
-        out[f"p99_fct_us_{flows}f"] = row["p99_fct_us"]
-        out[f"completed_{flows}f"] = float(row["completed"])
-    out["event_growth"] = (out["events_per_mb_64f"]
-                           / out["events_per_mb_8f"])
-    return out
-
-
-def incremental_rates_scenario() -> dict:
-    """The regress cell for the incremental fluid-rate engine (PR 9).
-
-    Two committed guarantees:
-
-    * **DES locality** — on the 256-node torus uniform-traffic cell, the
-      mean fraction of live flows whose rates each epoch re-solves stays
-      under the ``incremental_recompute_fraction`` floor (arrival/completion
-      events only dirty their own contention component);
-    * **solver agreement** (``fct_agreement_ok``) — on every cell of the
-      ``--sweep-nodes`` grid the incremental solver's finish times are
-      bit-identical to the full-recompute mode, and every epoch's rates
-      stay within 1e-9 of the from-scratch ``max_min_rates`` oracle.
-
-    Solver speed is held by ``cpu_s`` on the ``solver_sparse`` and
-    ``solver_dense`` workloads of ``benchmarks/perf``, not here.
-    """
-    from ..solver import solve
-
-    cells = [_cell_scenario(_topology(kind, shape), flows, pattern="uniform",
-                            size=32 << 10, mean_interarrival=50.0,
-                            seed=_SWEEP_SEED)
-             for kind, shape, flows in DEFAULT_GRID]
-    out = {}
-    # -- DES locality on the big torus cell ---------------------------------
-    kind, shape, flows = DEFAULT_GRID[-1]
-    row = run_traffic_scenario(cells[-1])
-    if row["completed"] < flows:
-        raise RuntimeError(
-            f"incremental_rates cell {kind}{tuple(shape)} x {flows}: only "
-            f"{row['completed']}/{flows} flows completed")
-    out["des_recompute_fraction"] = row["fluid_recompute_fraction"]
-    out["des_epochs"] = float(row["fluid_epochs"])
-    out["des_recompute_flows"] = float(row["fluid_recompute_flows"])
-
-    # -- solver agreement over the sweep grid --------------------------------
-    agree = 1.0
-    for sc in cells:
-        big = solve(sc, crosscheck=True)    # ends on the 256-node torus
-        full = solve(sc, incremental=False)
-        if big.crosscheck_max_dev > 1e-9 or any(
-                est.finish_us != est_full.finish_us
-                for est, est_full in zip(big.flows, full.flows)):
-            agree = 0.0
-    out["solver_recompute_fraction"] = (big.epoch_flows
-                                        / big.live_flow_epochs)
-    out["mean_component_flows"] = (
-        sum(size * n for size, n in big.component_sizes.items())
-        / max(1, sum(big.component_sizes.values())))
-    out["solver_epochs"] = float(big.recomputes)
-    out["fct_agreement_ok"] = agree
-    return out

@@ -9,7 +9,7 @@ Examples::
     python -m repro fig7 --packets 8K,128K
     python -m repro stats --direction sci-to-myri --size 4M
     python -m repro trace --size 1M --out trace.json
-    python -m repro bench --regress
+    python -m repro bench --sweep-nodes
     python -m repro solve --scenario scenario.yaml
     python -m repro solve --validate
 """
@@ -345,8 +345,6 @@ def _bench_scenario(args) -> int:
 def cmd_bench(args) -> int:
     import pathlib
 
-    from .bench import regress as rg
-
     if getattr(args, "profile", None):
         # cProfile wrapper around whichever bench action was requested:
         # prints the top-20 cumulative functions and writes a .pstats
@@ -376,37 +374,9 @@ def cmd_bench(args) -> int:
         return _sweep_nodes(args)
     if args.scenario:
         return _bench_scenario(args)
-    if not args.regress and not args.update_baseline:
-        print("nothing to do: pass --regress, --update-baseline, "
-              "--scenario, or one of --sweep-pipeline/--sweep-rails/"
-              "--sweep-nodes", file=sys.stderr)
-        return 2
-    baseline_path = pathlib.Path(args.baseline)
-    out_path = pathlib.Path(args.out)
-    current = rg.run_regress(
-        quick=args.quick, jobs=args.jobs,
-        progress=lambda name: print(f"  running {name} ...", flush=True))
-    if args.update_baseline:
-        rg.write_baseline(current, baseline_path,
-                          tolerance=args.tolerance
-                          if args.tolerance is not None
-                          else rg.DEFAULT_TOLERANCE)
-        print(f"wrote baseline {baseline_path}")
-        if not args.regress:
-            return 0
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; create one with "
-              f"--update-baseline", file=sys.stderr)
-        return 2
-    from .bench.jsonio import load_json
-    baseline = load_json(baseline_path)
-    failures = rg.compare_to_baseline(current, baseline,
-                                      tolerance=args.tolerance)
-    print()
-    print(rg.format_report(current, baseline, failures))
-    rg.write_results(current, baseline, failures, out_path)
-    print(f"\nwrote {out_path}")
-    return 1 if failures else 0
+    print("nothing to do: pass --scenario or one of --sweep-pipeline/"
+          "--sweep-rails/--sweep-nodes", file=sys.stderr)
+    return 2
 
 
 def cmd_solve(args) -> int:
@@ -531,11 +501,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _regress_default(which: str):
-    from .bench import regress as rg
-    return rg.DEFAULT_BASELINE if which == "baseline" else rg.DEFAULT_OUT
-
-
 def _solve_default_baseline():
     from .solver.validate import DEFAULT_VALIDATE_BASELINE
     return DEFAULT_VALIDATE_BASELINE
@@ -591,22 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark-regression suite (figures 5-8 + latency points)")
-    p.add_argument("--regress", action="store_true",
-                   help="run the suite and compare against the baseline")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="refresh the committed baseline from this run")
-    p.add_argument("--quick", action="store_true",
-                   help="skip the fig6/fig7 sweeps (CI smoke subset)")
-    p.add_argument("--baseline", default=str(_regress_default("baseline")),
-                   help="baseline JSON path")
-    p.add_argument("--out", default=str(_regress_default("out")),
-                   help="results JSON output path (BENCH_PR3.json)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override the baseline's tolerance band")
+        help="parameter sweeps and traffic-scenario runs")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="run scenarios in a multiprocessing pool of N "
-                        "workers (deterministic per-scenario seeds)")
+                   help="with --sweep-pipeline/--sweep-rails: spread the "
+                        "sweep's cells over a multiprocessing pool of N "
+                        "workers")
     p.add_argument("--sweep-pipeline", action="store_true",
                    help="sweep gateway pipeline depth x fragment size on "
                         "the fig5 topology (plus the adaptive tuner)")

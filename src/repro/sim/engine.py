@@ -39,8 +39,8 @@ and a race (:class:`AnyOf`) takes its one hook off the children that lost,
 so a finished process or race dies by reference counting.
 
 ``events_processed`` counts dispatched events; ``events_cancelled`` counts
-lazily discarded ones.  The benchmark-regression harness tracks
-events-processed-per-MB as the kernel-efficiency figure of merit.
+lazily discarded ones.  Events processed per transferred MB is the
+kernel-efficiency figure of merit (the ``fig5`` paper cell records it).
 """
 
 from __future__ import annotations

@@ -161,7 +161,7 @@ class SolverResult:
 
     def summary(self) -> dict:
         """Flow-level statistics in the traffic engine's summary shape, so
-        sweep tables and regress comparisons can consume either engine."""
+        sweep tables and scenario runs can consume either engine."""
         fcts = np.array([f.fct_us for f in self.flows])
         total_bytes = sum(f.nbytes for f in self.flows)
         peak = 0

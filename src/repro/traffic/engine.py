@@ -219,8 +219,8 @@ class TrafficEngine:
         with zero completions reports them as NaN (there is no honest
         number — certainly not 0), and ``events_per_mb`` is NaN when no
         bytes were delivered.  Consumers that need hard numbers must check
-        ``completed`` (the regress scaling cell refuses partial runs), and
-        anything serializing a summary must route it through
+        ``completed`` (the scaling paper cells assert it equals
+        ``flows``), and anything serializing a summary must route it through
         :func:`repro.bench.jsonio.json_safe` — ``json.dumps`` would other-
         wise emit bare ``NaN``/``Infinity``, which is not JSON.
         """

@@ -122,6 +122,19 @@ def test_solve_scenario_prints_flows_and_writes_json(tmp_path, capsys):
     assert payload["flows"]
 
 
+def test_bench_without_an_action_lists_the_remaining_ones(capsys):
+    assert main(["bench"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == ("nothing to do: pass --scenario or one of "
+                           "--sweep-pipeline/--sweep-rails/--sweep-nodes")
+
+
+def test_bench_rejects_the_removed_suite_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--regress"])
+    assert exc.value.code == 2
+
+
 def test_bench_sweep_rails_solver_mode(capsys):
     assert main(["bench", "--sweep-rails", "--mode", "solver"]) == 0
     out = capsys.readouterr().out

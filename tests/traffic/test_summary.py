@@ -52,18 +52,3 @@ def test_completed_run_summary_stays_finite():
                 "events_per_mb"):
         assert math.isfinite(summary[key]), key
 
-
-def test_scaling_scenario_refuses_partial_completion(monkeypatch):
-    from repro.bench import scale
-
-    def partial(_scenario):
-        return {"completed": 7, "events_per_mb": 100.0,
-                "p99_fct_us": 1.0}
-
-    monkeypatch.setattr(scale, "run_traffic_scenario", partial)
-    try:
-        scale.scaling_scenario()
-    except RuntimeError as err:
-        assert "7/8" in str(err)
-    else:
-        raise AssertionError("scaling_scenario accepted a partial run")
