@@ -5,12 +5,19 @@ hand out *protocol-owned* memory.  A :class:`StaticBufferPool` models a
 finite set of fixed-size blocks; acquisition blocks (in simulated time) when
 the pool is exhausted, which is exactly the backpressure a real NIC's
 descriptor ring applies.
+
+Like a SISCI segment, a pool is one mapping: a private anonymous ``mmap``
+whose blocks are numpy views.  Its pages read as zero and fault in only as
+fragments write them, so a world pays resident memory for the bytes that
+actually land, not for every block of every pool it builds.  The mapping
+is ``MAP_PRIVATE`` so a forked worker gets copy-on-write pages, never its
+parent's.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+import mmap
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -32,12 +39,24 @@ class PoolClosed(SimError):
     released (its world was closed)."""
 
 
+def _segment(count: int, block_size: int) -> np.ndarray:
+    """``count * block_size`` zero bytes in a fresh private anonymous
+    mapping; it is unmapped when the last view of it dies."""
+    return np.frombuffer(
+        mmap.mmap(-1, count * block_size,
+                  flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+        dtype=np.uint8)
+
+
 class StaticBufferPool:
     """Fixed number of fixed-size STATIC buffers with FIFO blocking acquire.
 
-    A pool and its blocks refer to each other (each block's ``owner``), so
-    a dropped pool's memory waits for the cycle collector; :meth:`close`
-    lets the blocks go at once.
+    The blocks are consecutive views of one segment (:func:`_segment`), so
+    a block's ``data.base`` is the whole segment and the pool costs no
+    resident memory until a block is written.  A pool and its blocks refer
+    to each other (each block's ``owner``), so a dropped pool's memory
+    waits for the cycle collector; :meth:`close` lets the blocks, and with
+    the last of them the mapping, go at once.
     """
 
     def __init__(self, sim: Simulator, count: int, block_size: int,
@@ -60,15 +79,22 @@ class StaticBufferPool:
         #: acquires that had to block on an exhausted pool (backpressure).
         self._m_waits = telemetry.metrics.counter("pool.acquire_waits",
                                                   pool=name)
-        self._free: Deque[Buffer] = deque(
-            Buffer(np.zeros(block_size, dtype=np.uint8), kind=STATIC,
-                   owner=self, label=f"{name}[{i}]")
-            for i in range(count)
-        )
-        self._waiters: Deque[Event] = deque()
+        self._free: list[Buffer] = self._blocks(count, "", 0)
+        self._waiters: list[Event] = []
+        #: replacement blocks :meth:`reset` has made, so labels stay unique.
+        self._replaced = 0
         self._outstanding: set[Buffer] = set()
         self._retired: set[Buffer] = set()
         self._closed = False
+
+    def _blocks(self, n: int, tag: str, first: int) -> list[Buffer]:
+        """``n`` fresh blocks cut from one new segment, labelled
+        ``name[<tag><first>]`` onwards."""
+        bs = self.block_size
+        seg = _segment(n, bs)
+        return [Buffer(seg[i * bs:(i + 1) * bs], kind=STATIC, owner=self,
+                       label=f"{self.name}[{tag}{first + i}]")
+                for i in range(n)]
 
     @property
     def available(self) -> int:
@@ -90,7 +116,7 @@ class StaticBufferPool:
             raise PoolClosed(f"pool {self.name!r} is closed")
         ev = self.sim.event(name=f"{self.name}.acquire")
         if self._free and not self._waiters:
-            buf = self._free.popleft()
+            buf = self._free.pop(0)
             buf._released = False
             self._outstanding.add(buf)
             self._g_in_use.set(len(self._outstanding))
@@ -106,7 +132,7 @@ class StaticBufferPool:
             raise PoolClosed(f"pool {self.name!r} is closed")
         if not self._free or self._waiters:
             raise PoolExhausted(f"pool {self.name!r} has no free block")
-        buf = self._free.popleft()
+        buf = self._free.pop(0)
         buf._released = False
         self._outstanding.add(buf)
         self._g_in_use.set(len(self._outstanding))
@@ -129,7 +155,7 @@ class StaticBufferPool:
         if self._waiters:
             buf._released = False
             self._outstanding.add(buf)
-            self._waiters.popleft().succeed(buf)
+            self._waiters.pop(0).succeed(buf)
         else:
             self._free.append(buf)
         self._g_in_use.set(len(self._outstanding))
@@ -171,7 +197,7 @@ class StaticBufferPool:
         """Fail every blocked acquire with ``exc`` (node crash)."""
         n = 0
         while self._waiters:
-            ev = self._waiters.popleft()
+            ev = self._waiters.pop(0)
             if not ev.triggered:
                 ev.fail(exc)
                 n += 1
@@ -182,25 +208,25 @@ class StaticBufferPool:
 
         Blocks still checked out by abandoned pipelines are *retired*: their
         eventual release becomes a no-op instead of an error, and fresh
-        replacement blocks take their place.  Acquires still blocked at
-        reset time (queued between the crash's ``fail_waiters`` and the
-        restart) are granted from the replenished pool in FIFO order rather
-        than silently dropped — a stranded waiter would otherwise never
-        trigger.  Returns the number of blocks replaced.
+        replacement blocks, cut from one new segment and labelled
+        ``name[r<k>]`` from a per-pool count, take their place.  Acquires
+        still blocked at reset time (queued between the crash's
+        ``fail_waiters`` and the restart) are granted from the replenished
+        pool in FIFO order rather than silently dropped — a stranded waiter
+        would otherwise never trigger.  Returns the number of blocks
+        replaced.
         """
         retired = len(self._outstanding)
         self._retired |= self._outstanding
         self._outstanding.clear()
-        for i in range(retired):
-            self._free.append(
-                Buffer(np.zeros(self.block_size, dtype=np.uint8),
-                       kind=STATIC, owner=self,
-                       label=f"{self.name}[r{i}]"))
+        if retired:
+            self._free += self._blocks(retired, "r", self._replaced)
+            self._replaced += retired
         while self._waiters and self._free:
-            ev = self._waiters.popleft()
+            ev = self._waiters.pop(0)
             if ev.triggered:
                 continue
-            buf = self._free.popleft()
+            buf = self._free.pop(0)
             buf._released = False
             self._outstanding.add(buf)
             ev.succeed(buf)
