@@ -1,4 +1,4 @@
-.PHONY: install test bench perf figures examples clean
+.PHONY: install test perf examples clean
 
 install:
 	pip install -e .
@@ -6,16 +6,9 @@ install:
 test:
 	pytest tests/
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
 # the wall-clock benchmark of BENCHMARK.json (benchmarks/perf/README.md)
 perf:
 	python3 benchmarks/perf/run.py
-
-# regenerate every paper figure/table into benchmarks/results/
-figures: bench
-	@ls benchmarks/results/
 
 examples:
 	python examples/quickstart.py
@@ -26,5 +19,5 @@ examples:
 	python examples/rpc_task_farm.py
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

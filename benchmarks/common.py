@@ -1,18 +1,9 @@
-"""Shared helpers for the figure/table reproduction benchmarks.
+"""The paper's reference numbers, as reconstructed from its text and figures.
 
-Every benchmark regenerates one table or figure of the paper's evaluation:
-it runs the same experiment on the simulated testbed, prints the same
-rows/series the paper reports, writes them under ``benchmarks/results/``,
-and asserts the qualitative *shape* (who wins, by roughly what factor,
-where crossovers fall).  Absolute numbers are calibrated, not measured on
-the authors' hardware — see EXPERIMENTS.md.
+``benchmarks/perf`` loads this file by path to report how far the simulated
+Fig. 6/7 asymptotes sit from the paper's (``sim.model_err_pct``).  Where
+each figure is asserted, and how to print it, is in EXPERIMENTS.md.
 """
-
-from __future__ import annotations
-
-import pathlib
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Reference values reconstructed from the paper (the OCR garbles digits;
 #: these are the self-consistent readings documented in EXPERIMENTS.md).
@@ -33,20 +24,3 @@ PAPER = {
     # practical one-way PCI ceiling (MB/s)
     "pci_oneway_ceiling": 66.0,
 }
-
-
-def emit(name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    banner = f"\n{'=' * 74}\n{name}\n{'=' * 74}\n"
-    print(banner + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing.
-
-    The benchmark clock measures how fast the *simulator* reproduces the
-    experiment (wall time); the scientific output is the returned data.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

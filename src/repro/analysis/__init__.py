@@ -9,8 +9,7 @@ from .export import (metrics_to_rows, spans_to_chrome, to_chrome_trace,
                      write_metrics_json, write_spans_chrome)
 from .occupancy import BusMonitor
 from .stats import SessionStats, collect_stats, format_stats
-from .bandwidth import (bandwidth, crossover_size, fit_linear_cost,
-                        half_bandwidth_point)
+from .bandwidth import bandwidth, half_bandwidth_point
 from .pipeline import (PipelineStats, StepTimeline, extract_timeline,
                        pipeline_stats, render_timeline)
 
@@ -22,7 +21,7 @@ __all__ = [
     "metrics_to_rows", "spans_to_chrome", "write_metrics_csv",
     "write_metrics_json", "write_spans_chrome",
     "SessionStats", "collect_stats", "format_stats",
-    "bandwidth", "crossover_size", "fit_linear_cost", "half_bandwidth_point",
+    "bandwidth", "half_bandwidth_point",
     "PipelineStats", "StepTimeline", "extract_timeline", "pipeline_stats",
     "render_timeline",
 ]

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from ..bench.sweep import Series
 
-__all__ = ["bandwidth", "fit_linear_cost", "half_bandwidth_point",
-           "crossover_size"]
+__all__ = ["bandwidth", "half_bandwidth_point"]
 
 
 def bandwidth(nbytes: float, elapsed_us: float) -> float:
@@ -20,38 +17,11 @@ def bandwidth(nbytes: float, elapsed_us: float) -> float:
     return nbytes / elapsed_us
 
 
-def fit_linear_cost(sizes: Sequence[float],
-                    times_us: Sequence[float]) -> tuple[float, float]:
-    """Least-squares fit of the classic cost model t = L + s/B.
-
-    Returns (L in µs, B in MB/s).  Used to recover a network's fixed cost
-    and stream rate from measured points (the §3.2.2 calibration).
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    times = np.asarray(times_us, dtype=float)
-    if sizes.shape != times.shape or sizes.size < 2:
-        raise ValueError("need >= 2 matching (size, time) points")
-    a = np.vstack([np.ones_like(sizes), sizes]).T
-    (lat, inv_bw), *_ = np.linalg.lstsq(a, times, rcond=None)
-    if inv_bw <= 0:
-        raise ValueError("degenerate fit: non-positive per-byte cost")
-    return float(lat), float(1.0 / inv_bw)
-
-
 def half_bandwidth_point(series: Series) -> Optional[int]:
     """Smallest message size reaching half of the curve's asymptote (the
     classic n_1/2 metric); None if the curve never gets there."""
     target = series.asymptote / 2.0
     for size, bw in sorted(series.as_rows()):
         if bw >= target:
-            return size
-    return None
-
-
-def crossover_size(a: Series, b: Series) -> Optional[int]:
-    """First common size where curve ``b`` overtakes curve ``a``."""
-    common = sorted(set(a.sizes) & set(b.sizes))
-    for size in common:
-        if b.bandwidths[b.sizes.index(size)] >= a.bandwidths[a.sizes.index(size)]:
             return size
     return None

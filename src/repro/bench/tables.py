@@ -1,14 +1,12 @@
-"""Result formatting: paper-style rows and paper-vs-measured comparisons."""
+"""Result formatting: paper-style bandwidth rows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .sweep import Series
 
-__all__ = ["format_series_table", "format_comparison", "PaperPoint",
-           "human_size"]
+__all__ = ["format_series_table", "human_size"]
 
 
 def human_size(nbytes: int) -> str:
@@ -38,35 +36,4 @@ def format_series_table(curves: Sequence[Series], title: str = "") -> str:
             except ValueError:
                 row.append(" " * 16)
         lines.append("  ".join(row))
-    return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PaperPoint:
-    """A reference value reconstructed from the paper's text/figures."""
-
-    quantity: str
-    paper_value: float
-    measured: float
-    unit: str = "MB/s"
-    note: str = ""
-
-    @property
-    def ratio(self) -> float:
-        return self.measured / self.paper_value if self.paper_value else float("nan")
-
-
-def format_comparison(points: Iterable[PaperPoint],
-                      title: Optional[str] = None) -> str:
-    lines = []
-    if title:
-        lines.append(title)
-    header = (f"{'quantity':42s} {'paper':>9s} {'measured':>9s} "
-              f"{'ratio':>6s}  note")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for p in points:
-        lines.append(
-            f"{p.quantity:42s} {p.paper_value:7.1f} {p.unit:>2s}"
-            f" {p.measured:7.1f} {p.unit:>2s} {p.ratio:5.2f}x  {p.note}")
     return "\n".join(lines)

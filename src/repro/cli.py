@@ -22,7 +22,8 @@ import sys
 
 from .analysis import plot_series
 from .bench import (PAPER_MESSAGE_SIZES, PAPER_PACKET_SIZES, PingHarness,
-                    Series, figure_sweep, format_series_table)
+                    Series, figure_sweep, format_series_table,
+                    probe_protocol_rates)
 from .hw import PROTOCOLS
 
 __all__ = ["main"]
@@ -71,11 +72,6 @@ def cmd_ping(args) -> int:
 
 
 def cmd_raw(args) -> int:
-    import numpy as np
-
-    from .hw import build_world
-    from .madeleine import Session
-
     proto = args.protocol
     if proto not in PROTOCOLS:
         print(f"unknown protocol {proto!r}; try: {', '.join(PROTOCOLS)}",
@@ -83,25 +79,7 @@ def cmd_raw(args) -> int:
         return 2
     series = Series(label=proto)
     for size in args.sizes:
-        w = build_world({"a": [proto], "b": [proto]})
-        s = Session(w)
-        ch = s.channel(proto, ["a", "b"])
-        out = {}
-        data = np.zeros(size, dtype=np.uint8)
-
-        def snd():
-            m = ch.endpoint(0).begin_packing(1)
-            yield m.pack(data)
-            yield m.end_packing()
-
-        def rcv():
-            inc = yield ch.endpoint(1).begin_unpacking()
-            _ev, _b = inc.unpack(len(data))
-            yield inc.end_unpacking()
-            out["t"] = s.now
-
-        s.spawn(snd()); s.spawn(rcv()); s.run()
-        series.add(size, size / out["t"])
+        series.add(size, probe_protocol_rates((proto,), size)[proto])
     print(format_series_table([series],
                               title=f"raw one-way bandwidth, {proto}"))
     return 0
@@ -456,8 +434,6 @@ def cmd_solve(args) -> int:
 def cmd_fuzz(args) -> int:
     from .fuzz import load_repro, minimize_scenario, run_campaign, run_scenario
 
-    if args.scenario and not args.replay:
-        args.replay = args.scenario
     if args.replay:
         scenario = load_repro(args.replay)
         if args.minimize:
@@ -627,10 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after S wall-clock seconds even if --runs "
                         "remain")
     p.add_argument("--replay", metavar="FILE",
-                   help="re-execute one repro file instead of a campaign")
-    p.add_argument("--scenario", metavar="FILE",
-                   help="alias for --replay accepting scenario files "
-                        "(YAML or JSON, bare or fuzz-repro wrapped)")
+                   help="re-execute one repro or scenario file (YAML or "
+                        "JSON, bare or fuzz-repro wrapped) instead of a "
+                        "campaign")
     p.add_argument("--minimize", action="store_true",
                    help="with --replay: shrink the scenario first if it "
                         "still fails")

@@ -442,6 +442,9 @@ class Scenario:
         version = d.get("version", SCENARIO_VERSION)
         if version != SCENARIO_VERSION:
             raise ValueError(f"unsupported scenario version {version}")
+        for key in ("seed", "topology"):
+            if key not in d:
+                raise ValueError(f"scenario is missing required field {key!r}")
         pipeline = d.get("pipeline")
         stripe = d.get("stripe")
         adaptive = d.get("adaptive")

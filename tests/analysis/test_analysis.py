@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import (bandwidth, crossover_size, extract_timeline,
-                            fit_linear_cost, half_bandwidth_point,
+from repro.analysis import (bandwidth, extract_timeline, half_bandwidth_point,
                             pipeline_stats, plot_series, render_timeline)
 from repro.bench import Series
 from repro.hw import build_world
@@ -17,35 +16,12 @@ def test_bandwidth_helper():
         bandwidth(1, 0)
 
 
-def test_fit_linear_cost_recovers_model():
-    lat, bw = 150.0, 66.0
-    sizes = [1 << k for k in range(10, 21)]
-    times = [lat + s / bw for s in sizes]
-    got_lat, got_bw = fit_linear_cost(sizes, times)
-    assert got_lat == pytest.approx(lat, rel=1e-6)
-    assert got_bw == pytest.approx(bw, rel=1e-6)
-
-
-def test_fit_linear_cost_validation():
-    with pytest.raises(ValueError):
-        fit_linear_cost([1], [2])
-    with pytest.raises(ValueError):
-        fit_linear_cost([1, 2], [5, 4])   # negative per-byte cost
-
-
 def test_half_bandwidth_point():
     s = Series("s", sizes=[1, 2, 4, 8], bandwidths=[10, 25, 45, 50])
     # asymptote = 50, half = 25 -> first size reaching it is 2
     assert half_bandwidth_point(s) == 2
     never = Series("n", sizes=[1, 2], bandwidths=[1, 1])
     assert half_bandwidth_point(never) == 1   # trivially at its own plateau
-
-
-def test_crossover_size():
-    sci = Series("sci", sizes=[1, 2, 4], bandwidths=[30, 35, 40])
-    myri = Series("myri", sizes=[1, 2, 4], bandwidths=[10, 36, 60])
-    assert crossover_size(sci, myri) == 2
-    assert crossover_size(myri, sci) == 1   # sci >= myri already at size 1
 
 
 def gateway_trace(direction, packet=16 << 10, size=300_000):

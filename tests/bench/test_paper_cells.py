@@ -77,6 +77,9 @@ def cell_fig5() -> dict:
     sim = session.sim
     mb = _MESSAGE / (1 << 20)
     records = world.telemetry.metrics.total("wire.fragments")
+    assert stats.overlap_fraction > 0.5, (
+        f"fig5.overlap_fraction: {stats.overlap_fraction:.1%} — the gateway "
+        f"no longer receives one paquet while it sends the previous one")
     return {
         "elapsed_us": elapsed,
         "bandwidth_mbs": _MESSAGE / elapsed,
@@ -105,28 +108,59 @@ def cell_latency() -> dict:
     return out
 
 
-def _sweep(direction: str) -> dict:
+def _sweep(direction: str):
     """A reduced fig6/fig7 grid: enough points to pin the curve and the
-    plateau without the full 5×12 sweep of the figure reproductions."""
+    plateau without the full 5×12 sweep of ``repro fig6``/``repro fig7``.
+    Returns the curves and their asymptotes (8, 64, 128 KB paquets)."""
     curves = figure_sweep(direction, packet_sizes=(8 << 10, 64 << 10,
                                                    128 << 10),
                           message_sizes=tuple((1 << k) << 10
                                               for k in (5, 7, 9, 11, 13)))
-    return {f"asymptote_{c.meta['packet_size'] >> 10}k_mbs": c.asymptote
-            for c in curves}
+    return curves, {f"asymptote_{c.meta['packet_size'] >> 10}k_mbs":
+                    c.asymptote for c in curves}
 
 
 def cell_fig6() -> dict:
-    return _sweep("b0->a0")
+    curves, out = _sweep("b0->a0")
+    asymptotes = list(out.values())
+    small, large = asymptotes[0], asymptotes[-1]
+    assert asymptotes == sorted(asymptotes), (
+        f"fig6: asymptotes {asymptotes} do not grow with paquet size")
+    assert 50.0 < large < 66.0, (
+        f"fig6.asymptote_128k_mbs: {large:.1f} MB/s is not close to, and "
+        f"below, the 66 MB/s practical one-way PCI ceiling")
+    assert small < 0.65 * large, (
+        f"fig6: 8 KB paquets keep {small / large:.0%} of the 128 KB "
+        f"asymptote — the per-paquet cost stopped halving the bandwidth")
+    for c in curves:
+        bws = [bw for _size, bw in sorted(c.as_rows())]
+        assert all(b2 >= 0.98 * b1 for b1, b2 in zip(bws, bws[1:])), (
+            f"fig6, {c.label}: bandwidth falls with message size {bws}")
+    return out
 
 
 def cell_fig7() -> dict:
-    return _sweep("a0->b0")
+    _curves, out = _sweep("a0->b0")
+    asymptotes = list(out.values())
+    small, large = asymptotes[0], asymptotes[-1]
+    # Against the committed figure 6 cell, which test_cell_matches_golden
+    # holds to the same values.
+    fig6_large = GOLDEN["fig6"]["asymptote_128k_mbs"]
+    assert large < 0.8 * fig6_large, (
+        f"fig7.asymptote_128k_mbs: {large:.1f} MB/s is not far below the "
+        f"SCI -> Myrinet direction ({fig6_large:.1f} MB/s) — the PCI "
+        f"conflict of §3.4.1 stopped costing bandwidth")
+    assert large < 1.8 * small, (
+        f"fig7: 8 KB -> 128 KB paquets gains {large / small:.2f}x — larger "
+        f"paquets should help far less than in figure 6")
+    assert large < 50.0, (
+        f"fig7.asymptote_128k_mbs: {large:.1f} MB/s is near the PCI ceiling")
+    return out
 
 
 def cell_fig8() -> dict:
     from repro.analysis import extract_timeline, pipeline_stats
-    from repro.hw import SCI
+    from repro.hw import MYRINET, SCI
 
     def ratios(src: str, dst: str):
         harness = PingHarness(packet_size=_PACKET)
@@ -140,11 +174,29 @@ def cell_fig8() -> dict:
     stats_sm = ratios("b0", "a0")
     nominal_send = (SCI.tx_overhead + SCI.latency
                     + (_PACKET + 16) / SCI.host_peak)
-    return {
+    nominal_recv = (MYRINET.tx_overhead + MYRINET.latency
+                    + (_PACKET + 16) / MYRINET.host_peak)
+    out = {
         "myri_to_sci_send_recv_ratio": stats_ms.send_recv_ratio,
         "sci_to_myri_send_recv_ratio": stats_sm.send_recv_ratio,
         "sci_send_slowdown": stats_ms.mean_send_us / nominal_send,
     }
+    assert out["myri_to_sci_send_recv_ratio"] > 1.3, (
+        f"fig8.myri_to_sci_send_recv_ratio: "
+        f"{out['myri_to_sci_send_recv_ratio']:.2f} — the gateway's SCI sends "
+        f"no longer dominate the Myrinet -> SCI pipeline")
+    assert 0.8 < out["sci_to_myri_send_recv_ratio"] < 1.25, (
+        f"fig8.sci_to_myri_send_recv_ratio: "
+        f"{out['sci_to_myri_send_recv_ratio']:.2f} — the SCI -> Myrinet "
+        f"pipeline (figure 5) is no longer balanced")
+    assert out["sci_send_slowdown"] > 1.2, (
+        f"fig8.sci_send_slowdown: {out['sci_send_slowdown']:.2f}x — PIO sends "
+        f"under a DMA receive stopped running slower than nominal")
+    assert stats_ms.mean_recv_us < 1.15 * nominal_recv, (
+        f"fig8: the Myrinet DMA receive takes {stats_ms.mean_recv_us:.0f} µs, "
+        f"over 1.15x its nominal {nominal_recv:.0f} µs — the receive should "
+        f"keep nominal speed")
+    return out
 
 
 # -- gateway pipeline, header batching, multirail -----------------------------
@@ -178,6 +230,9 @@ def cell_pipeline() -> dict:
         "tuned_fragment_kb": float(vch.effective_mtu(route) >> 10),
         "depth4_gain": depth4_tuned / depth2 - 1.0,
     }
+    assert depth4 >= 0.99 * depth2, (
+        f"pipeline.depth4_static_mbs: {depth4:.1f} MB/s is below depth 2's "
+        f"{depth2:.1f} MB/s — a deeper pipeline must not regress")
     assert out["depth4_gain"] >= 0.10, (
         f"pipeline.depth4_gain: {out['depth4_gain']:.1%} is below the "
         f"committed floor (10%) — the depth-4 tuned pipeline stopped beating "
@@ -516,6 +571,374 @@ def cell_adaptive() -> dict:
         f"surviving-rail optimum")
     return out
 
+# -- raw networks, forwarding alternatives, design ablations ------------------
+
+def cell_raw_networks() -> dict:
+    """§3.2 raw Madeleine one-way bandwidth per network, 1 KB - 4 MB: SCI
+    wins small messages and Myrinet large ones (§3.2.2), Myrinet tops out
+    under the practical PCI ceiling, and the Fast-Ethernet ack network is
+    an order of magnitude below both."""
+    from repro.bench import Series, probe_protocol_rates
+
+    sizes = [(1 << k) << 10 for k in range(13)]
+    curves = {p: Series(p) for p in ("myrinet", "sci", "fast_ethernet")}
+    for size in sizes:
+        for proto, rate in probe_protocol_rates(tuple(curves), size).items():
+            curves[proto].add(size, rate)
+    myri, sci = curves["myrinet"], curves["sci"]
+    crossover = next(size for size, s_bw, m_bw
+                     in zip(sizes, sci.bandwidths, myri.bandwidths)
+                     if m_bw >= s_bw)
+    out = {
+        "myrinet_1k_mbs": myri.bandwidths[0],
+        "sci_1k_mbs": sci.bandwidths[0],
+        "myrinet_asymptote_mbs": myri.asymptote,
+        "sci_asymptote_mbs": sci.asymptote,
+        "fast_ethernet_asymptote_mbs": curves["fast_ethernet"].asymptote,
+        "crossover_kb": float(crossover >> 10),
+    }
+    assert out["sci_1k_mbs"] > out["myrinet_1k_mbs"], (
+        "raw_networks: Myrinet beats SCI on 1 KB messages — SCI should win "
+        "small messages (§3.2.2)")
+    assert out["myrinet_asymptote_mbs"] > out["sci_asymptote_mbs"], (
+        "raw_networks: SCI's asymptote beats Myrinet's — Myrinet should "
+        "win large messages (§3.2.2)")
+    assert 4 <= out["crossover_kb"] <= 128, (
+        f"raw_networks.crossover_kb: Myrinet overtakes SCI at "
+        f"{out['crossover_kb']:.0f} KB, outside the 4-128 KB range")
+    assert 60.0 < out["myrinet_asymptote_mbs"] <= 66.0, (
+        f"raw_networks.myrinet_asymptote_mbs: "
+        f"{out['myrinet_asymptote_mbs']:.1f} MB/s is not between 60 MB/s "
+        f"and the 66 MB/s practical one-way PCI ceiling")
+    assert out["fast_ethernet_asymptote_mbs"] < 12.0, (
+        f"raw_networks.fast_ethernet_asymptote_mbs: "
+        f"{out['fast_ethernet_asymptote_mbs']:.1f} MB/s — Fast-Ethernet "
+        f"should be an order of magnitude below the fast networks")
+    return out
+
+
+def _forwarded_us(size: int) -> float:
+    """One ``size``-byte message SCI -> Myrinet through the GTM gateway
+    (64 KB paquets)."""
+    _world, session, vch, _ack = PingHarness(packet_size=_PACKET).build()
+    return _one_message(session, vch, "b0", "a0",
+                        [np.zeros(size, dtype=np.uint8)])
+
+
+def _relay_us(size: int, pacx: bool = False) -> float:
+    """One ``size``-byte message s0 (SCI) -> m0 (Myrinet) relayed by an
+    application: a store-and-forward process on the gateway (Nexus-style),
+    or with ``pacx`` a PACX-style pair of daemons coupled over TCP."""
+    from repro.baselines import (AppLevelForwarder, app_recv, app_send,
+                                 build_pacx_coupling)
+    from repro.hw import build_world
+    from repro.madeleine import Session
+    from repro.routing import RouteTable
+
+    if pacx:
+        session = Session(build_world({
+            "m0": ["myrinet"], "md": ["myrinet", "gigabit_tcp"],
+            "sd": ["sci", "gigabit_tcp"], "s0": ["sci"]}))
+        coupling = build_pacx_coupling(session, ["m0", "md"], "myrinet",
+                                       ["s0", "sd"], "sci")
+        routes, last_hop = coupling.routes, coupling.intra_a
+    else:
+        session = Session(build_world({
+            "m0": ["myrinet"], "gw": ["myrinet", "sci"], "s0": ["sci"]}))
+        myri = session.channel("myrinet", ["m0", "gw"])
+        sci = session.channel("sci", ["gw", "s0"])
+        AppLevelForwarder([myri, sci], gw_rank=session.rank("gw"))
+        routes, last_hop = RouteTable([myri, sci]), myri
+    done = {}
+
+    def snd():
+        yield app_send(routes, session.rank("s0"), session.rank("m0"),
+                       np.zeros(size, dtype=np.uint8))
+
+    def rcv():
+        yield from app_recv(last_hop, session.rank("m0"))
+        done["t"] = session.now
+
+    session.spawn(snd())
+    session.spawn(rcv())
+    session.run()
+    return done["t"]
+
+
+#: the §3.2.1 small-message sizes (bytes).
+_SMALL_SIZES = (4, 64, 1 << 10, 8 << 10)
+
+
+def cell_small_messages() -> dict:
+    """§3.2.1 "bandwidth vs latency": one-way times of 4 B - 8 KB messages
+    direct on each network, forwarded by the GTM (SCI -> Myrinet) and
+    relayed by an application on the gateway.  The paper does not optimise
+    latency: forwarding pays both native latencies plus software overhead,
+    and below one paquet the relay is even faster than the GTM."""
+    from repro.bench import probe_protocol_rates
+
+    out = {}
+    for size in _SMALL_SIZES:
+        rates = probe_protocol_rates(("myrinet", "sci"), size)
+        out[f"myrinet_{size}b_us"] = size / rates["myrinet"]
+        out[f"sci_{size}b_us"] = size / rates["sci"]
+        out[f"gtm_{size}b_us"] = _forwarded_us(size)
+        out[f"app_relay_{size}b_us"] = _relay_us(size)
+    for size in _SMALL_SIZES:
+        direct = out[f"myrinet_{size}b_us"] + out[f"sci_{size}b_us"]
+        assert out[f"gtm_{size}b_us"] > direct, (
+            f"small_messages.gtm_{size}b_us: {out[f'gtm_{size}b_us']:.1f} µs "
+            f"is not above the two native latencies ({direct:.1f} µs)")
+    assert out["sci_4b_us"] < out["myrinet_4b_us"], (
+        "small_messages: Myrinet's native small-message latency beats SCI's")
+    gap = [out[f"gtm_{size}b_us"] - out[f"app_relay_{size}b_us"]
+           for size in _SMALL_SIZES]
+    assert gap[-1] < 0.6 * gap[0], (
+        f"small_messages: the GTM's latency penalty over the relay went from "
+        f"{gap[0]:.1f} µs at 4 B to {gap[-1]:.1f} µs at 8 KB — it should "
+        f"shrink as the pipeline amortizes")
+    return out
+
+
+def cell_baselines() -> dict:
+    """§1/§2.2.2: the integrated GTM forwarding against the alternatives the
+    paper rejects, on one 1 MB message SCI -> Myrinet: a store-and-forward
+    relay application on the gateway (an extra copy, no pipelining) and
+    PACX-style coupling through a TCP daemon pair."""
+    size = 1 << 20
+    out = {
+        "gtm_mbs": size / _forwarded_us(size),
+        "app_relay_mbs": size / _relay_us(size),
+        "pacx_mbs": size / _relay_us(size, pacx=True),
+    }
+    assert out["gtm_mbs"] > 1.3 * out["app_relay_mbs"], (
+        f"baselines: the GTM ({out['gtm_mbs']:.1f} MB/s) is not 1.3x the "
+        f"store-and-forward relay ({out['app_relay_mbs']:.1f} MB/s)")
+    assert out["gtm_mbs"] > 1.8 * out["pacx_mbs"], (
+        f"baselines: the GTM ({out['gtm_mbs']:.1f} MB/s) is not 1.8x the "
+        f"PACX-style TCP coupling ({out['pacx_mbs']:.1f} MB/s)")
+    assert out["app_relay_mbs"] > out["pacx_mbs"], (
+        "baselines: the TCP coupling beats the relay that uses the fast "
+        "links")
+    return out
+
+
+def cell_ablations() -> dict:
+    """One design knob at a time on one 4 MB message, everything else at
+    paper values (64 KB paquets): paquet size and buffer-switch overhead
+    SCI -> Myrinet; gateway ingress regulation (§4) and the PIO-under-DMA
+    slowdown (§3.4.1) Myrinet -> SCI.  Pipeline depth and the swap
+    discipline are asserted in tests/madeleine/test_gateway.py and
+    test_gateway_modes.py."""
+    from repro.hw import GatewayParams, NodeParams, PCIParams
+
+    def bandwidth(direction="b0->a0", packet=_PACKET, gateway_params=None,
+                  node_params=None) -> float:
+        harness = PingHarness(packet_size=packet,
+                              gateway_params=gateway_params,
+                              node_params=node_params)
+        return harness.measure(4 << 20, direction=direction).bandwidth
+
+    out = {}
+    for kb in (8, 16, 32, 64, 128):
+        out[f"paquet_{kb}k_mbs"] = bandwidth(packet=kb << 10)
+    for us in (0.0, 20.0, 40.0, 80.0, 160.0):
+        out[f"switch_{us:.0f}us_mbs"] = bandwidth(
+            gateway_params=GatewayParams(switch_overhead=us))
+    for limit in (None, 60.0, 45.0, 30.0):
+        out[f"ingress_{limit or 0:.0f}_mbs"] = bandwidth(
+            "a0->b0", gateway_params=GatewayParams(ingress_limit=limit))
+    for factor in (1.0, 1.5, 2.0, 3.0, 4.0):
+        out[f"pio_slowdown_{factor}x_mbs"] = bandwidth(
+            "a0->b0", node_params=NodeParams(
+                pci=PCIParams(pio_preempt_slowdown=factor)))
+
+    def knob(prefix: str) -> list:
+        return [bw for key, bw in out.items() if key.startswith(prefix)]
+
+    assert knob("paquet") == sorted(knob("paquet")), (
+        f"ablations: bandwidth {knob('paquet')} does not grow with paquet "
+        f"size 8-128 KB")
+    for prefix, what in (("switch", "the buffer-switch overhead"),
+                         ("ingress", "a tighter ingress limit"),
+                         ("pio", "a harsher PIO-under-DMA slowdown")):
+        assert knob(prefix) == sorted(knob(prefix), reverse=True), (
+            f"ablations: bandwidth {knob(prefix)} does not fall with {what}")
+    assert out["pio_slowdown_1.0x_mbs"] > 45.0, (
+        f"ablations.pio_slowdown_1.0x_mbs: "
+        f"{out['pio_slowdown_1.0x_mbs']:.1f} MB/s — without the PIO penalty "
+        f"Myrinet -> SCI should recover the symmetric level")
+    return out
+
+
+def cell_sci_dma() -> dict:
+    """§4 future work: send over SCI with the card's DMA engine instead of
+    PIO.  ``sci_dma`` is SCI with bus-master sends (no PIO preemption
+    penalty) and a 25 µs DMA setup cost per fragment; Myrinet -> SCI
+    forwarding at 64 KB paquets, 64 KB - 8 MB messages.  The protocol is
+    registered for the cell's duration only."""
+    from repro.hw import PROTOCOLS, SCI, register_protocol, scaled
+    from repro.sim.fluid import DMA
+
+    register_protocol(scaled(SCI, name="sci_dma", tx_kind=DMA,
+                             latency=SCI.latency + 25.0))
+    try:
+        out = {}
+        for proto in ("sci", "sci_dma"):
+            (curve,) = figure_sweep(
+                "a0->b0", packet_sizes=(_PACKET,),
+                message_sizes=tuple((1 << k) << 10 for k in range(6, 14)),
+                protocols=("myrinet", proto))
+            out[f"{proto}_asymptote_mbs"] = curve.asymptote
+    finally:
+        del PROTOCOLS["sci_dma"]
+    out["dma_gain"] = out["sci_dma_asymptote_mbs"] / out["sci_asymptote_mbs"]
+    assert out["dma_gain"] > 1.15, (
+        f"sci_dma.dma_gain: {out['dma_gain']:.2f}x — DMA-engine sends no "
+        f"longer recover the bandwidth PIO loses to the PCI conflict")
+    assert out["sci_dma_asymptote_mbs"] > 45.0, (
+        f"sci_dma.sci_dma_asymptote_mbs: {out['sci_dma_asymptote_mbs']:.1f} "
+        f"MB/s is far from the SCI -> Myrinet level")
+    return out
+
+
+def cell_protocol_matrix() -> dict:
+    """The gateway between every ordered pair of protocols (one 1 MB message,
+    32 KB paquets): bandwidth and gateway copies per forwarded byte.  The
+    §2.3 zero-copy rules: the gateway copies only when it must receive into
+    static buffers of the incoming protocol and send from static buffers of
+    the outgoing one, and then exactly once."""
+    from repro.hw import PROTOCOLS
+
+    size = 1 << 20
+    protocols = ("myrinet", "sci", "sbp", "gigabit_tcp")
+    out = {}
+    for p_in in protocols:
+        for p_out in protocols:
+            if p_in == p_out:
+                continue
+            harness = PingHarness(packet_size=32 << 10,
+                                  protocols=(p_in, p_out))
+            world, session, vch, _ack = harness.build()
+            elapsed = _one_message(session, vch, "a0", "b0",
+                                   [np.zeros(size, dtype=np.uint8)])
+            _n, copied = world.accounting.by_label().get(
+                "gateway.static_copy", (0, 0))
+            pair = f"{p_in}_to_{p_out}"
+            out[f"{pair}_mbs"] = size / elapsed
+            out[f"{pair}_copies_per_byte"] = copied / size
+            if PROTOCOLS[p_in].rx_static and PROTOCOLS[p_out].tx_static:
+                assert 0.999 < copied / size < 1.01, (
+                    f"protocol_matrix.{pair}: {copied / size:.3f} gateway "
+                    f"copies per byte — static x static must copy once")
+            else:
+                assert copied == 0, (
+                    f"protocol_matrix.{pair}: the gateway copied {copied} B "
+                    f"on a path the zero-copy rules keep copy-free")
+            assert out[f"{pair}_mbs"] > 5.0, (
+                f"protocol_matrix.{pair}: {out[f'{pair}_mbs']:.1f} MB/s — a "
+                f"pathological stall")
+    assert out["sci_to_myrinet_mbs"] > out["myrinet_to_sci_mbs"], (
+        "protocol_matrix: Myrinet -> SCI beats SCI -> Myrinet, against "
+        "figures 6 and 7")
+    assert out["sbp_to_sci_mbs"] < out["myrinet_to_sci_mbs"], (
+        "protocol_matrix: the static x static copy into SCI costs no "
+        "bandwidth against the borrowed-buffer path Myrinet -> SCI")
+    return out
+
+
+def cell_collectives() -> dict:
+    """Allreduce of 2 MB (341 KB per rank) over six ranks, binomial tree
+    and bandwidth-optimal ring, inside one Myrinet cluster and split 3+3
+    across a Myrinet/SCI gateway: what crossing the gateway costs each."""
+    from repro.hw import (ClusterSpec, GatewayLink, build_cluster_of_clusters,
+                          build_world)
+    from repro.madeleine import Session
+    from repro.minimpi import Communicator, allreduce, ring_allreduce
+    from tests.minimpi.test_collectives import run_spmd
+
+    def single():
+        names = {f"n{i}": ["myrinet"] for i in range(6)}
+        session = Session(build_world(names))
+        return (session, [session.channel("myrinet", list(names))],
+                list(range(6)))
+
+    def split():
+        world, members, gws = build_cluster_of_clusters(
+            clusters=[ClusterSpec("m", "myrinet", 4),
+                      ClusterSpec("s", "sci", 3)],
+            gateways=[GatewayLink("m", "s")])
+        session = Session(world)
+        channels = [session.channel("myrinet", members["m"]),
+                    session.channel("sci", members["s"] + gws)]
+        return session, channels, [session.rank(n) for n in
+                                   members["m"][:3] + members["s"]]
+
+    out = {}
+    for topology, build in (("single", single), ("split", split)):
+        for name, algorithm in (("tree", allreduce), ("ring", ring_allreduce)):
+            session, channels, workers = build()
+            vch = session.virtual_channel(channels, packet_size=_PACKET)
+            finish = {}
+
+            def body(comm, i, results, algorithm=algorithm, session=session):
+                got = yield from algorithm(
+                    comm, np.full((1 << 18) // 6, float(i)), op=np.add)
+                assert np.allclose(got, 15.0)    # 0 + 1 + ... + 5
+                results[i] = session.now
+
+            run_spmd(session, {r: Communicator(vch, r) for r in workers},
+                     workers, body, finish)
+            out[f"{topology}_{name}_us"] = max(finish.values())
+    for name in ("tree", "ring"):
+        penalty = out[f"split_{name}_us"] / out[f"single_{name}_us"]
+        out[f"{name}_gateway_penalty"] = penalty
+        assert penalty > 1.0, (
+            f"collectives.{name}_gateway_penalty: {penalty:.2f}x — crossing "
+            f"the gateway costs the {name} allreduce nothing")
+    return out
+
+
+def cell_failover() -> dict:
+    """The reliable layer on the two-gateway testbed (2 × 240 kB Myrinet ->
+    SCI, 16 KB paquets): a clean run, 5% fragment drop with 2.5%
+    corruption, and the active gateway crashing 2 ms in.  Loss costs
+    goodput; the crash costs time but ends by failover onto the surviving
+    gateway, well inside the retry budget."""
+    from repro.faults import ChannelFaults, FaultPlan, NodeEvent
+    from repro.madeleine import RetryPolicy
+    from tests.faults.conftest import (payloads, reliable_pair, run_transfer,
+                                       two_gateway_world)
+
+    policy = RetryPolicy()
+    msgs = payloads(11, 2, 240_000)
+
+    def completion(drop_p=0.0, crash=False) -> float:
+        reset_global_ids()
+        world, session, myri, sci = two_gateway_world()
+        faults = ChannelFaults(drop_p=drop_p, corrupt_p=drop_p / 2)
+        FaultPlan(seed=11, channels={myri.id: faults, sci.id: faults},
+                  node_events=((NodeEvent(time=2_000.0, node="gwA"),)
+                               if crash else ())).arm(world)
+        _vch, rel_src, rel_dst = reliable_pair(session, myri, sci, policy)
+        delivered = []
+        _attempts, got, errors = run_transfer(session, rel_src, rel_dst,
+                                              msgs, delivered=delivered)
+        assert not errors and got == msgs, errors
+        return delivered[-1]
+
+    out = {"clean_us": completion(), "lossy_us": completion(drop_p=0.05),
+           "crash_us": completion(crash=True)}
+    out["recovery_us"] = out["crash_us"] - out["clean_us"]
+    budget = 2 * policy.max_attempts * policy.rto_max
+    assert out["lossy_us"] > out["clean_us"], (
+        "failover: 5% fragment loss costs no goodput")
+    assert 0.0 < out["recovery_us"] < budget, (
+        f"failover.recovery_us: {out['recovery_us']:.0f} µs is not a "
+        f"positive delay under the retry budget ({budget:.0f} µs) — the "
+        f"crash is no longer survived by failover")
+    return out
+
 
 CELLS = {
     "fig5": cell_fig5,
@@ -529,6 +952,14 @@ CELLS = {
     "adaptive": cell_adaptive,
     "fig6": cell_fig6,
     "fig7": cell_fig7,
+    "raw_networks": cell_raw_networks,
+    "small_messages": cell_small_messages,
+    "baselines": cell_baselines,
+    "ablations": cell_ablations,
+    "sci_dma": cell_sci_dma,
+    "protocol_matrix": cell_protocol_matrix,
+    "collectives": cell_collectives,
+    "failover": cell_failover,
 }
 
 
@@ -546,3 +977,10 @@ def test_cell_matches_golden(name):
     np.random.seed(seed)
     np.random.random()
     assert CELLS[name]() == GOLDEN[name]    # exact floats, no tolerance
+
+
+def test_the_sci_dma_cell_leaves_the_protocol_registry_as_it_found_it():
+    from repro.hw import PROTOCOLS
+    before = list(PROTOCOLS)
+    cell_sci_dma()
+    assert list(PROTOCOLS) == before

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.bench import (MultirailHarness, PingHarness, Series,
-                         bandwidth_sweep, figure_sweep, format_comparison,
-                         format_series_table, human_size,
-                         measure_ack_latency, PaperPoint)
+                         bandwidth_sweep, figure_sweep, format_series_table,
+                         human_size, measure_ack_latency)
 from repro.hw import build_world
 from repro.madeleine import Session
 
@@ -68,13 +67,6 @@ def test_format_series_table_contains_all_points():
     assert "Figure X" in out
     assert "8 KB" in out and "16 KB" in out
     assert "25.0" in out and "10.0" in out
-
-
-def test_format_comparison():
-    pts = [PaperPoint("asymptotic bandwidth", 60.0, 55.0, note="fig 6")]
-    out = format_comparison(pts, title="check")
-    assert "0.92x" in out
-    assert "fig 6" in out
 
 
 def test_a_harness_keeps_one_testbed_alive():

@@ -39,8 +39,9 @@ def payloads(seed, n, nbytes):
             for _ in range(n)]
 
 
-def run_transfer(s, rel_src, rel_dst, msgs, dst=3):
-    """Push ``msgs`` through and return (attempts, received, errors).
+def run_transfer(s, rel_src, rel_dst, msgs, dst=3, delivered=None):
+    """Push ``msgs`` through and return (attempts, received, errors); the
+    time of each delivery is appended to ``delivered`` if one is given.
 
     Typed failures are caught *inside* the processes — a reliable
     transfer must end in an exception the application can handle, never
@@ -61,6 +62,8 @@ def run_transfer(s, rel_src, rel_dst, msgs, dst=3):
         for _ in msgs:
             _src, data, _tid = yield from rel_dst.recv()
             got.append(data)
+            if delivered is not None:
+                delivered.append(s.now)
 
     s.spawn(sender(), name="t-send")
     s.spawn(receiver(), name="t-recv")

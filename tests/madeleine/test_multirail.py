@@ -132,7 +132,7 @@ def test_multirail_parallel_messages_faster():
     t_multi, fwd_multi = run(True)
     assert len(fwd_single) == 1          # everything through one gateway
     assert len(fwd_multi) == 2           # one message per gateway
-    assert t_multi < t_single * 0.8
+    assert t_multi * 1.3 < t_single      # the second rail pays off
 
 
 def test_multirail_noop_when_single_route():

@@ -48,6 +48,14 @@ def test_loads_scenario_autodetects_format():
     assert loads_scenario(yaml.safe_dump(sc.to_dict())) == sc
 
 
+@pytest.mark.parametrize("key", ["seed", "topology"])
+def test_a_missing_required_field_is_named_not_a_key_error(key):
+    doc = _scenario().to_dict()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"missing required field '{key}'"):
+        loads_scenario(json.dumps(doc))
+
+
 def test_load_scenario_accepts_fuzz_repro_wrapper(tmp_path):
     sc = _scenario()
     doc = {"version": 1, "scenario": sc.to_dict(), "failures": [],

@@ -135,6 +135,13 @@ def test_bench_rejects_the_removed_suite_flag():
     assert exc.value.code == 2
 
 
+def test_fuzz_rejects_the_removed_scenario_alias():
+    f = "benchmarks/scenarios/torus_uniform.yaml"
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--scenario", f])
+    assert exc.value.code == 2
+
+
 def test_bench_sweep_rails_solver_mode(capsys):
     assert main(["bench", "--sweep-rails", "--mode", "solver"]) == 0
     out = capsys.readouterr().out
