@@ -8,7 +8,6 @@ from .export import (metrics_to_rows, spans_to_chrome, to_chrome_trace,
                      write_chrome_trace, write_metrics_csv,
                      write_metrics_json, write_spans_chrome)
 from .occupancy import BusMonitor
-from .stats import SessionStats, collect_stats, format_stats
 from .bandwidth import bandwidth, half_bandwidth_point
 from .pipeline import (PipelineStats, StepTimeline, extract_timeline,
                        pipeline_stats, render_timeline)
@@ -20,7 +19,6 @@ __all__ = [
     "to_chrome_trace", "write_chrome_trace",
     "metrics_to_rows", "spans_to_chrome", "write_metrics_csv",
     "write_metrics_json", "write_spans_chrome",
-    "SessionStats", "collect_stats", "format_stats",
     "bandwidth", "half_bandwidth_point",
     "PipelineStats", "StepTimeline", "extract_timeline", "pipeline_stats",
     "render_timeline",

@@ -5,8 +5,8 @@ by the NIC transmit engines (:meth:`FaultInjector.fragment_verdict`); it
 also owns the dynamic health state — which channels and nodes are currently
 down — and the driver processes that replay the plan's scheduled events.
 
-Recovery code (the virtual channel's fault listener, tests, the chaos
-harness) can :meth:`subscribe` to health transitions, and may also trigger
+Recovery code (the virtual channel's fault listener, tests) can
+:meth:`subscribe` to health transitions, and may also trigger
 them directly (``link_down`` / ``crash_node`` / …) for targeted scenarios.
 """
 

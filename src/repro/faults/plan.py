@@ -8,7 +8,7 @@ builds a :class:`~repro.faults.injector.FaultInjector`, hooks it into the
 fabric, and spawns one driver process per scheduled event.
 
 Everything is seeded: the same plan on the same workload yields the same
-fault sequence, so chaos runs are reproducible bug reports.
+fault sequence, so a fault run is a reproducible bug report.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class FaultPlan:
             # registry means the plan is being armed pre-channel (the
             # Session(fault_plan=...) path) and link targets cannot be
             # checked yet — such plans should be armed after channel
-            # creation anyway, as tools/chaos.py does.
+            # creation anyway, as Session.from_scenario does.
             if world.channel_ids:
                 known = {base_channel_id(c) for c in world.channel_ids}
                 for ev in self.link_events:

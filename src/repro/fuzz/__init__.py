@@ -1,7 +1,8 @@
 """Coverage-guided scenario fuzzing for the forwarding stack.
 
-The chaos harness (``tools/chaos.py``) replays hand-picked fault schedules
-on one fixed topology; this package explores the configuration space
+A fault run is a scenario file (``tests/faults/scenarios/`` holds the
+hand-picked ones) replayed by ``repro fuzz --replay`` and judged by the
+invariant catalog; this package also explores the configuration space
 systematically:
 
 * :mod:`repro.scenario` — a :class:`Scenario` is one complete,

@@ -13,7 +13,7 @@ import pathlib
 from typing import Union
 
 from .executor import FuzzResult
-from ..scenario import Scenario
+from ..scenario import Scenario, load_scenario
 
 __all__ = ["save_repro", "load_repro", "repro_name"]
 
@@ -45,18 +45,16 @@ def load_repro(path: Union[str, pathlib.Path]) -> Scenario:
     """The scenario of a repro file (its recorded failures are advisory).
 
     Accepts classic JSON repro documents (with the ``scenario`` wrapper)
-    and, via :mod:`repro.scenario.loader`, bare scenario files in JSON or
-    YAML — so ``repro fuzz --replay`` runs anything ``repro bench
-    --scenario`` runs.
+    and bare scenario files in JSON or YAML, all through
+    :func:`~repro.scenario.load_scenario` — so ``repro fuzz --replay`` runs,
+    and validates, anything ``repro bench --scenario`` runs.
     """
     path = pathlib.Path(path)
-    if path.suffix.lower() not in (".json",):
-        from ..scenario import load_scenario
-        return load_scenario(path)
-    doc = json.loads(path.read_text())
-    if "scenario" in doc:
-        version = doc.get("version", REPRO_VERSION)
+    if path.suffix.lower() == ".json":
+        doc = json.loads(path.read_text())
+        version = (doc.get("version", REPRO_VERSION)
+                   if isinstance(doc, dict) and "scenario" in doc
+                   else REPRO_VERSION)
         if version != REPRO_VERSION:
             raise ValueError(f"unsupported repro version {version} in {path}")
-        return Scenario.from_dict(doc["scenario"])
-    return Scenario.from_dict(doc)
+    return load_scenario(path)

@@ -10,6 +10,9 @@ Fuzz repro files (``{"version": ..., "scenario": {...}}`` wrappers written
 by ``repro fuzz``) are accepted transparently — the embedded scenario is
 returned — so one loader serves ``repro bench --scenario``,
 ``repro fuzz --replay``, and :meth:`Session.from_scenario`.
+
+Loading validates: a file naming a node, channel or gateway its topology
+does not have fails here with :class:`ValueError`, not mid-run.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ def _from_doc(doc: object) -> Scenario:
                          f"got {type(doc).__name__}")
     if "scenario" in doc and "topology" not in doc:
         # A fuzz repro wrapper: {"version": ..., "scenario": {...}, ...}.
-        inner = doc["scenario"]
-        if not isinstance(inner, dict):
+        doc = doc["scenario"]
+        if not isinstance(doc, dict):
             raise ValueError("repro file 'scenario' entry must be a mapping")
-        return Scenario.from_dict(inner)
-    return Scenario.from_dict(doc)
+    scenario = Scenario.from_dict(doc)
+    scenario.validate()
+    return scenario
 
 
 def loads_scenario(text: str, fmt: str = "auto") -> Scenario:

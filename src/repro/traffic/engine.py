@@ -2,8 +2,8 @@
 
 The engine takes the flow list :func:`~repro.traffic.flows.scenario_flows`
 expands a scenario into — the explicit messages at t=0, then the generated
-traffic — and is the only code that sends and receives it: the benches, the
-fuzz executor and the chaos harness all run this driver, and the analytic
+traffic — and is the only code that sends and receives it: the benches and
+the fuzz executor (every fault run included) run this driver, and the analytic
 solver prices the same list.  Flows are driven open-loop: every flow starts
 at its arrival time regardless of whether earlier flows finished, so
 offered load — not completion rate — shapes the arrival process, and

@@ -1,11 +1,10 @@
-"""Chrome trace export and session statistics."""
+"""Chrome trace export, and the registry's totals of a forwarded run."""
 
 import json
 
 import pytest
 
-from repro.analysis import (collect_stats, extract_timeline, format_stats,
-                            to_chrome_trace, write_chrome_trace)
+from repro.analysis import extract_timeline, to_chrome_trace, write_chrome_trace
 from repro.hw import build_world
 from repro.madeleine import Session
 from tests.conftest import payload, transfer_once
@@ -15,7 +14,7 @@ def run_forwarding():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     w.trace.enable()
-    s = Session(w)
+    s = Session(w, telemetry=True)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
@@ -44,33 +43,16 @@ def test_write_chrome_trace(tmp_path):
     assert len(doc["traceEvents"]) == n > 0
 
 
-def test_collect_stats_counts():
+def test_registry_counts_a_forwarded_run():
     w = run_forwarding()
-    stats = collect_stats(w)
-    assert stats.elapsed_us > 0
-    assert stats.fragments > 0
+    m = w.telemetry.metrics
+    assert m.total("wire.fragments") > 0
     # payload crossed both networks once each (plus control records)
-    assert stats.by_protocol["sci"][1] >= 100_000
-    assert stats.by_protocol["myrinet"][1] >= 100_000
-    assert stats.gateway_messages == {1: 1}
-    assert stats.aggregate_bandwidth > 0
-
-
-def test_format_stats_readable():
-    w = run_forwarding()
-    text = format_stats(collect_stats(w))
-    assert "wire fragments" in text
-    assert "gateway forwarding" in text
-    assert "sci" in text and "myrinet" in text
-
-
-def test_empty_world_stats():
-    w = build_world({"a": ["myrinet"]})
-    w.trace.enable()
-    stats = collect_stats(w)
-    assert stats.fragments == 0
-    assert stats.aggregate_bandwidth == 0.0
-    assert "host copies" in format_stats(stats)
+    for proto in ("sci", "myrinet"):
+        assert sum(i.value for i in m.series("wire.bytes")
+                   if i.labels["proto"] == proto) >= 100_000
+    assert m.value("gateway.messages_forwarded", gw=1) == 1
+    assert m.value("gateway.items_forwarded", gw=1) > 0
 
 
 # -- a trace that was never on is refused, not read as zeros --------------------
@@ -85,11 +67,6 @@ def _untraced_forwarding():
     transfer_once(s, vch, 2, 0, payload(100_000))
     assert len(w.trace) == 0
     return w
-
-
-def test_collect_stats_refuses_a_trace_never_enabled():
-    with pytest.raises(ValueError, match=r"trace\.enable\(\)"):
-        collect_stats(_untraced_forwarding())
 
 
 def test_extract_timeline_refuses_a_trace_never_enabled():
@@ -109,6 +86,5 @@ def test_chrome_export_refuses_a_trace_never_enabled(tmp_path):
 def test_a_trace_disabled_after_its_run_stays_readable():
     w = run_forwarding()
     w.trace.disable()
-    assert collect_stats(w).fragments > 0
     assert extract_timeline(w.trace)
     assert to_chrome_trace(w.trace)

@@ -1,18 +1,12 @@
 """Telemetry vs. ground truth: the registry's recovery counters must agree
-with what the endpoints, injector, and chaos harness observed directly."""
-
-import pathlib
-import sys
+with what the endpoints and the fault injector observed directly."""
 
 import numpy as np
-import pytest
 
 from repro.faults import ChannelFaults, FaultPlan, NodeEvent
 from repro.hw import build_world
 from repro.hw.params import GatewayParams
 from repro.madeleine import ReliableEndpoint, RetryPolicy, Session
-
-TOOLS = pathlib.Path(__file__).resolve().parents[2] / "tools"
 
 
 def lossy_transfer(drop_p=0.04, crash_at=None, nmsgs=2, nbytes=120_000,
@@ -53,7 +47,7 @@ def lossy_transfer(drop_p=0.04, crash_at=None, nmsgs=2, nbytes=120_000,
     s.spawn(sender())
     s.spawn(receiver())
     s.run()
-    assert got == payloads, "chaos transfer must deliver intact"
+    assert got == payloads, "lossy transfer must deliver intact"
     return s, vch, injector, rel_src, attempts
 
 
@@ -80,18 +74,3 @@ def test_failover_counter_records_gateway_crash():
     assert m.total("faults.node_transitions") == 1
     assert attempts[0] > 1           # the crash forced at least one retry
     assert m.total("routing.down_transitions") >= 1
-
-
-def test_chaos_harness_report_reads_the_registry():
-    """tools/chaos.py numbers are the registry's numbers."""
-    sys.path.insert(0, str(TOOLS))
-    try:
-        chaos = pytest.importorskip("chaos")
-        report = chaos.run_chaos(chaos.ChaosConfig(
-            seed=3, messages=2, nbytes=60_000, crash_at=2_000.0))
-    finally:
-        sys.path.remove(str(TOOLS))
-    assert report.ok
-    assert report.retransmits > 0
-    assert report.failovers >= 1
-    assert report.fragments_dropped > 0

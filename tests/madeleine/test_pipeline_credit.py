@@ -43,30 +43,6 @@ def test_config_defaults_are_paper_faithful():
     assert cfg.is_lockstep and not cfg.adaptive_mtu
 
 
-def test_legacy_params_map_onto_pipeline_config():
-    """``pipeline_depth``/``lockstep`` survive as keys of the JSON session
-    config, an input format; they land in the one PipelineConfig."""
-    from repro.madeleine.config import load_config
-
-    def pipeline_of(gateway: dict) -> PipelineConfig:
-        _s, _chs, vchs = load_config({
-            "nodes": {"m0": ["myrinet"], "gw": ["myrinet", "sci"],
-                      "s0": ["sci"]},
-            "channels": {
-                "myri": {"protocol": "myrinet", "members": ["m0", "gw"]},
-                "sci": {"protocol": "sci", "members": ["gw", "s0"]}},
-            "virtual_channels": {"w": {"channels": ["myri", "sci"],
-                                       "gateway": gateway}}})
-        return vchs["w"].pipeline
-
-    assert pipeline_of({"switch_overhead": 40.0}).is_lockstep
-    deep = pipeline_of({"pipeline_depth": 4, "lockstep": False})
-    assert deep.depth == 4 and not deep.is_lockstep
-    # "lockstep" at any other depth than 2 has always run the credit queue
-    assert not pipeline_of({"pipeline_depth": 3}).is_lockstep
-    assert not pipeline_of({"lockstep": False}).is_lockstep
-
-
 # -- schedule preservation ---------------------------------------------------
 
 def test_depth2_config_reduces_to_lockstep_schedule():

@@ -142,6 +142,16 @@ def test_fuzz_rejects_the_removed_scenario_alias():
     assert exc.value.code == 2
 
 
+def test_fuzz_replay_of_a_fault_run_exits_zero(capsys):
+    """A committed fault run replays through the one runner: exit 0 and a
+    PASS line when no invariant is violated."""
+    assert main(["fuzz", "--replay",
+                 "tests/faults/scenarios/acceptance.json"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS: no invariant violated" in out
+    assert "delivered    3" in out
+
+
 def test_bench_sweep_rails_solver_mode(capsys):
     assert main(["bench", "--sweep-rails", "--mode", "solver"]) == 0
     out = capsys.readouterr().out
