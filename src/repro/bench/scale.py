@@ -20,7 +20,7 @@ from ..madeleine import reset_global_ids
 from ..scenario import Scenario, Topology, TrafficSpec
 
 __all__ = ["DEFAULT_GRID", "sweep_nodes", "run_traffic_scenario",
-           "solve_traffic_scenario", "format_sweep"]
+           "format_sweep"]
 
 #: (kind, shape, flows) cells; shape is ``dims`` for torus.
 DEFAULT_GRID: tuple = (
@@ -74,26 +74,13 @@ def run_traffic_scenario(scenario: Scenario) -> dict:
     return row
 
 
-def solve_traffic_scenario(scenario: Scenario) -> dict:
-    """The solver fast path of :func:`run_traffic_scenario`: the same
-    summary row, estimated by the fluid fixed-point solver instead of the
-    DES (no gateway-queue telemetry — the fluid model has no queues)."""
-    from ..solver import solve
-    return solve(scenario).summary()
-
-
 def sweep_nodes(grid: Sequence = DEFAULT_GRID, *,
                 pattern: str = "uniform", size: int = 32 << 10,
                 mean_interarrival: float = 50.0,
                 seed: int = _SWEEP_SEED,
-                progress=None, mode: str = "des") -> list[dict]:
+                progress=None) -> list[dict]:
     """Run the node-scaling grid; one summary row per ``(kind, shape,
-    flows)`` cell.  ``mode="solver"`` estimates every cell with the
-    analytic solver instead of running the DES — the fast path for
-    exploring grids far beyond what simulation wall-clock allows (flow-level
-    accuracy bounds in docs/solver.md)."""
-    if mode not in ("des", "solver"):
-        raise ValueError(f"unknown sweep mode {mode!r}")
+    flows)`` cell."""
     rows = []
     for kind, shape, flows in grid:
         topo = _topology(kind, shape)
@@ -102,8 +89,7 @@ def sweep_nodes(grid: Sequence = DEFAULT_GRID, *,
                      f"({topo.n_nodes} nodes)")
         sc = _cell_scenario(topo, flows, pattern=pattern, size=size,
                             mean_interarrival=mean_interarrival, seed=seed)
-        row = (solve_traffic_scenario(sc) if mode == "solver"
-               else run_traffic_scenario(sc))
+        row = run_traffic_scenario(sc)
         row.update({"kind": kind, "shape": list(shape), "flows": flows,
                     "nodes": topo.n_nodes})
         rows.append(row)

@@ -62,14 +62,11 @@ PIPELINE_SWEEP_DEPTHS = (1, 2, 4, 8)
 PIPELINE_SWEEP_FRAGMENTS = tuple((1 << k) << 10 for k in (3, 4, 5, 6, 7))
 
 
-def _pipeline_cell(cell):
-    """One (depth, fragment) measurement on the fig5 topology.
-
-    Module-level (and tuple-argumented) so a ``multiprocessing`` pool can
-    pickle it; ``fragment=None`` runs the adaptive tuner instead of a
-    static fragment size and also reports the size it chose.
-    """
-    depth, fragment, message, direction, rates = cell
+def _pipeline_cell(depth: int, fragment: Optional[int], message: int,
+                   direction: str, rates: Optional[dict]):
+    """One (depth, fragment) measurement on the fig5 topology;
+    ``fragment=None`` runs the adaptive tuner instead of a static fragment
+    size and also reports the size it chose."""
     adaptive = fragment is None
     pipeline = PipelineConfig(depth=depth, adaptive_mtu=adaptive)
     harness = PingHarness(packet_size=fragment or 8 << 10,
@@ -81,31 +78,26 @@ def _pipeline_cell(cell):
                     if direction == "b0->a0"
                     else (session.rank("a0"), session.rank("b0")))
         fragment = vch.effective_mtu(vch.routes.route(src, dst))
-    return depth, fragment, adaptive, result.bandwidth
+    return fragment, result.bandwidth
 
 
 def pipeline_sweep(depths: Sequence[int] = PIPELINE_SWEEP_DEPTHS,
                    fragments: Sequence[int] = PIPELINE_SWEEP_FRAGMENTS,
                    message: int = 2 << 20, direction: str = "b0->a0",
-                   probe: bool = False,
-                   map_fn: Optional[Callable] = None) -> dict:
+                   probe: bool = False) -> dict:
     """Sweep pipeline depth × fragment size on the fig5 topology, plus one
     adaptively tuned point per depth.  ``probe=True`` runs the online
-    rate-probe phase and feeds the measured rates into the tuner;
-    ``map_fn`` substitutes for the builtin ``map`` (a multiprocessing
-    pool's ``imap``) to spread the cells over worker processes."""
+    rate-probe phase and feeds the measured rates into the tuner."""
     rates = probe_protocol_rates(("myrinet", "sci")) if probe else None
-    cells = [(d, f, message, direction, rates)
-             for d in depths for f in [*fragments, None]]
     grid: dict[str, dict[str, float]] = {}
     tuned: dict[str, dict[str, float]] = {}
-    for depth, fragment, adaptive, bw in (map_fn or map)(_pipeline_cell,
-                                                         cells):
-        if adaptive:
-            tuned[f"depth{depth}"] = {"fragment_kb": fragment >> 10,
-                                      "mbs": bw}
-        else:
-            grid.setdefault(f"depth{depth}", {})[f"{fragment >> 10}k"] = bw
+    for depth in depths:
+        row = grid.setdefault(f"depth{depth}", {})
+        for fragment in fragments:
+            row[f"{fragment >> 10}k"] = _pipeline_cell(
+                depth, fragment, message, direction, rates)[1]
+        fragment, bw = _pipeline_cell(depth, None, message, direction, rates)
+        tuned[f"depth{depth}"] = {"fragment_kb": fragment >> 10, "mbs": bw}
     return {"direction": direction, "message": message,
             "probe": bool(probe), "grid": grid, "tuned": tuned}
 
@@ -115,64 +107,36 @@ RAILS_SWEEP_RAILS = (1, 2, 3)
 RAILS_SWEEP_PACKETS = tuple((1 << k) << 10 for k in (2, 3, 4))
 
 
-def _rails_cell(cell):
+def _rails_cell(rails: int, packet: int, message: int):
     """One (rails, paquet) measurement on the multirail topology, plus the
-    analytic aggregate-bandwidth prediction for the same point.
-
-    Module-level (and tuple-argumented) so a ``multiprocessing`` pool can
-    pickle it.
-    """
+    analytic aggregate-bandwidth prediction for the same point."""
     from ..analysis.model import predict_multirail
     from ..hw.params import PROTOCOLS
     from ..routing import StripePolicy
-    rails, packet, message, rates = cell
     policy = StripePolicy(max_rails=rails) if rails > 1 else None
     harness = MultirailHarness(packet_size=packet, rails=rails,
-                               stripe_policy=policy, rate_overrides=rates)
+                               stripe_policy=policy)
     result = harness.measure(message)
     model = predict_multirail(PROTOCOLS[harness.protocols[0]],
                               PROTOCOLS[harness.protocols[1]],
                               packet, rails=rails, message=message)
-    return rails, packet, result.bandwidth, model.bandwidth
-
-
-def _rails_cell_solver(cell):
-    """The same (rails, paquet) cell estimated by the analytic solver
-    (``--mode solver``): no simulator runs; the 'measured' column is the
-    fluid fixed-point figure on the same topology."""
-    from ..analysis.model import predict_multirail
-    from ..hw.params import PROTOCOLS
-    from ..solver import solve_bandwidth
-    from ..solver.validate import multirail_scenario
-    rails, packet, message, _rates = cell
-    bw = solve_bandwidth(multirail_scenario(packet, message, rails))
-    model = predict_multirail(PROTOCOLS["myrinet"], PROTOCOLS["sci"],
-                              packet, rails=rails, message=message)
-    return rails, packet, bw, model.bandwidth
+    return result.bandwidth, model.bandwidth
 
 
 def rails_sweep(rails: Sequence[int] = RAILS_SWEEP_RAILS,
                 packets: Sequence[int] = RAILS_SWEEP_PACKETS,
-                message: int = 2 << 20,
-                map_fn: Optional[Callable] = None,
-                mode: str = "des") -> dict:
+                message: int = 2 << 20) -> dict:
     """Sweep rail count × paquet size on the multirail dual-NIC topology,
     reporting measured striped bandwidth next to the closed-form
-    :func:`~repro.analysis.model.predict_multirail` figure for every cell.
-    ``map_fn`` substitutes for the builtin ``map`` (a multiprocessing
-    pool's ``imap``) to spread the cells over worker processes;
-    ``mode="solver"`` replaces the DES measurement with the analytic
-    solver's estimate (~100x faster, validated within 5% — see
-    docs/solver.md)."""
-    if mode not in ("des", "solver"):
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    cell_fn = _rails_cell_solver if mode == "solver" else _rails_cell
-    cells = [(r, p, message, None) for r in rails for p in packets]
+    :func:`~repro.analysis.model.predict_multirail` figure for every cell."""
     grid: dict[str, dict[str, float]] = {}
     model: dict[str, dict[str, float]] = {}
-    for r, packet, bw, predicted in (map_fn or map)(cell_fn, cells):
-        grid.setdefault(f"rails{r}", {})[f"{packet >> 10}k"] = bw
-        model.setdefault(f"rails{r}", {})[f"{packet >> 10}k"] = predicted
+    for r in rails:
+        row, mrow = {}, {}
+        for packet in packets:
+            row[f"{packet >> 10}k"], mrow[f"{packet >> 10}k"] = _rails_cell(
+                r, packet, message)
+        grid[f"rails{r}"], model[f"rails{r}"] = row, mrow
     gains: dict[str, float] = {}
     base = grid.get("rails1", {})
     for key, row in grid.items():
@@ -181,7 +145,7 @@ def rails_sweep(rails: Sequence[int] = RAILS_SWEEP_RAILS,
         shared = [p for p in row if p in base]
         if shared:
             gains[key] = sum(row[p] / base[p] for p in shared) / len(shared)
-    return {"message": message, "mode": mode, "grid": grid, "model": model,
+    return {"message": message, "grid": grid, "model": model,
             "mean_gain": gains}
 
 

@@ -11,7 +11,6 @@ Examples::
     python -m repro trace --size 1M --out trace.json
     python -m repro bench --sweep-nodes
     python -m repro solve --scenario scenario.yaml
-    python -m repro solve --validate
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .bench import (PAPER_MESSAGE_SIZES, PAPER_PACKET_SIZES, PingHarness,
                     Series, figure_sweep, format_series_table,
                     probe_protocol_rates)
 from .hw import PROTOCOLS
+from .sim.errors import ProcessCrashed, RetryExhausted
 
 __all__ = ["main"]
 
@@ -42,6 +42,26 @@ def _parse_size(text: str) -> int:
 
 def _parse_sizes(text: str) -> list[int]:
     return [_parse_size(part) for part in text.split(",") if part]
+
+
+def _parse_payload(text: str) -> int:
+    size = _parse_size(text)
+    if size < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad size {text!r} (a transfer needs at least 1 byte)")
+    return size
+
+
+def _parse_probability(text: str) -> float:
+    try:
+        p = float(text)
+        ok = 0.0 <= p <= 1.0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"bad probability {text!r} (expected a number in [0, 1])")
+    return p
 
 
 def cmd_info(_args) -> int:
@@ -192,18 +212,7 @@ def _sweep_pipeline(args) -> int:
     from .bench import pipeline_sweep
     from .bench.jsonio import dump_json
 
-    map_fn = None
-    pool = None
-    if args.jobs and args.jobs > 1:
-        import multiprocessing as mp
-        pool = mp.Pool(args.jobs)
-        map_fn = pool.imap
-    try:
-        result = pipeline_sweep(probe=args.probe, map_fn=map_fn)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    result = pipeline_sweep(probe=args.probe)
     frag_keys = sorted({k for row in result["grid"].values() for k in row},
                        key=lambda k: int(k[:-1]))
     print(f"forwarded bandwidth (MB/s), {result['direction']}, "
@@ -235,24 +244,12 @@ def _sweep_rails(args) -> int:
     from .bench import rails_sweep
     from .bench.jsonio import dump_json
 
-    map_fn = None
-    pool = None
-    if args.jobs and args.jobs > 1:
-        import multiprocessing as mp
-        pool = mp.Pool(args.jobs)
-        map_fn = pool.imap
-    try:
-        result = rails_sweep(map_fn=map_fn, mode=args.mode)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    result = rails_sweep()
     pkt_keys = sorted({k for row in result["grid"].values() for k in row},
                       key=lambda k: int(k[:-1]))
-    measured = ("solved" if result["mode"] == "solver" else "measured")
     print(f"striped bandwidth (MB/s), a0->b0, "
           f"{result['message'] >> 20} MB message, "
-          f"{measured} | model per cell:\n")
+          "measured | model per cell:\n")
     header = f"{'rails':>8s}" + "".join(f"{k:>16s}" for k in pkt_keys) \
         + f"{'mean gain':>12s}"
     print(header)
@@ -279,36 +276,28 @@ def _sweep_nodes(args) -> int:
     from .bench.jsonio import dump_json
     from .bench.scale import format_sweep, sweep_nodes
 
-    rows = sweep_nodes(mode=args.mode,
-                       progress=lambda msg: print(f"  running {msg} ...",
+    rows = sweep_nodes(progress=lambda msg: print(f"  running {msg} ...",
                                                   flush=True))
     print()
     print(format_sweep(rows))
-    if args.mode == "solver":
-        print("\nanalytic solver estimates (no simulation; 'ev/MB' counts "
-              "fixed-point recomputations) — accuracy bounds in "
-              "docs/solver.md")
-    else:
-        print("\nopen-loop Poisson traffic on generated tori; 'gwq' is "
-              "the gateway queue high-water mark and "
-              "'ev/MB' the kernel cost per transferred MB "
-              "(see docs/scaling.md)")
+    print("\nopen-loop Poisson traffic on generated tori; 'gwq' is "
+          "the gateway queue high-water mark and "
+          "'ev/MB' the kernel cost per transferred MB "
+          "(see docs/scaling.md)")
     if args.sweep_out:
         path = pathlib.Path(args.sweep_out)
-        dump_json({"suite": "sweep-nodes", "mode": args.mode, "rows": rows},
-                  path)
+        dump_json({"suite": "sweep-nodes", "rows": rows}, path)
         print(f"\nwrote {path}")
     return 0
 
 
 def _bench_scenario(args) -> int:
-    from .bench.scale import run_traffic_scenario, solve_traffic_scenario
+    from .bench.scale import run_traffic_scenario
     from .scenario import load_scenario
 
     scenario = load_scenario(args.scenario)
     print(f"scenario {args.scenario}: {scenario.describe()}")
-    row = (solve_traffic_scenario(scenario) if args.mode == "solver"
-           else run_traffic_scenario(scenario))
+    row = run_traffic_scenario(scenario)
     for key in ("flows", "completed", "failed", "peak_active", "p50_fct_us",
                 "p99_fct_us", "mean_fct_us", "duration_us", "goodput_mbs",
                 "gw_queue_hwm", "events", "events_per_mb"):
@@ -321,29 +310,6 @@ def _bench_scenario(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import pathlib
-
-    if getattr(args, "profile", None):
-        # cProfile wrapper around whichever bench action was requested:
-        # prints the top-20 cumulative functions and writes a .pstats
-        # artifact for `snakeviz`/`pstats` spelunking.  Forces a serial
-        # run — a multiprocessing pool would escape the profiler.
-        import cProfile
-        import pstats
-
-        if args.jobs and args.jobs > 1:
-            print("--profile forces a serial run (--jobs 1)", file=sys.stderr)
-        args.jobs = 1
-        prof_path = pathlib.Path(args.profile)
-        args.profile = None
-        prof = cProfile.Profile()
-        rc = prof.runcall(cmd_bench, args)
-        prof.dump_stats(prof_path)
-        print()
-        pstats.Stats(prof).sort_stats("cumulative").print_stats(20)
-        print(f"wrote profile {prof_path}")
-        return rc
-
     if args.sweep_pipeline:
         return _sweep_pipeline(args)
     if args.sweep_rails:
@@ -358,40 +324,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    import pathlib
-
-    from .bench.jsonio import dump_json, load_json
-
-    if args.validate:
-        from .solver import validate as sv
-        result = sv.run_validate(
-            progress=lambda n: print(f"  running {n} ...", flush=True),
-            jobs=args.jobs)
-        baseline_path = pathlib.Path(args.baseline)
-        if args.update_baseline:
-            sv.write_validate_baseline(result, baseline_path)
-            print(f"wrote baseline {baseline_path}")
-        if not baseline_path.exists():
-            print(f"no baseline at {baseline_path}; create one with "
-                  f"--update-baseline", file=sys.stderr)
-            return 2
-        failures = sv.compare_validate(result, load_json(baseline_path))
-        print()
-        print(sv.format_validate(result, failures))
-        if args.out:
-            dump_json({**result,
-                       "comparison": {
-                           "status": "fail" if failures else "pass",
-                           "failures": failures,
-                       }}, args.out)
-            print(f"\nwrote {args.out}")
-        return 1 if failures else 0
-
-    if not args.scenario:
-        print("nothing to do: pass --scenario FILE or --validate",
-              file=sys.stderr)
-        return 2
-
+    from .bench.jsonio import dump_json
     from .scenario import load_scenario
     from .solver import solve
 
@@ -405,8 +338,9 @@ def cmd_solve(args) -> int:
               f"{f.arrival:9.1f}u {f.fct_us:9.1f}u {f.bandwidth:8.2f}")
     summary = result.summary()
     print()
-    for key in ("flows", "peak_active", "p50_fct_us", "p99_fct_us",
-                "mean_fct_us", "duration_us", "goodput_mbs", "events"):
+    for key in ("flows", "completed", "peak_active", "p50_fct_us",
+                "p99_fct_us", "mean_fct_us", "duration_us", "goodput_mbs",
+                "events"):
         value = summary[key]
         text = f"{value:.1f}" if isinstance(value, float) else str(value)
         print(f"  {key:16s} {text}")
@@ -477,11 +411,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _solve_default_baseline():
-    from .solver.validate import DEFAULT_VALIDATE_BASELINE
-    return DEFAULT_VALIDATE_BASELINE
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -515,10 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     def _forward_args(p) -> None:
         p.add_argument("--direction", choices=sorted(_DIRECTIONS),
                        default="sci-to-myri")
-        p.add_argument("--size", type=_parse_size, default=4 << 20)
+        p.add_argument("--size", type=_parse_payload, default=4 << 20)
         p.add_argument("--packet", type=_parse_size, default=64 << 10)
-        p.add_argument("--drop", type=float, default=0.0,
-                       help="per-fragment drop probability (chaos)")
+        p.add_argument("--drop", type=_parse_probability, default=0.0,
+                       help="per-fragment drop probability in [0, 1] "
+                            "(chaos)")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -533,10 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="parameter sweeps and traffic-scenario runs")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="with --sweep-pipeline/--sweep-rails: spread the "
-                        "sweep's cells over a multiprocessing pool of N "
-                        "workers")
     p.add_argument("--sweep-pipeline", action="store_true",
                    help="sweep gateway pipeline depth x fragment size on "
                         "the fig5 topology (plus the adaptive tuner)")
@@ -555,40 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", metavar="FILE",
                    help="run one declarative traffic scenario "
                         "(YAML or JSON, see docs/scaling.md)")
-    p.add_argument("--mode", choices=["des", "solver"], default="des",
-                   help="with --sweep-rails/--sweep-nodes/--scenario: "
-                        "'solver' estimates cells with the analytic "
-                        "fixed-point solver instead of simulating "
-                        "(docs/solver.md)")
-    p.add_argument("--profile", nargs="?", const="bench_profile.pstats",
-                   default=None, metavar="PSTATS",
-                   help="run the selected bench action under cProfile: "
-                        "print the top-20 cumulative functions and write "
-                        "a .pstats artifact (default bench_profile.pstats); "
-                        "forces a serial run")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "solve",
         help="analytic fast-path solver: flow rates/FCTs without the DES")
-    p.add_argument("--scenario", metavar="FILE",
+    p.add_argument("--scenario", metavar="FILE", required=True,
                    help="solve one declarative scenario (YAML or JSON)")
-    p.add_argument("--validate", action="store_true",
-                   help="cross-check solver vs DES on the sampled "
-                        "fig5-fig8, multirail, and traffic cells")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="with --validate: commit this run's max errors as "
-                        "the new regression floor")
-    p.add_argument("--baseline",
-                   default=str(_solve_default_baseline()),
-                   help="validation baseline JSON path")
     p.add_argument("--out", default="",
                    help="also write the result as JSON to this path")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="with --validate: run the DES cells in a "
-                        "multiprocessing pool of N workers (identical "
-                        "numbers, per-cell wall clock kept for the "
-                        "speedup figure)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser(
@@ -632,7 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ProcessCrashed as exc:
+        # A reliable transfer that gives up is a typed outcome, not a crash.
+        if not isinstance(exc.__cause__, RetryExhausted):
+            raise
+        print(f"repro {args.command}: RetryExhausted: {exc.__cause__}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,8 +2,9 @@
 
 ``solve(scenario)`` returns per-flow bandwidth/FCT estimates and
 per-resource utilization for any :class:`~repro.scenario.Scenario` without
-running the discrete-event simulator; ``repro solve --validate``
-cross-checks it against the DES and enforces the committed error floor.
+running the discrete-event simulator.  ``tests/solver/test_validate.py``
+measures it against the DES and holds each experiment family's error to a
+literal bound.
 """
 
 from .core import (FlowEstimate, FlowStarved, SolverResult, max_min_rates,

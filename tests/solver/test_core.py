@@ -16,9 +16,9 @@ from repro.scenario import load_scenario
 from repro.sim import SimError
 from repro.solver import (FlowStarved, RoutedFlow, SolverNetwork,
                           max_min_rates, solve, solve_bandwidth)
-from repro.solver.validate import (multirail_scenario, ping_scenario,
-                                   traffic_scenario)
 from repro.traffic import scenario_flows
+from tests.solver.scenarios import (multirail_scenario, ping_scenario,
+                                    traffic_scenario)
 
 MYRINET = PROTOCOLS["myrinet"]
 SCI = PROTOCOLS["sci"]

@@ -14,9 +14,9 @@ import pytest
 
 from repro.solver import max_min_rates, solve
 from repro.solver.network import SolverNetwork
-from repro.solver.validate import (multirail_scenario, ping_scenario,
-                                   traffic_scenario)
 from repro.traffic import scenario_flows
+from tests.solver.scenarios import (multirail_scenario, ping_scenario,
+                                    traffic_scenario)
 
 
 def _rails(net: SolverNetwork, scenario):

@@ -99,6 +99,32 @@ def test_stats_survives_fragment_drops(capsys):
     assert "faults.fragments_dropped" in out
 
 
+@pytest.mark.parametrize("command", ["stats", "trace"])
+@pytest.mark.parametrize("bad", [["--drop", "1.5"], ["--drop", "-0.1"],
+                                 ["--drop", "nan"], ["--size", "0"]],
+                         ids=["drop-above-1", "drop-below-0", "drop-nan",
+                              "size-0"])
+def test_forwarded_run_rejects_bad_arguments_at_parse_time(command, bad,
+                                                           capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *bad])
+    assert exc.value.code == 2
+    assert bad[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "trace"])
+def test_forwarded_run_that_gives_up_is_a_typed_error(command, tmp_path,
+                                                      capsys):
+    """Total loss ends in one stderr line naming RetryExhausted and exit 1,
+    not a ProcessCrashed traceback."""
+    argv = [command, "--drop", "1.0", "--size", "64K"]
+    if command == "trace":
+        argv += ["--out", str(tmp_path / "t.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "RetryExhausted" in err[0], err
+
+
 def test_trace_writes_chrome_json(tmp_path, capsys):
     tpath, spath = tmp_path / "t.json", tmp_path / "s.json"
     assert main(["trace", "--size", "128K",
@@ -130,9 +156,17 @@ def test_bench_without_an_action_lists_the_remaining_ones(capsys):
 
 
 def test_bench_rejects_the_removed_suite_flag():
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--regress"])
-    assert exc.value.code == 2
+    """The regress suite's flag and the solver-mode, pool, profiler and
+    validation flags of `bench` and `solve` are argparse errors now."""
+    f = "tests/data/messages_plus_incast.json"
+    for argv in (["bench", "--regress"],
+                 ["bench", "--scenario", f, "--mode", "solver"],
+                 ["bench", "--sweep-rails", "--jobs", "2"],
+                 ["bench", "--sweep-nodes", "--profile"],
+                 ["solve", "--scenario", f, "--validate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_fuzz_rejects_the_removed_scenario_alias():
@@ -152,16 +186,24 @@ def test_fuzz_replay_of_a_fault_run_exits_zero(capsys):
     assert "delivered    3" in out
 
 
-def test_bench_sweep_rails_solver_mode(capsys):
-    assert main(["bench", "--sweep-rails", "--mode", "solver"]) == 0
-    out = capsys.readouterr().out
-    assert "solved | model" in out
+@pytest.mark.parametrize(("sweep", "rows", "cols"), [
+    ("--sweep-rails", ["rails1", "rails2", "rails3"], ["4k", "8k", "16k"]),
+    ("--sweep-pipeline", ["depth1", "depth2", "depth4", "depth8"],
+     ["8k", "16k", "32k", "64k", "128k"])], ids=["rails", "pipeline"])
+def test_bench_sweep_writes_its_grid(sweep, rows, cols, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    assert main(["bench", sweep, "--sweep-out", str(path)]) == 0
+    import json
+    grid = json.loads(path.read_text())["grid"]
+    assert sorted(grid) == sorted(rows)
+    assert all(sorted(row) == sorted(cols) for row in grid.values())
 
 
 @pytest.mark.parametrize("mode", ["des", "solver"])
 def test_bench_scenario_runs_a_message_only_scenario(tmp_path, capsys, mode):
     """A scenario with messages and no traffic spec used to be refused
-    (exit 2, "scenario has no traffic spec") in both modes."""
+    (exit 2, "scenario has no traffic spec") by both engines; the DES runs
+    it through `repro bench`, the solver through `repro solve`."""
     from repro.scenario import (MessageSpec, Scenario, Topology,
                                 dump_scenario)
     path = tmp_path / "two_messages.json"
@@ -171,7 +213,8 @@ def test_bench_scenario_runs_a_message_only_scenario(tmp_path, capsys, mode):
                           gateways=(1,)),
         messages=(MessageSpec("a0", "b0", 30_000),
                   MessageSpec("a1", "b1", 12_000))), path)
-    assert main(["bench", "--scenario", str(path), "--mode", mode]) == 0
-    rows = dict(line.split() for line in
-                capsys.readouterr().out.splitlines()[1:])
+    command = "bench" if mode == "des" else "solve"
+    assert main([command, "--scenario", str(path)]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  ") and len(line.split()) == 2)
     assert rows["flows"] == "2" and rows["completed"] == "2"
