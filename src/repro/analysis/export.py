@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from ..sim.trace import TraceRecorder
 from ..telemetry import MetricsRegistry, SpanTracker
@@ -82,10 +82,13 @@ def to_chrome_trace(trace: TraceRecorder) -> list[dict]:
     return events
 
 
-def write_chrome_trace(trace: TraceRecorder,
-                       path: Union[str, Path]) -> int:
-    """Write the trace as Chrome JSON; returns the number of events."""
+def write_chrome_trace(trace: TraceRecorder, path: Union[str, Path],
+                       spans: Optional[SpanTracker] = None) -> int:
+    """Write the trace as Chrome JSON, with the completed ``spans`` in the
+    same file when given; returns the number of events."""
     events = to_chrome_trace(trace)
+    if spans is not None:
+        events += spans_to_chrome(spans)
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
     return len(events)

@@ -13,14 +13,17 @@ a test asserts the two agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from ..hw.params import GatewayParams, NodeParams, PipelineConfig
 from ..madeleine.channel import RealChannel
 from ..madeleine.session import Session
 from ..madeleine.vchannel import VirtualChannel
+from ..routing import StripePolicy
+from ..scenario import MessageSpec, Scenario, Topology
 
 __all__ = ["PingResult", "measure_ack_latency", "one_way_ping", "PingHarness",
            "MultirailHarness", "probe_protocol_rates"]
@@ -44,24 +47,33 @@ class PingResult:
         return self.size / self.one_way_us
 
 
+def _send(ch, frm: int, to: int, data):
+    msg = ch.endpoint(frm).begin_packing(to)
+    yield msg.pack(data)
+    yield msg.end_packing()
+
+
+def _recv(ch, at: int, nbytes: int):
+    inc = yield ch.endpoint(at).begin_unpacking()
+    _ev, _b = inc.unpack(nbytes)
+    yield inc.end_unpacking()
+
+
+def _ack():
+    return np.zeros(_ACK_BYTES, dtype=np.uint8)
+
+
 def measure_ack_latency(session: Session, ack_channel: RealChannel,
                         src: int, dst: int) -> float:
     """Calibrate the ack: one 4-byte message dst -> src on the ack channel."""
     t = {}
 
-    def acker():
-        msg = ack_channel.endpoint(dst).begin_packing(src)
-        yield msg.pack(np.zeros(_ACK_BYTES, dtype=np.uint8))
-        yield msg.end_packing()
-
     def receiver():
         t0 = session.now
-        inc = yield ack_channel.endpoint(src).begin_unpacking()
-        _ev, _b = inc.unpack(_ACK_BYTES)
-        yield inc.end_unpacking()
+        yield from _recv(ack_channel, src, _ACK_BYTES)
         t["ack"] = session.now - t0
 
-    session.spawn(acker(), "ack-cal-snd")
+    session.spawn(_send(ack_channel, dst, src, _ack()), "ack-cal-snd")
     p = session.spawn(receiver(), "ack-cal-rcv")
     session.run(until=p)
     return t["ack"]
@@ -78,22 +90,14 @@ def one_way_ping(session: Session, vch: VirtualChannel,
 
     def pinger():
         t["t0"] = session.now
-        msg = vch.endpoint(src).begin_packing(dst)
-        yield msg.pack(data)
-        yield msg.end_packing()
-        inc = yield ack_channel.endpoint(src).begin_unpacking()
-        _ev, _b = inc.unpack(_ACK_BYTES)
-        yield inc.end_unpacking()
+        yield from _send(vch, src, dst, data)
+        yield from _recv(ack_channel, src, _ACK_BYTES)
         t["rtt"] = session.now - t["t0"]
 
     def ponger():
-        inc = yield vch.endpoint(dst).begin_unpacking()
-        _ev, _b = inc.unpack(size)
-        yield inc.end_unpacking()
+        yield from _recv(vch, dst, size)
         t["direct"] = session.now - t["t0"]
-        ack = ack_channel.endpoint(dst).begin_packing(src)
-        yield ack.pack(np.zeros(_ACK_BYTES, dtype=np.uint8))
-        yield ack.end_packing()
+        yield from _send(ack_channel, dst, src, _ack())
 
     session.spawn(ponger(), "ponger")
     p = session.spawn(pinger(), "pinger")
@@ -117,89 +121,123 @@ def probe_protocol_rates(protocols, size: int = 1 << 20) -> dict[str, float]:
         world = build_world({"a": [proto], "b": [proto]})
         session = Session(world)
         ch = session.channel(proto, ["a", "b"])
-        data = np.zeros(size, dtype=np.uint8)
         out: dict[str, float] = {}
 
-        def snd(ch=ch):
-            m = ch.endpoint(0).begin_packing(1)
-            yield m.pack(data)
-            yield m.end_packing()
-
         def rcv(ch=ch, out=out):
-            inc = yield ch.endpoint(1).begin_unpacking()
-            _ev, _b = inc.unpack(size)
-            yield inc.end_unpacking()
+            yield from _recv(ch, 1, size)
             out["t"] = session.now
 
-        session.spawn(snd())
+        session.spawn(_send(ch, 0, 1, np.zeros(size, dtype=np.uint8)))
         session.spawn(rcv())
         session.run()
         rates[proto] = size / out["t"]
     return rates
 
 
-class PingHarness:
-    """Builds a fresh paper-style testbed per measurement point.
+_ENDS = {"a0->b0": ("a0", "b0"), "b0->a0": ("b0", "a0")}
 
-    Simulated state is cheap, so each point runs in a pristine world — the
-    equivalent of the paper's repeated, isolated test runs.  The harness
-    keeps one testbed alive: :meth:`build` (and so :meth:`measure`) closes
-    the world it returned last (``World.close``), so a sweep holds one
-    testbed's pool blocks, not one per point waiting for the cycle
-    collector.
+
+class _Harness:
+    """A §3.1 testbed described as a :class:`~repro.scenario.Scenario`.
+
+    :meth:`scenario` is the measured transfer as a scenario (what
+    :func:`repro.solver.solve` prices); :meth:`build` hands it to
+    :meth:`Session.from_scenario` with the harness's ``node_params`` and
+    forwarding parameters, then adds the Fast-Ethernet ack adapters of
+    :attr:`_ACK_NODES` and the ack channel.  Harness sessions keep
+    telemetry off.  Simulated state is cheap, so each point runs in a
+    pristine world — the equivalent of the paper's repeated, isolated test
+    runs.  The harness keeps one testbed alive: :meth:`build` (and so
+    :meth:`measure`) closes the world it returned last (``World.close``),
+    so a sweep holds one testbed's pool blocks, not one per point waiting
+    for the cycle collector.
     """
 
     #: the world :meth:`build` returned last; the next build closes it.
     _world = None
+    #: ``None``: every node holds an ack adapter; else these nodes do.
+    _ACK_NODES = None
+    _DIRECTION = "b0->a0"
+    #: the knobs only one of the two harnesses takes.
+    rails = 1
+    header_batching = False
+    stripe_policy = None
 
-    def __init__(self, packet_size: int = 16 << 10,
-                 gateway_params=None, protocols=("myrinet", "sci"),
-                 node_params=None, header_batching: bool = False,
-                 pipeline=None, rate_overrides=None) -> None:
-        self.packet_size = packet_size
-        self.gateway_params = gateway_params
-        self.protocols = protocols
-        self.node_params = node_params
-        self.header_batching = header_batching
-        self.pipeline = pipeline
-        self.rate_overrides = rate_overrides
+    def scenario(self, size: int, direction: Optional[str] = None
+                 ) -> Scenario:
+        """One ``size``-byte plain transfer in ``direction`` ("a0->b0":
+        first protocol first, or "b0->a0") on this testbed: the chain
+        a0 — gw00 — b0, or the ``multirail`` topology for 2+ rails.
+
+        The harness's ``node_params``, ``gateway_params``, ``pipeline``
+        and ``rate_overrides`` are not part of it: :meth:`build` applies
+        them, so ``solve`` prices this object as the harness measures it
+        only for a harness that leaves them at their defaults."""
+        direction = direction or self._DIRECTION
+        if direction not in _ENDS:
+            raise ValueError(f"bad direction {direction!r}")
+        src, dst = _ENDS[direction]
+        protocols = tuple(self.protocols)
+        topology = (Topology("chain", protocols, sizes=(1, 1), gateways=(1,))
+                    if self.rails == 1 else
+                    Topology("multirail", protocols, gateways=(self.rails,)))
+        policy = self.stripe_policy
+        stripe = (None if policy is None
+                  else (policy.max_rails, policy.min_stripe))
+        return Scenario(seed=0, topology=topology,
+                        packet_size=self.packet_size,
+                        header_batching=self.header_batching, stripe=stripe,
+                        messages=(MessageSpec(src, dst, size, kind="plain"),),
+                        gw_stall_timeout=None)
 
     def build(self):
-        from ..hw import build_world
+        """Build this harness's testbed; returns ``(world, session, vch,
+        ack_channel)``.  The harness's ``pipeline`` rides in the
+        ``gateway_params`` override, which the solver reads the same way."""
         if self._world is not None:
             self._world.close()
-        pa, pb = self.protocols
-        world = self._world = build_world({
-            "a0": [pa, "fast_ethernet"],
-            "gw": [pa, pb, "fast_ethernet"],
-            "b0": [pb, "fast_ethernet"],
-        }, node_params=self.node_params)
-        session = Session(world)
-        ch_a = session.channel(pa, ["a0", "gw"])
-        ch_b = session.channel(pb, ["gw", "b0"])
-        vch = session.virtual_channel([ch_a, ch_b],
-                                      packet_size=self.packet_size,
-                                      gateway_params=self.gateway_params,
-                                      header_batching=self.header_batching,
-                                      pipeline=self.pipeline)
+        gateway = self.gateway_params
+        if self.pipeline is not None:
+            gateway = replace(gateway or GatewayParams(),
+                              pipeline=self.pipeline)
+        session = Session.from_scenario(
+            self.scenario(1), telemetry=None,
+            node_params=self.node_params, gateway_params=gateway)
+        world = self._world = session.world
+        for name in self._ACK_NODES or list(world.names):
+            world.add_adapter(name, "fast_ethernet")
+        vch = session.virtual_channels[0]
         if self.rate_overrides:
             vch.calibrate_rates(self.rate_overrides)
         ack = session.channel("fast_ethernet", ["a0", "b0"])
         return world, session, vch, ack
 
-    def measure(self, size: int, direction: str = "b0->a0") -> PingResult:
-        """``direction``: "a0->b0" (first protocol first) or "b0->a0"."""
-        world, session, vch, ack = self.build()
-        if direction == "a0->b0":
-            src, dst = session.rank("a0"), session.rank("b0")
-        elif direction == "b0->a0":
-            src, dst = session.rank("b0"), session.rank("a0")
-        else:
-            raise ValueError(f"bad direction {direction!r}")
-        return one_way_ping(session, vch, ack, src, dst, size)
+    def measure(self, size: int, direction: Optional[str] = None
+                ) -> PingResult:
+        """The §3.1 single ping of :meth:`scenario` ``(size, direction)``."""
+        sc = self.scenario(size, direction)
+        _world, session, vch, ack = self.build()
+        (msg,) = sc.messages
+        return one_way_ping(session, vch, ack, session.rank(msg.src),
+                            session.rank(msg.dst), size)
 
 
-class MultirailHarness:
+@dataclass(eq=False)
+class PingHarness(_Harness):
+    """The paper's testbed: a0 —``protocols[0]``— gw00 —``protocols[1]``—
+    b0, each node with a Fast-Ethernet adapter for the ack."""
+
+    packet_size: int = 16 << 10
+    gateway_params: Optional[GatewayParams] = None
+    protocols: tuple = ("myrinet", "sci")
+    node_params: Optional[NodeParams] = None
+    header_batching: bool = False
+    pipeline: Optional[PipelineConfig] = None
+    rate_overrides: Optional[dict] = None
+
+
+@dataclass(eq=False)
+class MultirailHarness(_Harness):
     """Paper-style testbed with N parallel rails between the two clouds.
 
     The topology generalizes :class:`PingHarness` to the multirail setup of
@@ -209,62 +247,22 @@ class MultirailHarness:
     — distinct sender NIC, gateway, and receiver NIC — connect ``a0`` and
     ``b0``.  With ``stripe_policy=None`` the virtual channel uses one route
     (the single-rail reference); with a policy each large paquet is striped
-    across up to ``max_rails`` of them.  Like :class:`PingHarness` it keeps
-    one testbed alive: :meth:`build` closes the world it returned last.
+    across up to ``max_rails`` of them (its ``align`` must be the default,
+    which the scenario schema fixes).  Only a0 and b0 hold an ack adapter.
     """
 
-    _world = None
+    _ACK_NODES = ("a0", "b0")
+    _DIRECTION = "a0->b0"
 
-    def __init__(self, packet_size: int = 8 << 10, rails: int = 2,
-                 protocols=("myrinet", "sci"), stripe_policy=None,
-                 gateway_params=None, node_params=None, pipeline=None,
-                 rate_overrides=None) -> None:
-        if rails < 1:
-            raise ValueError(f"need at least one rail, got {rails}")
-        self.packet_size = packet_size
-        self.rails = rails
-        self.protocols = protocols
-        self.stripe_policy = stripe_policy
-        self.gateway_params = gateway_params
-        self.node_params = node_params
-        self.pipeline = pipeline
-        self.rate_overrides = rate_overrides
+    packet_size: int = 8 << 10
+    rails: int = 2
+    protocols: tuple = ("myrinet", "sci")
+    stripe_policy: Optional[StripePolicy] = None
+    gateway_params: Optional[GatewayParams] = None
+    node_params: Optional[NodeParams] = None
+    pipeline: Optional[PipelineConfig] = None
+    rate_overrides: Optional[dict] = None
 
-    def build(self):
-        from ..hw import build_world
-        if self._world is not None:
-            self._world.close()
-        pa, pb = self.protocols
-        gws = [f"gw{i}" for i in range(self.rails)]
-        nodes = {"a0": [pa] * self.rails + ["fast_ethernet"],
-                 **{gw: [pa, pb] for gw in gws},
-                 "b0": [pb] * self.rails + ["fast_ethernet"]}
-        world = self._world = build_world(nodes, node_params=self.node_params)
-        session = Session(world)
-        members = []
-        for i, gw in enumerate(gws):
-            # One channel pair per rail: a0's i-th NIC to gateway i, and
-            # gateway i to b0's i-th NIC.
-            members.append(session.channel(pa, ["a0", gw],
-                                           adapter_index={"a0": i}))
-            members.append(session.channel(pb, [gw, "b0"],
-                                           adapter_index={"b0": i}))
-        vch = session.virtual_channel(members,
-                                      packet_size=self.packet_size,
-                                      gateway_params=self.gateway_params,
-                                      pipeline=self.pipeline,
-                                      stripe_policy=self.stripe_policy)
-        if self.rate_overrides:
-            vch.calibrate_rates(self.rate_overrides)
-        ack = session.channel("fast_ethernet", ["a0", "b0"])
-        return world, session, vch, ack
-
-    def measure(self, size: int, direction: str = "a0->b0") -> PingResult:
-        world, session, vch, ack = self.build()
-        if direction == "a0->b0":
-            src, dst = session.rank("a0"), session.rank("b0")
-        elif direction == "b0->a0":
-            src, dst = session.rank("b0"), session.rank("a0")
-        else:
-            raise ValueError(f"bad direction {direction!r}")
-        return one_way_ping(session, vch, ack, src, dst, size)
+    def __post_init__(self) -> None:
+        if self.stripe_policy and self.stripe_policy.align != 1 << 10:
+            raise ValueError("a scenario stripes at the default 1 KB align")

@@ -1,4 +1,4 @@
-"""Scale-out benches: ``repro bench --sweep-nodes`` and scenario runs.
+"""Scale-out benches: ``repro bench --sweep-nodes`` and ``repro run``.
 
 Drives generated topologies (tori, fat-trees, hierarchies) with the
 open-loop traffic engine and reports flow-level statistics per cell:
@@ -20,7 +20,7 @@ from ..madeleine import reset_global_ids
 from ..scenario import Scenario, Topology, TrafficSpec
 
 __all__ = ["DEFAULT_GRID", "sweep_nodes", "run_traffic_scenario",
-           "format_sweep"]
+           "traffic_row", "format_sweep"]
 
 #: (kind, shape, flows) cells; shape is ``dims`` for torus.
 DEFAULT_GRID: tuple = (
@@ -63,7 +63,13 @@ def run_traffic_scenario(scenario: Scenario) -> dict:
     """Run one traffic scenario and return its flow-level summary row."""
     from ..traffic import run_traffic
     reset_global_ids()
-    session, engine = run_traffic(scenario)
+    return traffic_row(*run_traffic(scenario))
+
+
+def traffic_row(session, engine) -> dict:
+    """The summary row of a finished :func:`~repro.traffic.run_traffic`:
+    the engine's flow statistics plus the gateway queue high-water mark
+    and the messages forwarded."""
     row = engine.summary()
     m = session.metrics
     gw_hwm = 0

@@ -10,7 +10,7 @@ from .ping import (MultirailHarness, PingHarness, PingResult,
                    probe_protocol_rates)
 
 __all__ = ["Series", "bandwidth_sweep", "figure_sweep", "pipeline_sweep",
-           "rails_sweep",
+           "rails_harness", "rails_sweep",
            "PAPER_PACKET_SIZES", "PAPER_MESSAGE_SIZES",
            "PIPELINE_SWEEP_DEPTHS", "PIPELINE_SWEEP_FRAGMENTS",
            "RAILS_SWEEP_RAILS", "RAILS_SWEEP_PACKETS"]
@@ -73,11 +73,10 @@ def _pipeline_cell(depth: int, fragment: Optional[int], message: int,
                           pipeline=pipeline, rate_overrides=rates)
     result = harness.measure(message, direction=direction)
     if adaptive:
-        world, session, vch, _ack = harness.build()
-        src, dst = ((session.rank("b0"), session.rank("a0"))
-                    if direction == "b0->a0"
-                    else (session.rank("a0"), session.rank("b0")))
-        fragment = vch.effective_mtu(vch.routes.route(src, dst))
+        _world, session, vch, _ack = harness.build()
+        (msg,) = harness.scenario(message, direction).messages
+        fragment = vch.effective_mtu(vch.routes.route(
+            session.rank(msg.src), session.rank(msg.dst)))
     return fragment, result.bandwidth
 
 
@@ -107,15 +106,21 @@ RAILS_SWEEP_RAILS = (1, 2, 3)
 RAILS_SWEEP_PACKETS = tuple((1 << k) << 10 for k in (2, 3, 4))
 
 
+def rails_harness(rails: int, packet: int) -> MultirailHarness:
+    """The harness of one (rails, paquet) cell: striping over every rail
+    (none on the single-rail reference)."""
+    from ..routing import StripePolicy
+    policy = StripePolicy(max_rails=rails) if rails > 1 else None
+    return MultirailHarness(packet_size=packet, rails=rails,
+                            stripe_policy=policy)
+
+
 def _rails_cell(rails: int, packet: int, message: int):
     """One (rails, paquet) measurement on the multirail topology, plus the
     analytic aggregate-bandwidth prediction for the same point."""
     from ..analysis.model import predict_multirail
     from ..hw.params import PROTOCOLS
-    from ..routing import StripePolicy
-    policy = StripePolicy(max_rails=rails) if rails > 1 else None
-    harness = MultirailHarness(packet_size=packet, rails=rails,
-                               stripe_policy=policy)
+    harness = rails_harness(rails, packet)
     result = harness.measure(message)
     model = predict_multirail(PROTOCOLS[harness.protocols[0]],
                               PROTOCOLS[harness.protocols[1]],

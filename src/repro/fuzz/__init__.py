@@ -1,7 +1,7 @@
 """Coverage-guided scenario fuzzing for the forwarding stack.
 
 A fault run is a scenario file (``tests/faults/scenarios/`` holds the
-hand-picked ones) replayed by ``repro fuzz --replay`` and judged by the
+hand-picked ones) replayed by ``repro run --check`` and judged by the
 invariant catalog; this package also explores the configuration space
 systematically:
 

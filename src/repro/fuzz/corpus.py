@@ -1,7 +1,7 @@
 """Replayable repro files for failing scenarios.
 
 A repro file is a small JSON document: the full scenario dict plus what
-failed when it was recorded.  ``repro fuzz --replay FILE`` re-executes it;
+failed when it was recorded.  ``repro run --check FILE`` re-executes it;
 the files committed under ``tests/fuzz/corpus/`` are replayed by the
 regression suite so every bug the fuzzer ever found stays fixed.
 """
@@ -44,17 +44,9 @@ def save_repro(path: Union[str, pathlib.Path], result: FuzzResult) -> None:
 def load_repro(path: Union[str, pathlib.Path]) -> Scenario:
     """The scenario of a repro file (its recorded failures are advisory).
 
-    Accepts classic JSON repro documents (with the ``scenario`` wrapper)
-    and bare scenario files in JSON or YAML, all through
-    :func:`~repro.scenario.load_scenario` — so ``repro fuzz --replay`` runs,
-    and validates, anything ``repro bench --scenario`` runs.
+    Accepts repro documents (the ``scenario`` wrapper, whose version
+    :func:`~repro.scenario.load_scenario` checks) and bare scenario files,
+    JSON or YAML — so ``repro run`` runs, and validates, either in any of
+    its modes.
     """
-    path = pathlib.Path(path)
-    if path.suffix.lower() == ".json":
-        doc = json.loads(path.read_text())
-        version = (doc.get("version", REPRO_VERSION)
-                   if isinstance(doc, dict) and "scenario" in doc
-                   else REPRO_VERSION)
-        if version != REPRO_VERSION:
-            raise ValueError(f"unsupported repro version {version} in {path}")
     return load_scenario(path)

@@ -40,8 +40,8 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Generator, Mapping, Optional, Sequence,
                     Union)
 
-from ..hw.params import GatewayParams, PipelineConfig
-from ..hw.topology import World
+from ..hw.params import GatewayParams, NodeParams, PipelineConfig
+from ..hw.topology import World, build_world
 from ..sim import Event, Process
 from ..sim.trace import TraceRecorder
 from ..telemetry import MetricsRegistry, SpanTracker, Telemetry
@@ -82,23 +82,32 @@ class Session:
 
     @classmethod
     def from_scenario(cls, scenario: "Scenario", *,
-                      telemetry: bool = True) -> "Session":
+                      telemetry: Optional[bool] = True,
+                      node_params: Optional[NodeParams] = None,
+                      gateway_params: Optional[GatewayParams] = None,
+                      ) -> "Session":
         """Build the whole stack a declarative scenario describes.
 
-        Constructs the world and every real channel of the topology,
+        Constructs the world (its nodes in topology order, so node order
+        is rank order) and every real channel of the topology,
         arms the fault plan (after the channels
         exist, so link-event targets validate; quiet plans stay unarmed to
         keep the injector-free hot path), and bundles the channels into one
         virtual channel with the scenario's policies.  The construction
         order is fixed — it is what makes fuzz replays bit-identical.
 
+        ``node_params`` and ``gateway_params`` are the two overrides
+        :func:`repro.solver.solve` also takes: host parameters for every
+        node, and forwarding parameters in place of the ones the scenario's
+        ``gw_stall_timeout`` implies.
+
         The session exposes the result as ``session.channels`` /
         ``session.virtual_channels[0]``; drive traffic by hand or via
         :class:`repro.traffic.TrafficEngine`.
         """
         scenario.validate()
-        from ..scenario import build_world
-        world = build_world(scenario)
+        world = build_world(scenario.topology.node_spec(),
+                            node_params=node_params)
         session = cls(world, packet_size=scenario.packet_size,
                       telemetry=telemetry)
         channels = []
@@ -109,7 +118,7 @@ class Session:
             scenario.faults.arm(world)
         session.virtual_channel(
             channels,
-            gateway_params=GatewayParams(
+            gateway_params=gateway_params or GatewayParams(
                 stall_timeout=scenario.gw_stall_timeout),
             multirail=scenario.multirail,
             header_batching=scenario.header_batching,

@@ -8,8 +8,8 @@ numpy).  The format is picked by extension (``.yaml``/``.yml`` vs
 
 Fuzz repro files (``{"version": ..., "scenario": {...}}`` wrappers written
 by ``repro fuzz``) are accepted transparently — the embedded scenario is
-returned — so one loader serves ``repro bench --scenario``,
-``repro fuzz --replay``, and :meth:`Session.from_scenario`.
+returned — so one loader serves every mode of ``repro run`` and
+:meth:`Session.from_scenario`.
 
 Loading validates: a file naming a node, channel or gateway its topology
 does not have fails here with :class:`ValueError`, not mid-run.
@@ -41,7 +41,9 @@ def _from_doc(doc: object) -> Scenario:
         raise ValueError(f"scenario document must be a mapping, "
                          f"got {type(doc).__name__}")
     if "scenario" in doc and "topology" not in doc:
-        # A fuzz repro wrapper: {"version": ..., "scenario": {...}, ...}.
+        # A fuzz repro wrapper: {"version": 1, "scenario": {...}, ...}.
+        if doc.get("version", 1) != 1:
+            raise ValueError(f"unsupported repro version {doc['version']}")
         doc = doc["scenario"]
         if not isinstance(doc, dict):
             raise ValueError("repro file 'scenario' entry must be a mapping")

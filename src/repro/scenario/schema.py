@@ -8,8 +8,8 @@ Channel and node names are deterministic functions of the
 topology, which is what lets a fault plan in a corpus file name its targets
 portably.
 
-Benches, the fuzzer, the committed fault runs, and the traffic engine all
-consume this one format (``repro bench --scenario`` / ``repro fuzz --replay`` /
+Benches, the ping harnesses, the fuzzer, the committed fault runs, and
+the traffic engine all consume this one format (``repro run`` /
 ``Session.from_scenario``).
 
 Five topology families:

@@ -24,12 +24,13 @@ registry (``traffic.*`` — see docs/telemetry.md).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..routing import NoRouteError
+from ..hw import PROTOCOLS
+from ..routing import NoRouteError, route_rate
 from ..scenario import Scenario
 from ..sim import RetryExhausted
 from .flows import Flow, scenario_flows
@@ -185,13 +186,19 @@ class TrafficEngine:
         reliable = (sc.messages[0].kind if sc.messages
                     else sc.traffic.kind) == "reliable"
         if reliable:
-            from ..madeleine import ReliableEndpoint, RetryPolicy
-            policy = RetryPolicy(max_attempts=sc.max_attempts)
-            for name in sorted({f.src for f in self.flows}
-                               | {f.dst for f in self.flows}):
+            from ..madeleine import ReliableEndpoint
+            # each endpoint's longest attempt, µs at its route's line rate
+            longest: dict[str, float] = {}
+            for f in self.flows:
+                t = f.nbytes / route_rate(self.vch.routes.route(
+                    s.rank(f.src), s.rank(f.dst)))
+                for end in (f.src, f.dst):
+                    longest[end] = max(longest.get(end, 0.0), t)
+            for name in sorted(longest):
                 rank = s.rank(name)
                 self.reliable[rank] = ReliableEndpoint(
-                    self.vch.endpoint(rank), policy)
+                    self.vch.endpoint(rank),
+                    _retry_policy(sc.max_attempts, longest[name]))
         else:
             by_dst: dict[str, int] = {}
             for f in self.flows:
@@ -256,16 +263,46 @@ class TrafficEngine:
         }
 
 
+#: the longest attempt, timed at its route's slowest line rate, that the
+#: default recovery clocks cover: 256 KB at SCI's 62 MB/s (4.2 ms), which
+#: takes ~16 ms across the paper's testbed and its store-and-forward
+#: gateways, inside the 20 ms re-ACK period.
+_CLOCK_US = (256 << 10) / PROTOCOLS["sci"].host_peak
+
+
+def _retry_policy(max_attempts: int, line_us: float):
+    """The go-back-N policy of an endpoint whose longest flow takes
+    ``line_us`` at its route's line rate.
+
+    The recovery clocks must cover one whole attempt: an RTO shorter than
+    the transfer retransmits mid-flight on a healthy fabric, and a re-ACK
+    period shorter than the attempt makes the sender mistake a progress
+    report for an abandoned attempt.  Above :data:`_CLOCK_US` every clock
+    grows with the attempt; the per-fragment stall bound does not.
+    """
+    from ..madeleine import RetryPolicy
+    policy = RetryPolicy(max_attempts=max_attempts)
+    scale = max(1.0, line_us / _CLOCK_US)
+    return replace(policy, rto=policy.rto * scale,
+                   rto_max=policy.rto_max * scale,
+                   reack_interval=policy.reack_interval * scale,
+                   reack_ttl=policy.reack_ttl * scale)
+
+
 def _payload(seed: int, index: int, nbytes: int) -> bytes:
     rng = np.random.default_rng((seed, index))
     return rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes()
 
 
-def run_traffic(scenario: Scenario, *, telemetry: bool = True):
+def run_traffic(scenario: Scenario, *, telemetry: bool = True,
+                trace: bool = False):
     """Build the scenario's stack, drive its traffic to completion, and
-    return ``(session, engine)`` — the one-call entry the benches use."""
+    return ``(session, engine)`` — the one-call entry the benches use.
+    ``trace=True`` records the raw trace (off by default)."""
     from ..madeleine import Session
     session = Session.from_scenario(scenario, telemetry=telemetry)
+    if trace:
+        session.trace.enable()
     engine = TrafficEngine(session, scenario)
     engine.start()
     session.run()

@@ -90,3 +90,30 @@ def test_a_multirail_harness_keeps_one_testbed_alive():
     first = harness.build()[0]
     assert repr(harness.measure(64 << 10).one_way_us) == "2759.8523949169107"
     assert all(p._closed for p in first.fabric.pools)
+
+
+@pytest.mark.parametrize("harness", [
+    PingHarness(), MultirailHarness(rails=1), MultirailHarness(rails=2),
+    MultirailHarness(rails=3)], ids=["ping", "rails1", "rails2", "rails3"])
+def test_the_harness_world_is_its_scenario_plus_the_ack_adapters(harness):
+    """What the DES measures is what the solver prices: the harness world,
+    less its Fast-Ethernet ack adapters, is ``scenario(...)``'s topology."""
+    world = harness.build()[0]
+    nodes = {node.name: [proto for proto, _i in node.nics]
+             for node in world.nodes.values()}
+    ack = {name for name, protos in nodes.items()
+           if "fast_ethernet" in protos}
+    assert {name: [p for p in protos if p != "fast_ethernet"]
+            for name, protos in nodes.items()} == \
+        harness.scenario(1 << 20).topology.node_spec()
+    # the testbed's ack network: every node of the paper's testbed, the
+    # two end nodes of the multirail one
+    assert ack == (set(nodes) if isinstance(harness, PingHarness)
+                   else {"a0", "b0"})
+
+
+def test_harness_inputs_the_schema_rejects():
+    with pytest.raises(ValueError, match="packet_size"):
+        PingHarness(packet_size=512).measure(4096)
+    with pytest.raises(ValueError, match="rails"):
+        MultirailHarness(rails=4).build()

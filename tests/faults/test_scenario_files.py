@@ -2,7 +2,7 @@
 
 Each file is a bare scenario on the two-gateway testbed (``a0`` -myrinet
 ``c0``- {``gw00``, ``gw01``} -sci ``c1``- ``b0``), run exactly as
-``repro fuzz --replay FILE`` runs it and judged by the invariant catalog
+``repro run --check FILE`` runs it and judged by the invariant catalog
 of ``docs/robustness.md``.  On top of I1-I8, every message must arrive,
 except on ``total_loss.json``, where every one must end in a typed error.
 """

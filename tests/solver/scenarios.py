@@ -1,33 +1,9 @@
-"""The solver tests' scenario builders: the paper's testbeds and one
-open-loop traffic cell, each as a :class:`~repro.scenario.Scenario`."""
+"""The solver tests' open-loop traffic cell as a
+:class:`~repro.scenario.Scenario`.  The paper's testbeds come from the
+harnesses the DES measures them with: ``PingHarness(...).scenario(size,
+direction)`` and ``rails_harness(rails, packet).scenario(size)``."""
 
-from repro.scenario import MessageSpec, Scenario, Topology, TrafficSpec
-
-
-def ping_scenario(packet: int, message: int,
-                  direction: str = "b0->a0") -> Scenario:
-    """The fig5/6/7 testbed as a scenario: a0 —myrinet— gw00 —sci— b0,
-    one ``message``-byte transfer (matching ``PingHarness.measure``)."""
-    topo = Topology(kind="chain", protocols=("myrinet", "sci"),
-                    sizes=(1, 1), gateways=(1,))
-    src, dst = ("b0", "a0") if direction == "b0->a0" else ("a0", "b0")
-    return Scenario(seed=0, topology=topo, packet_size=packet,
-                    messages=(MessageSpec(src=src, dst=dst, nbytes=message,
-                                          kind="plain"),))
-
-
-def multirail_scenario(packet: int, message: int, rails: int) -> Scenario:
-    """The multirail testbed as a scenario: ``rails`` disjoint
-    myrinet+gateway+sci rails a0 → b0 with striping on (the
-    ``MultirailHarness`` measurement); ``rails=1`` degrades to the chain."""
-    if rails == 1:
-        return ping_scenario(packet, message, direction="a0->b0")
-    topo = Topology(kind="multirail", protocols=("myrinet", "sci"),
-                    gateways=(rails,))
-    return Scenario(seed=0, topology=topo, packet_size=packet,
-                    stripe=(rails, 4096),
-                    messages=(MessageSpec(src="a0", dst="b0", nbytes=message,
-                                          kind="plain"),))
+from repro.scenario import Scenario, Topology, TrafficSpec
 
 
 def traffic_scenario(kind: str, flows: int, seed: int = 11) -> Scenario:

@@ -11,17 +11,20 @@ import pytest
 
 import repro.solver.core as solver_core
 from repro.analysis.model import predict_forwarding, predict_multirail
+from repro.bench import PingHarness
+from repro.bench.sweep import rails_harness
 from repro.hw.params import PROTOCOLS, NodeParams, PCIParams
 from repro.scenario import load_scenario
 from repro.sim import SimError
 from repro.solver import (FlowStarved, RoutedFlow, SolverNetwork,
                           max_min_rates, solve, solve_bandwidth)
 from repro.traffic import scenario_flows
-from tests.solver.scenarios import (multirail_scenario, ping_scenario,
-                                    traffic_scenario)
+from tests.solver.scenarios import traffic_scenario
 
 MYRINET = PROTOCOLS["myrinet"]
 SCI = PROTOCOLS["sci"]
+#: the fig6 testbed, one 1 MB transfer b0 -> a0 with 64 KB paquets.
+TESTBED = PingHarness(packet_size=64 << 10).scenario(1 << 20)
 
 
 def _flow(fid, ceiling, footprint, nbytes=1 << 20):
@@ -93,7 +96,7 @@ def test_bottleneck_flow_does_not_drag_unrelated_flows():
 
 def test_single_flow_chain_equals_predict_forwarding_exactly():
     packet = 64 << 10
-    sc = ping_scenario(packet, 2 << 20, direction="b0->a0")
+    sc = PingHarness(packet_size=packet).scenario(2 << 20, "b0->a0")
     net = SolverNetwork(sc)
     route = net.routes.route(net.rank["b0"], net.rank["a0"])
     predicted = predict_forwarding(SCI, MYRINET, packet)
@@ -103,7 +106,7 @@ def test_single_flow_chain_equals_predict_forwarding_exactly():
 
 def test_single_message_bandwidth_equals_model_including_setup():
     packet, message = 64 << 10, 2 << 20
-    sc = ping_scenario(packet, message, direction="b0->a0")
+    sc = PingHarness(packet_size=packet).scenario(message, "b0->a0")
     net = SolverNetwork(sc)
     route = net.routes.route(net.rank["b0"], net.rank["a0"])
     expected = message / (message / net.ceiling(route)
@@ -114,7 +117,7 @@ def test_single_message_bandwidth_equals_model_including_setup():
 def test_striped_flow_equals_predict_multirail_exactly():
     packet, message = 8 << 10, 2 << 20
     for rails in (2, 3):
-        sc = multirail_scenario(packet, message, rails)
+        sc = rails_harness(rails, packet).scenario(message)
         model = predict_multirail(MYRINET, SCI, packet, rails=rails,
                                   message=message)
         assert solve_bandwidth(sc) == pytest.approx(model.bandwidth,
@@ -170,7 +173,7 @@ def test_starved_rail_raises_a_typed_error():
     # a PCI bus with no usable bandwidth: the fill hands the flow nothing
     dead_bus = NodeParams(pci=PCIParams(duplex_efficiency=1e-12))
     with pytest.raises(FlowStarved) as caught:
-        solve(ping_scenario(64 << 10, 1 << 20), node_params=dead_bus)
+        solve(TESTBED, node_params=dead_bus)
     assert isinstance(caught.value, SimError)
     assert caught.value.rail_id == (0, 0)
     assert "(0, 0)" in str(caught.value)
@@ -179,12 +182,11 @@ def test_starved_rail_raises_a_typed_error():
 def test_zero_bus_efficiency_is_a_value_error_not_a_zero_division():
     # 1e-12 above is positive and starves; 0 never reaches the 3.3.1 kernel
     with pytest.raises(ValueError, match="duplex_efficiency"):
-        solve(ping_scenario(64 << 10, 1 << 20),
-              node_params=NodeParams(pci=PCIParams(duplex_efficiency=0)))
+        solve(TESTBED, node_params=NodeParams(pci=PCIParams(duplex_efficiency=0)))
 
 
 @pytest.mark.parametrize("scenario", [
-    ping_scenario(64 << 10, 1 << 20), traffic_scenario("torus", 16)],
+    TESTBED, traffic_scenario("torus", 16)],
     ids=["testbed", "torus-4x4-16-flows"])
 def test_small_components_pack_no_rail(monkeypatch, scenario):
     """Below the fill's array crossover a rail is never turned into
@@ -221,7 +223,7 @@ def test_memoised_kernels_equal_the_unmemoised_computation():
 
 
 def test_solver_entry_points_leave_the_transport_unimported():
-    """``import repro.scenario, repro.solver`` (what ``repro solve`` needs)
+    """``import repro.scenario, repro.solver`` (what ``repro run --solver`` needs)
     loads none of the DES transport, the bench harness or the layers above
     them; a plain ``import repro`` still reaches every subpackage."""
     code = (

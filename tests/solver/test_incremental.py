@@ -12,11 +12,12 @@ import math
 
 import pytest
 
+from repro.bench import PingHarness
+from repro.bench.sweep import rails_harness
 from repro.solver import max_min_rates, solve
 from repro.solver.network import SolverNetwork
 from repro.traffic import scenario_flows
-from tests.solver.scenarios import (multirail_scenario, ping_scenario,
-                                    traffic_scenario)
+from tests.solver.scenarios import traffic_scenario
 
 
 def _rails(net: SolverNetwork, scenario):
@@ -28,8 +29,8 @@ def _rails(net: SolverNetwork, scenario):
 
 CELLS = [traffic_scenario("torus", 8),
          traffic_scenario("torus", 64),
-         multirail_scenario(8 << 10, 2 << 20, 2),
-         ping_scenario(64 << 10, 2 << 20, direction="b0->a0")]
+         rails_harness(2, 8 << 10).scenario(2 << 20),
+         PingHarness(packet_size=64 << 10).scenario(2 << 20, "b0->a0")]
 
 
 @pytest.mark.parametrize("idx", range(len(CELLS)))
@@ -100,7 +101,7 @@ def test_interned_resource_ids_align_with_footprint():
 def test_single_flow_rate_unaffected_by_mode():
     # Degenerate single-component case: the epoch loop never splits, yet
     # both modes must agree with the closed-form ceiling-limited rate.
-    sc = ping_scenario(64 << 10, 2 << 20, direction="b0->a0")
+    sc = PingHarness(packet_size=64 << 10).scenario(2 << 20, "b0->a0")
     net = SolverNetwork(sc)
     flows = _rails(net, sc)
     assert len(flows) == 1

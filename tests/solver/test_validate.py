@@ -35,10 +35,10 @@ import pytest
 from repro.analysis import extract_timeline, pipeline_stats
 from repro.analysis.model import _rail_period
 from repro.bench import PingHarness, rails_sweep, run_traffic_scenario
+from repro.bench.sweep import rails_harness
 from repro.hw.params import DEFAULT_GATEWAY, DEFAULT_NODE, PROTOCOLS
 from repro.solver import solve, solve_bandwidth
-from tests.solver.scenarios import (multirail_scenario, ping_scenario,
-                                    traffic_scenario)
+from tests.solver.scenarios import traffic_scenario
 
 #: each family's worst relative error may not exceed its bound.
 BOUNDS = {"fig5": 0.0355, "fig6": 0.0363, "fig7": 0.0483, "fig8": 0.0420,
@@ -71,6 +71,12 @@ def _rel(solver: float, des: float) -> float:
 def _ping(packet: int, message: int, direction: str) -> float:
     return PingHarness(packet_size=packet).measure(
         message, direction=direction).bandwidth
+
+
+def _solve_ping(packet: int, message: int, direction: str) -> float:
+    """The solver's price of the very scenario :func:`_ping` measures."""
+    return solve_bandwidth(PingHarness(packet_size=packet).scenario(
+        message, direction))
 
 
 def _pipeline_shape(direction: str) -> tuple[float, float]:
@@ -126,13 +132,11 @@ def validation() -> dict:
     }
     t1 = time.process_time()
     solver = {
-        "fig5": [solve_bandwidth(ping_scenario(64 << 10, MESSAGE))],
-        "fig6": [solve_bandwidth(ping_scenario(p, p * f, "b0->a0"))
-                 for p, f in FIG6_CELLS],
-        "fig7": [solve_bandwidth(ping_scenario(p, p * f, "a0->b0"))
-                 for p, f in FIG7_CELLS],
+        "fig5": [_solve_ping(64 << 10, MESSAGE, "b0->a0")],
+        "fig6": [_solve_ping(p, p * f, "b0->a0") for p, f in FIG6_CELLS],
+        "fig7": [_solve_ping(p, p * f, "a0->b0") for p, f in FIG7_CELLS],
         "fig8": [v for d in FIG8_DIRECTIONS for v in _kernel_shape(d)],
-        "multirail": [solve_bandwidth(multirail_scenario(p, MESSAGE, r))
+        "multirail": [solve_bandwidth(rails_harness(r, p).scenario(MESSAGE))
                       for r, p in MULTIRAIL_CELLS],
     }
     t2 = time.process_time()
@@ -210,7 +214,7 @@ def test_fig5_cell_validates_live():
     """One live strict cell end to end: DES vs solver within the limit —
     the acceptance criterion on the paper's balanced configuration."""
     des = _ping(64 << 10, MESSAGE, "b0->a0")
-    sol = solve_bandwidth(ping_scenario(64 << 10, MESSAGE, "b0->a0"))
+    sol = _solve_ping(64 << 10, MESSAGE, "b0->a0")
     assert _rel(sol, des) <= min(BOUNDS["fig5"], STRICT_LIMIT)
 
 
@@ -220,8 +224,8 @@ def test_speedup_commitment_enforced(validation):
 
 
 def test_scenario_builders_validate():
-    for sc in (ping_scenario(8 << 10, 1 << 20),
-               multirail_scenario(8 << 10, 1 << 20, 3),
+    for sc in (PingHarness(packet_size=8 << 10).scenario(1 << 20),
+               rails_harness(3, 8 << 10).scenario(1 << 20),
                traffic_scenario("torus", 4),
                traffic_scenario("fat_tree", 4)):
         sc.validate()

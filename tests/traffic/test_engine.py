@@ -1,5 +1,7 @@
 """Traffic engine end-to-end: delivery, determinism, scheduler identity."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.madeleine import reset_global_ids
@@ -151,3 +153,38 @@ def test_flow_records_carry_the_reliable_attempt_count():
     attempts = [r.attempts for r in engine.records]
     assert len(attempts) == 2 and max(attempts) > 1
     assert session.metrics.total("reliable.attempts") == sum(attempts)
+
+
+@pytest.mark.parametrize(("protocols", "nbytes"), [
+    (("myrinet", "sci"), 1 << 20), (("myrinet", "sci"), 4 << 20),
+    (("fast_ethernet", "sci"), 256 << 10), (("fast_ethernet", "sci"), 1 << 20)],
+    ids=["1M", "4M", "fast_ethernet-256K", "fast_ethernet-1M"])
+def test_a_large_reliable_transfer_on_a_healthy_fabric_takes_one_attempt(
+        protocols, nbytes):
+    """The recovery clocks cover one whole attempt on the flow's route:
+    with the default 20 ms re-ACK period a 1 MB transfer on the testbed
+    took 11 attempts and a 4 MB one 54, every one after the first a
+    needless retransmission.  Fast Ethernet's 11 MB/s puts 256 KB past
+    that period already."""
+    from repro.scenario import load_scenario
+    sc = load_scenario("benchmarks/scenarios/testbed.json")
+    (msg,) = sc.messages
+    reset_global_ids()
+    session, engine = run_traffic(sc.with_(
+        topology=replace(sc.topology, protocols=protocols),
+        messages=(MessageSpec(msg.src, msg.dst, nbytes),)))
+    assert [r.attempts for r in engine.records] == [1]
+    assert session.metrics.total("reliable.retransmits") == 0
+
+
+def test_short_attempts_keep_the_default_recovery_clocks():
+    from repro.madeleine import RetryPolicy
+    from repro.traffic.engine import _CLOCK_US, _retry_policy
+    # the testbed's 256 KB, and the corpus's largest Fast-Ethernet flow
+    assert _retry_policy(8, (256 << 10) / 62.0) == RetryPolicy()
+    assert _retry_policy(8, 44_690 / 11.0) == RetryPolicy()
+    big = _retry_policy(3, 4 * _CLOCK_US)
+    assert (big.rto, big.reack_interval, big.stall_timeout) == (
+        4 * RetryPolicy.rto, 4 * RetryPolicy.reack_interval,
+        RetryPolicy.stall_timeout)
+    assert big.max_attempts == 3
