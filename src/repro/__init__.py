@@ -25,11 +25,11 @@ Quickstart::
 
     world = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                          "s0": ["sci"]})
-    session = Session(world)
+    session = Session(world, packet_size=64 << 10)
     vch = session.virtual_channel([
         session.channel("myrinet", ["m0", "gw"]),
         session.channel("sci", ["gw", "s0"]),
-    ], packet_size=64 << 10)
+    ])
     # see examples/quickstart.py for the full send/receive loop
 """
 

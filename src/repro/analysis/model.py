@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hw.fabric import FRAGMENT_HEADER_BYTES
-from ..hw.params import (GatewayParams, NodeParams, PipelineConfig,
-                         ProtocolParams)
+from ..hw.params import GatewayParams, NodeParams, ProtocolParams
 from ..sim.fluid import DMA, PIO
 
 __all__ = ["fragment_time", "route_setup_time", "PipelinePrediction",
@@ -73,7 +72,6 @@ class PipelinePrediction:
 
 def _rail_period(in_proto: ProtocolParams, out_proto: ProtocolParams,
                  packet: int, gateway: GatewayParams, node: NodeParams,
-                 pipe: PipelineConfig,
                  end_share: float = float("inf"),
                  ) -> tuple[float, float, float]:
     """(t_recv, t_send, steady period) of one forwarding rail.
@@ -108,6 +106,7 @@ def _rail_period(in_proto: ProtocolParams, out_proto: ProtocolParams,
               + contended_bytes / send_contended
               + (rest / send_alone if rest > 0 else 0.0))
 
+    pipe = gateway.pipeline
     if pipe.depth == 1 or pipe.effective_credits == 1:
         period = t_recv + gateway.switch_overhead + t_send
     elif pipe.is_lockstep:
@@ -121,7 +120,6 @@ def predict_forwarding(in_proto: ProtocolParams, out_proto: ProtocolParams,
                        packet: int,
                        gateway: GatewayParams | None = None,
                        node: NodeParams | None = None,
-                       pipeline: PipelineConfig | None = None,
                        ) -> PipelinePrediction:
     """Asymptotic forwarding bandwidth through one gateway.
 
@@ -130,8 +128,7 @@ def predict_forwarding(in_proto: ProtocolParams, out_proto: ProtocolParams,
     protocol's peak), plus the PIO-under-DMA slowdown while the receive
     flow is active (§3.4.1), plus the per-switch software overhead.
 
-    The steady-state period depends on the pipeline discipline
-    (``pipeline`` overrides the gateway's resolved config):
+    The steady-state period depends on ``gateway.pipeline``'s discipline:
 
     * lockstep (the paper's depth-2 buffer exchange): both threads meet
       every step, so ``max(recv, send) + switch_overhead``;
@@ -143,9 +140,8 @@ def predict_forwarding(in_proto: ProtocolParams, out_proto: ProtocolParams,
     """
     gateway = gateway or GatewayParams()
     node = node or NodeParams()
-    pipe = pipeline if pipeline is not None else gateway.pipeline
     t_recv, t_send, period = _rail_period(in_proto, out_proto, packet,
-                                          gateway, node, pipe)
+                                          gateway, node)
     return PipelinePrediction(recv_us=t_recv, send_us=t_send,
                               period_us=period,
                               bandwidth=packet / period)
@@ -165,7 +161,6 @@ def predict_multirail(in_proto: ProtocolParams, out_proto: ProtocolParams,
                       packet: int, rails: int = 2, message: int = 2 << 20,
                       gateway: GatewayParams | None = None,
                       node: NodeParams | None = None,
-                      pipeline: PipelineConfig | None = None,
                       ) -> MultirailPrediction:
     """Aggregate bandwidth of ``rails`` disjoint forwarding rails.
 
@@ -186,14 +181,13 @@ def predict_multirail(in_proto: ProtocolParams, out_proto: ProtocolParams,
         raise ValueError(f"rails must be >= 1, got {rails}")
     gateway = gateway or GatewayParams()
     node = node or NodeParams()
-    pipe = pipeline if pipeline is not None else gateway.pipeline
     share = node.pci.capacity / rails
     _r, _s, period = _rail_period(in_proto, out_proto, packet,
-                                  gateway, node, pipe, end_share=share)
+                                  gateway, node, end_share=share)
     rail_bw = packet / period
     aggregate = rails * rail_bw
     single = predict_forwarding(in_proto, out_proto, packet,
-                                gateway, node, pipeline).bandwidth
+                                gateway, node).bandwidth
     setup = route_setup_time((in_proto, out_proto), period,
                              gateway=gateway, rails=rails)
     bandwidth = message / (message / aggregate + setup)

@@ -13,12 +13,12 @@ a test asserts the two agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..hw.params import GatewayParams, NodeParams, PipelineConfig
+from ..hw.params import GatewayParams, NodeParams
 from ..madeleine.channel import RealChannel
 from ..madeleine.session import Session
 from ..madeleine.vchannel import VirtualChannel
@@ -169,10 +169,10 @@ class _Harness:
         first protocol first, or "b0->a0") on this testbed: the chain
         a0 — gw00 — b0, or the ``multirail`` topology for 2+ rails.
 
-        The harness's ``node_params``, ``gateway_params``, ``pipeline``
-        and ``rate_overrides`` are not part of it: :meth:`build` applies
-        them, so ``solve`` prices this object as the harness measures it
-        only for a harness that leaves them at their defaults."""
+        The harness's ``node_params``, ``gateway_params`` and
+        ``rate_overrides`` are not part of it: :meth:`build` applies them,
+        so ``solve`` prices this object as the harness measures it only
+        for a harness that leaves them at their defaults."""
         direction = direction or self._DIRECTION
         if direction not in _ENDS:
             raise ValueError(f"bad direction {direction!r}")
@@ -192,17 +192,12 @@ class _Harness:
 
     def build(self):
         """Build this harness's testbed; returns ``(world, session, vch,
-        ack_channel)``.  The harness's ``pipeline`` rides in the
-        ``gateway_params`` override, which the solver reads the same way."""
+        ack_channel)``."""
         if self._world is not None:
             self._world.close()
-        gateway = self.gateway_params
-        if self.pipeline is not None:
-            gateway = replace(gateway or GatewayParams(),
-                              pipeline=self.pipeline)
         session = Session.from_scenario(
             self.scenario(1), telemetry=None,
-            node_params=self.node_params, gateway_params=gateway)
+            node_params=self.node_params, gateway_params=self.gateway_params)
         world = self._world = session.world
         for name in self._ACK_NODES or list(world.names):
             world.add_adapter(name, "fast_ethernet")
@@ -232,7 +227,6 @@ class PingHarness(_Harness):
     protocols: tuple = ("myrinet", "sci")
     node_params: Optional[NodeParams] = None
     header_batching: bool = False
-    pipeline: Optional[PipelineConfig] = None
     rate_overrides: Optional[dict] = None
 
 
@@ -247,8 +241,8 @@ class MultirailHarness(_Harness):
     — distinct sender NIC, gateway, and receiver NIC — connect ``a0`` and
     ``b0``.  With ``stripe_policy=None`` the virtual channel uses one route
     (the single-rail reference); with a policy each large paquet is striped
-    across up to ``max_rails`` of them (its ``align`` must be the default,
-    which the scenario schema fixes).  Only a0 and b0 hold an ack adapter.
+    across up to ``max_rails`` of them.  Only a0 and b0 hold an ack
+    adapter.
     """
 
     _ACK_NODES = ("a0", "b0")
@@ -260,9 +254,4 @@ class MultirailHarness(_Harness):
     stripe_policy: Optional[StripePolicy] = None
     gateway_params: Optional[GatewayParams] = None
     node_params: Optional[NodeParams] = None
-    pipeline: Optional[PipelineConfig] = None
     rate_overrides: Optional[dict] = None
-
-    def __post_init__(self) -> None:
-        if self.stripe_policy and self.stripe_policy.align != 1 << 10:
-            raise ValueError("a scenario stripes at the default 1 KB align")

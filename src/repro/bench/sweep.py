@@ -68,9 +68,10 @@ def _pipeline_cell(depth: int, fragment: Optional[int], message: int,
     ``fragment=None`` runs the adaptive tuner instead of a static fragment
     size and also reports the size it chose."""
     adaptive = fragment is None
-    pipeline = PipelineConfig(depth=depth, adaptive_mtu=adaptive)
+    gateway = GatewayParams(pipeline=PipelineConfig(depth=depth,
+                                                    adaptive_mtu=adaptive))
     harness = PingHarness(packet_size=fragment or 8 << 10,
-                          pipeline=pipeline, rate_overrides=rates)
+                          gateway_params=gateway, rate_overrides=rates)
     result = harness.measure(message, direction=direction)
     if adaptive:
         _world, session, vch, _ack = harness.build()

@@ -13,14 +13,56 @@ fault sequence, so a fault run is a reproducible bug report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import (TYPE_CHECKING, Any, Callable, Mapping, Optional,
+                    Sequence, Union)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.topology import World
     from .injector import FaultInjector
 
-__all__ = ["ChannelFaults", "LinkEvent", "NodeEvent", "FaultPlan"]
+__all__ = ["ChannelFaults", "LinkEvent", "NodeEvent", "FaultPlan",
+           "FormatError", "record"]
+
+
+class FormatError(ValueError):
+    """A serialized record (scenario file, fault plan) with a malformed
+    field; the message names where it is."""
+
+
+def record(cls, data: Any, where: str,
+           **casts: Callable[[Any], Any]) -> Any:
+    """``cls(**data)`` for the dataclass ``cls``: an absent field takes its
+    dataclass default, a present one goes through its ``casts`` entry.
+
+    A non-mapping, an unknown or missing field, or a value its cast or
+    ``cls`` rejects raises :class:`FormatError` naming ``where`` (and the
+    field), never a bare ``KeyError`` or ``TypeError``.
+    """
+    if not isinstance(data, Mapping):
+        raise FormatError(f"{where} must be a mapping, "
+                          f"got {type(data).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    for name in data:
+        if name not in known:
+            raise FormatError(f"{where} has unknown field {name!r}")
+    for name, f in known.items():
+        if (name not in data and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise FormatError(f"{where} is missing required field {name!r}")
+    kwargs = {}
+    for name, value in data.items():
+        cast = casts.get(name)
+        try:
+            kwargs[name] = value if cast is None else cast(value)
+        except FormatError:
+            raise
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise FormatError(f"{where}.{name}: {exc}") from None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -158,16 +200,18 @@ class FaultPlan:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_dict` (fuzz corpus files)."""
-        default = data.get("default")
-        return cls(
-            seed=int(data.get("seed", 0)),
-            channels={cid: ChannelFaults(**cf)
-                      for cid, cf in data.get("channels", {}).items()},
-            default=None if default is None else ChannelFaults(**default),
-            link_events=tuple(LinkEvent(**ev)
-                              for ev in data.get("link_events", ())),
-            node_events=tuple(NodeEvent(**ev)
-                              for ev in data.get("node_events", ())),
-        )
+    def from_dict(cls, data: Any) -> "FaultPlan":
+        """Rebuild a plan serialized by :meth:`to_dict` (fuzz corpus files);
+        a malformed field raises :class:`FormatError`."""
+        def events(kind, key):
+            return lambda evs: tuple(record(kind, ev, f"faults.{key}[{i}]")
+                                     for i, ev in enumerate(evs))
+        return record(
+            cls, data, "faults", seed=int,
+            channels=lambda chans: {
+                cid: record(ChannelFaults, cf, f"faults.channels[{cid!r}]")
+                for cid, cf in chans.items()},
+            default=lambda d: None if d is None else record(
+                ChannelFaults, d, "faults.default"),
+            link_events=events(LinkEvent, "link_events"),
+            node_events=events(NodeEvent, "node_events"))

@@ -282,10 +282,9 @@ class _Run:
                  f"adaptive:{scenario.adaptive is not None}"}
         if scenario.traffic is not None:
             feats.add(f"traffic:{scenario.traffic.pattern}")
-        pipe = scenario.pipeline_config
-        if pipe is not None:
-            feats.add("pipe:lockstep" if pipe.lockstep
-                      else f"pipe:depth{pipe.depth}")
+        if scenario.pipeline is not None:
+            depth, _credits, lockstep = scenario.pipeline
+            feats.add("pipe:lockstep" if lockstep else f"pipe:depth{depth}")
         for name in _FEATURE_COUNTERS:
             total = int(m.total(name))
             if total > 0:

@@ -175,9 +175,6 @@ class NodeParams:
     #: take as much time as the reception of a message" — on this hardware
     #: memcpy is only ≈ 1.5× the NIC speed.
     memcpy_bandwidth: float = 100.0
-    #: number of CPUs (the gateway threading note in §2.2.2); with >= 2 the
-    #: polling/forwarding threads do not steal cycles from each other.
-    cpus: int = 2
 
 
 @dataclass(frozen=True)
@@ -207,9 +204,6 @@ class PipelineConfig:
     #: ``min(packet_size, per-hop MTU)`` negotiation.  The wire-format MTU
     #: stays the upper bound, so headers and gateways need no format change.
     adaptive_mtu: bool = False
-    #: knee tolerance of the tuner: the smallest fragment size whose
-    #: predicted bandwidth is within ``tuner_slack`` of the best is chosen.
-    tuner_slack: float = 0.02
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -220,9 +214,6 @@ class PipelineConfig:
                 f"got {self.credits}")
         if self.lockstep and self.depth != 2:
             raise ValueError("lockstep is inherently a two-buffer scheme")
-        if not 0.0 <= self.tuner_slack < 1.0:
-            raise ValueError(f"tuner_slack must be in [0, 1), "
-                             f"got {self.tuner_slack}")
 
     @property
     def effective_credits(self) -> int:

@@ -39,7 +39,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..routing import StripeScheduler
     from .vchannel import VirtualChannel
 
-__all__ = ["TransportPolicy", "apply_restripe", "rail_is_healthy"]
+__all__ = ["TransportPolicy", "apply_restripe", "rail_is_healthy",
+           "RESTRIPE_SLACK_US"]
+
+#: drain-time floor (µs) under which a rail is never suspended, so
+#: microscopic backlogs on an otherwise idle system cannot trigger moves.
+RESTRIPE_SLACK_US = 500.0
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,8 @@ class TransportPolicy:
 
     ``restripe_high`` / ``restripe_low`` — hysteresis band on the ratio of
     a rail's predicted drain time to the healthiest rail's: suspend above
-    ``high``, readmit below ``low``.  ``restripe_slack_us`` is an absolute
-    drain-time floor under which a rail is never suspended, so microscopic
-    backlogs on an otherwise idle system cannot trigger moves.
+    ``high``, readmit below ``low``; a rail whose drain time is under
+    :data:`RESTRIPE_SLACK_US` is never suspended.
 
     ``gateway_balance`` — replace round-robin multirail rail choice with
     occupancy-driven selection across parallel gateways.
@@ -65,7 +69,6 @@ class TransportPolicy:
     eager_threshold: int = 4 << 10
     restripe_high: float = 4.0
     restripe_low: float = 2.0
-    restripe_slack_us: float = 500.0
     gateway_balance: bool = True
 
     def __post_init__(self) -> None:
@@ -80,10 +83,6 @@ class TransportPolicy:
                 f"restripe_high ({self.restripe_high}) must exceed "
                 f"restripe_low ({self.restripe_low}) — the hysteresis band "
                 f"would be empty or inverted")
-        if self.restripe_slack_us < 0:
-            raise ValueError(
-                f"restripe_slack_us must be >= 0, "
-                f"got {self.restripe_slack_us}")
 
 
 def rail_is_healthy(route, routes) -> bool:
@@ -139,17 +138,16 @@ def apply_restripe(policy: TransportPolicy, scheduler: "StripeScheduler",
 
     admitted = [i for i in candidates if scheduler.weights[i] > 0.0]
     ref = min(drain(i) for i in (admitted or candidates))
-    slack = policy.restripe_slack_us
     for i in candidates:
         d = drain(i)
         if scheduler.weights[i] > 0.0:
-            if (d > policy.restripe_high * ref + slack
+            if (d > policy.restripe_high * ref + RESTRIPE_SLACK_US
                     and len([j for j in candidates
                              if scheduler.weights[j] > 0.0]) > 1):
                 scheduler.set_weight(i, 0.0)
                 moves += 1
         else:
-            if d <= policy.restripe_low * ref + slack:
+            if d <= policy.restripe_low * ref + RESTRIPE_SLACK_US:
                 scheduler.set_weight(i, 1.0)
                 moves += 1
     return moves

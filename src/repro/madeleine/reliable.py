@@ -56,6 +56,16 @@ _CRC_FMT = "<I"
 HEADER_BYTES = struct.calcsize(_HDR_FMT) + struct.calcsize(_CRC_FMT)
 FRAG_CRC_BYTES = struct.calcsize(_CRC_FMT)
 
+#: fragment-grid unit; route-independent so a retransmission on a
+#: different rail resumes exactly at the acknowledged fragment.
+FRAG_SIZE = 8 << 10
+#: multiplicative backoff applied to the RTO after each failed attempt.
+BACKOFF = 2.0
+#: independent copies of each ACK message.  An ACK is a single tiny
+#: message, so its loss is what usually makes the sender miss real
+#: receiver progress; redundancy shrinks that chance geometrically.
+ACK_COPIES = 2
+
 _transfer_ids = itertools.count(1)
 
 
@@ -113,9 +123,6 @@ def _disown(ev: Event) -> None:
 class RetryPolicy:
     """Knobs of the go-back-N recovery loop (all times in µs)."""
 
-    #: fragment-grid unit; route-independent so a retransmission on a
-    #: different rail resumes exactly at the acknowledged fragment.
-    frag_size: int = 8 << 10
     #: consecutive *zero-progress* attempts tolerated before
     #: :class:`RetryExhausted`.  An attempt that advanced the cumulative ack
     #: resets the count (and the RTO): go-back-N progress is monotone, so
@@ -124,17 +131,11 @@ class RetryPolicy:
     max_attempts: int = 8
     #: initial retransmission timeout (covers one full attempt + ACK).
     rto: float = 50_000.0
-    #: multiplicative backoff applied to the RTO after each failed attempt.
-    backoff: float = 2.0
-    #: RTO ceiling.
+    #: RTO ceiling, reached by :data:`BACKOFF` growth.
     rto_max: float = 400_000.0
     #: receiver-side per-fragment stall bound: how long an expected fragment
     #: may fail to arrive before the attempt is abandoned and acked short.
     stall_timeout: float = 10_000.0
-    #: independent copies of each ACK message.  An ACK is a single tiny
-    #: message, so its loss is what usually makes the sender miss real
-    #: receiver progress; redundancy shrinks that chance geometrically.
-    ack_copies: int = 2
     #: receiver-side re-ACK period.  Losing every copy of an abandon's ACK
     #: (or losing the attempt before its header, which yields no ACK at
     #: all) leaves the sender blind to real receiver progress; periodic
@@ -147,16 +148,10 @@ class RetryPolicy:
     reack_ttl: float = 1_000_000.0
 
     def __post_init__(self) -> None:
-        if self.frag_size < 1:
-            raise ValueError("frag_size must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if min(self.rto, self.rto_max, self.stall_timeout) <= 0:
             raise ValueError("timeouts must be > 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
-        if self.ack_copies < 1:
-            raise ValueError("ack_copies must be >= 1")
         if self.reack_interval <= 0 or self.reack_ttl <= 0:
             raise ValueError("re-ACK knobs must be > 0")
         if self.reack_ttl <= self.rto_max:
@@ -251,7 +246,7 @@ class ReliableEndpoint:
             # delivery could never be confirmed.
             raise ValueError("reliable send needs a non-empty payload")
         policy = self.policy
-        nfrags = -(-len(data) // policy.frag_size)
+        nfrags = -(-len(data) // FRAG_SIZE)
         transfer = next(_transfer_ids)
         st = _SendState(nfrags)
         self._sends[transfer] = st
@@ -279,17 +274,16 @@ class ReliableEndpoint:
                                 src=self.rank, dst=dst, transfer=transfer,
                                 attempt=attempt)
                 yield self.sim.timeout(rto, name=f"rel.wait_route.{transfer}")
-                rto = min(rto * policy.backoff, policy.rto_max)
+                rto = min(rto * BACKOFF, policy.rto_max)
                 continue
             route_error = None
             start = st.acked
             header = _encode_header(_KIND_DATA, self.rank, dst, transfer,
                                     attempt, start, nfrags, len(data),
-                                    policy.frag_size)
+                                    FRAG_SIZE)
             _disown(msg.pack(header, SendMode.CHEAPER, RecvMode.EXPRESS))
             for seq in range(start, nfrags):
-                frag = data[seq * policy.frag_size:
-                            (seq + 1) * policy.frag_size]
+                frag = data[seq * FRAG_SIZE:(seq + 1) * FRAG_SIZE]
                 _disown(msg.pack(
                     frag + struct.pack(_CRC_FMT,
                                        _frag_crc(frag, transfer, seq)),
@@ -339,7 +333,7 @@ class ReliableEndpoint:
                 rto = policy.rto
             else:
                 stalls += 1
-                rto = min(rto * policy.backoff, policy.rto_max)
+                rto = min(rto * BACKOFF, policy.rto_max)
         del self._sends[transfer]
         raise RetryExhausted(
             f"transfer {transfer} to rank {dst} gave up after "
@@ -495,7 +489,7 @@ class ReliableEndpoint:
         # Each copy is an independent message (own announce, own routing):
         # duplicates are harmless (cumulative acks are idempotent) and the
         # sender only needs one of them to observe receiver progress.
-        for _copy in range(self.policy.ack_copies):
+        for _copy in range(ACK_COPIES):
             try:
                 msg = self.vep.begin_packing(dst)
             except NoRouteError:

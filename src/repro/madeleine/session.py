@@ -24,11 +24,11 @@ observability layer (:mod:`repro.telemetry`).  Typical use::
         session.run()
         print(session.metrics.total("gateway.messages_forwarded"))
 
-Configuration is keyword-only: ``packet_size=`` sets the default virtual
-channel packet size, ``telemetry=True/False`` enables/disables the world's
-telemetry (``None`` leaves it as it is — off for a fresh world), and
-``fault_plan=`` arms a :class:`~repro.faults.FaultPlan` before any channel
-exists.  The raw trace (one record per wire fragment and gateway step) is
+Configuration is keyword-only: ``packet_size=`` sets the paquet size of
+every virtual channel the session builds (§2.3), ``telemetry=True/False``
+enables/disables the world's telemetry (``None`` leaves it as it is — off
+for a fresh world), and ``fault_plan=`` arms a
+:class:`~repro.faults.FaultPlan` before any channel exists.  The raw trace (one record per wire fragment and gateway step) is
 not part of ``telemetry=``: it is off until ``session.trace.enable()``.
 A closed session (after the ``with`` block, or ``close()``) refuses to
 build channels or spawn processes; its telemetry stays readable so results
@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Generator, Mapping, Optional, Sequence,
                     Union)
 
-from ..hw.params import GatewayParams, NodeParams, PipelineConfig
+from ..hw.params import GatewayParams, NodeParams
 from ..hw.topology import World, build_world
 from ..sim import Event, Process
 from ..sim.trace import TraceRecorder
@@ -68,8 +68,9 @@ class Session:
         self.sim = world.sim
         self.channels: list[RealChannel] = []
         self.virtual_channels: list[VirtualChannel] = []
-        self.default_packet_size = (DEFAULT_PACKET_SIZE if packet_size is None
-                                    else packet_size)
+        #: the paquet size of every virtual channel this session builds.
+        self.packet_size = (DEFAULT_PACKET_SIZE if packet_size is None
+                            else packet_size)
         self._closed = False
         if telemetry is True:
             world.telemetry.enable()
@@ -99,7 +100,8 @@ class Session:
         ``node_params`` and ``gateway_params`` are the two overrides
         :func:`repro.solver.solve` also takes: host parameters for every
         node, and forwarding parameters in place of the ones the scenario's
-        ``gw_stall_timeout`` implies.
+        ``gw_stall_timeout`` implies (:meth:`Scenario.gateway_params`
+        resolves them, the scenario's ``pipeline`` included).
 
         The session exposes the result as ``session.channels`` /
         ``session.virtual_channels[0]``; drive traffic by hand or via
@@ -118,11 +120,9 @@ class Session:
             scenario.faults.arm(world)
         session.virtual_channel(
             channels,
-            gateway_params=gateway_params or GatewayParams(
-                stall_timeout=scenario.gw_stall_timeout),
+            gateway_params=scenario.gateway_params(gateway_params),
             multirail=scenario.multirail,
             header_batching=scenario.header_batching,
-            pipeline=scenario.pipeline_config,
             stripe_policy=scenario.stripe_policy,
             transport_policy=scenario.transport_policy)
         return session
@@ -197,12 +197,10 @@ class Session:
         return ch
 
     def virtual_channel(self, channels: Sequence[RealChannel],
-                        packet_size: Optional[int] = None,
                         gateway_params: Optional[GatewayParams] = None,
                         name: str = "",
                         multirail: bool = False,
                         header_batching: bool = False,
-                        pipeline: Optional["PipelineConfig"] = None,
                         stripe_policy: Optional["StripePolicy"] = None,
                         transport_policy: Optional["TransportPolicy"] = None,
                         ) -> VirtualChannel:
@@ -210,22 +208,18 @@ class Session:
         forwarding on every gateway node (``multirail`` spreads messages
         over parallel equal-length routes, relaxing inter-message order;
         ``header_batching`` piggybacks GTM self-description records on
-        payload fragments, §2.3; ``pipeline`` configures the N-deep
-        credit-based gateway pipeline and the adaptive fragment tuner;
-        ``stripe_policy`` enables transparent multirail striping — large
-        paquets split across disjoint rails for aggregate bandwidth;
+        payload fragments, §2.3; ``gateway_params.pipeline`` configures the
+        N-deep credit-based gateway pipeline and the adaptive fragment
+        tuner; ``stripe_policy`` enables transparent multirail striping —
+        large paquets split across disjoint rails for aggregate bandwidth;
         ``transport_policy`` turns on the congestion-aware adaptive
-        transport, docs/adaptive.md).
-        ``packet_size=None`` uses the session default."""
+        transport, docs/adaptive.md).  Its paquet size is the session's
+        ``packet_size``."""
         self._check_open()
-        vch = VirtualChannel(channels,
-                             packet_size=(self.default_packet_size
-                                          if packet_size is None
-                                          else packet_size),
+        vch = VirtualChannel(channels, packet_size=self.packet_size,
                              gateway_params=gateway_params, name=name,
                              multirail=multirail,
                              header_batching=header_batching,
-                             pipeline=pipeline,
                              stripe_policy=stripe_policy,
                              transport_policy=transport_policy)
         self.virtual_channels.append(vch)

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from dataclasses import replace as _dc_replace
-
-from ..hw.params import GatewayParams, PipelineConfig
+from ..hw.params import GatewayParams
 from ..routing import (RouteTable, StripePolicy, StripeScheduler,
                        disjoint_routes, gateway_ranks, negotiate_mtu,
                        tune_fragment_size)
@@ -156,7 +154,6 @@ class VirtualChannel:
                  gateway_params: Optional[GatewayParams] = None,
                  name: str = "", multirail: bool = False,
                  header_batching: bool = False,
-                 pipeline: Optional[PipelineConfig] = None,
                  stripe_policy: Optional[StripePolicy] = None,
                  transport_policy: Optional[TransportPolicy] = None) -> None:
         if not channels:
@@ -170,12 +167,8 @@ class VirtualChannel:
         self.world = channels[0].world
         self.sim = self.world.sim
         self.packet_size = packet_size
-        gp = gateway_params or GatewayParams()
-        if pipeline is not None:
-            gp = _dc_replace(gp, pipeline=pipeline)
-        self.gateway_params = gp
-        #: the forwarding-pipeline config every worker runs.
-        self.pipeline = gp.pipeline
+        #: every worker's forwarding parameters, its pipeline included.
+        self.gateway_params = gateway_params or GatewayParams()
         #: per-route tuned fragment sizes (adaptive MTU mode).
         self._mtu_cache: dict[tuple[str, ...], int] = {}
         #: probe-measured per-protocol host rates refining the tuner.
@@ -372,14 +365,12 @@ class VirtualChannel:
         per path; the wire-format MTU stays the upper bound.
         """
         route = list(route)
-        if not self.pipeline.adaptive_mtu or len(route) < 2:
+        if not self.gateway_params.pipeline.adaptive_mtu or len(route) < 2:
             return negotiate_mtu(route, self.packet_size)
         key = tuple(hop.channel.id for hop in route)
         mtu = self._mtu_cache.get(key)
         if mtu is None:
             mtu = tune_fragment_size(route, gateway=self.gateway_params,
-                                     pipeline=self.pipeline,
-                                     slack=self.pipeline.tuner_slack,
                                      rate_overrides=self._rate_overrides)
             self._mtu_cache[key] = mtu
         return mtu

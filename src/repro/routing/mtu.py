@@ -9,9 +9,9 @@ and the configured packet size.
 *effective* fragment size grown from the hop rates and the gateway swap
 overhead (the analytic model of :mod:`repro.analysis.model`): among all
 KB-aligned candidates up to the wire-format limit, it returns the smallest
-one whose predicted forwarded bandwidth is within ``slack`` of the best —
-the knee of the fragment-size curve.  The wire-format MTU stays the upper
-bound, so headers and gateways need no format change.
+one whose predicted forwarded bandwidth is within :data:`TUNER_SLACK` of
+the best — the knee of the fragment-size curve.  The wire-format MTU stays
+the upper bound, so headers and gateways need no format change.
 """
 
 from __future__ import annotations
@@ -19,15 +19,18 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..hw.params import GatewayParams, PipelineConfig
+    from ..hw.params import GatewayParams
     from .routes import Hop
 
 __all__ = ["negotiate_mtu", "tune_fragment_size", "fragment_knee",
-           "MTU_GRANULARITY", "MIN_MTU"]
+           "MTU_GRANULARITY", "MIN_MTU", "TUNER_SLACK"]
 
 #: the wire format expresses MTUs in whole KB.
 MTU_GRANULARITY = 1024
 MIN_MTU = 1024
+#: knee tolerance of the tuner: the smallest fragment size whose predicted
+#: bandwidth is within this fraction of the best is chosen.
+TUNER_SLACK = 0.02
 
 
 def negotiate_mtu(hops: Iterable["Hop"], packet_size: int) -> int:
@@ -56,7 +59,6 @@ def _wire_limit(hops: Sequence["Hop"]) -> int:
 
 def _path_bandwidth(hops: Sequence["Hop"], fragment: int,
                     gateway: "GatewayParams",
-                    pipeline: Optional["PipelineConfig"],
                     rate_overrides: Optional[Mapping[str, float]]) -> float:
     """Predicted asymptotic bandwidth of the path at one fragment size:
     the slowest of the per-gateway forwarding pipelines and the raw
@@ -75,17 +77,15 @@ def _path_bandwidth(hops: Sequence["Hop"], fragment: int,
     for a, b in zip(hops, hops[1:]):
         node = a.channel.world.nodes[a.dst].params
         pred = predict_forwarding(proto(a), proto(b), fragment,
-                                  gateway=gateway, node=node,
-                                  pipeline=pipeline)
+                                  gateway=gateway, node=node)
         bw = min(bw, pred.bandwidth)
     return bw
 
 
 def fragment_knee(hops: Sequence["Hop"],
                   gateway: Optional["GatewayParams"] = None,
-                  pipeline: Optional["PipelineConfig"] = None,
                   rate_overrides: Optional[Mapping[str, float]] = None,
-                  step: int = MTU_GRANULARITY) -> list[tuple[int, float]]:
+                  ) -> list[tuple[int, float]]:
     """The tuner's decision curve: ``(fragment_size, predicted MB/s)`` for
     every KB-aligned candidate up to the route's wire-format limit."""
     from ..hw.params import GatewayParams
@@ -93,22 +93,18 @@ def fragment_knee(hops: Sequence["Hop"],
     hops = list(hops)
     gateway = gateway or GatewayParams()
     hi = _wire_limit(hops)
-    step = max(MTU_GRANULARITY, (step // MTU_GRANULARITY) * MTU_GRANULARITY)
-    sizes = list(range(MIN_MTU, hi + 1, step))
-    if sizes[-1] != hi:
-        sizes.append(hi)
-    return [(f, _path_bandwidth(hops, f, gateway, pipeline, rate_overrides))
+    sizes = list(range(MIN_MTU, hi + 1, MTU_GRANULARITY))
+    return [(f, _path_bandwidth(hops, f, gateway, rate_overrides))
             for f in sizes]
 
 
 def tune_fragment_size(hops: Sequence["Hop"],
                        gateway: Optional["GatewayParams"] = None,
-                       pipeline: Optional["PipelineConfig"] = None,
-                       slack: float = 0.02,
                        rate_overrides: Optional[Mapping[str, float]] = None,
-                       step: int = MTU_GRANULARITY) -> int:
+                       ) -> int:
     """Effective per-path fragment size: the smallest KB-aligned size whose
-    predicted forwarded bandwidth is within ``slack`` of the best candidate.
+    predicted forwarded bandwidth is within :data:`TUNER_SLACK` of the best
+    candidate, under ``gateway``'s pipeline.
 
     ``rate_overrides`` maps protocol names to measured host rates (bytes/µs)
     from an online probe phase, refining the calibrated ``host_peak``.
@@ -118,10 +114,10 @@ def tune_fragment_size(hops: Sequence["Hop"],
     hops = list(hops)
     if len(hops) < 2:
         return _wire_limit(hops)
-    curve = fragment_knee(hops, gateway=gateway, pipeline=pipeline,
-                          rate_overrides=rate_overrides, step=step)
+    curve = fragment_knee(hops, gateway=gateway,
+                          rate_overrides=rate_overrides)
     best = max(bw for _f, bw in curve)
     for f, bw in curve:
-        if bw >= (1.0 - slack) * best:
+        if bw >= (1.0 - TUNER_SLACK) * best:
             return f
     return curve[-1][0]  # pragma: no cover - slack < 1 guarantees a hit

@@ -28,7 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .routes import Hop
 
 __all__ = ["StripePolicy", "StripeScheduler", "disjoint_routes",
-           "route_rate"]
+           "route_rate", "STRIPE_ALIGN"]
+
+#: stripe boundaries are multiples of this, so fragment grids stay KB-sized.
+STRIPE_ALIGN = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -38,22 +41,19 @@ class StripePolicy:
     ``max_rails`` bounds the disjoint routes used per (src, dst) pair;
     paquets shorter than ``2 * min_stripe`` are not split at all (the
     per-rail record overhead would outweigh the overlap), and stripe
-    boundaries are multiples of ``align`` so fragment grids stay KB-sized.
+    boundaries are multiples of :data:`STRIPE_ALIGN`.
     """
 
     max_rails: int = 2
     min_stripe: int = 4 << 10
-    align: int = 1 << 10
 
     def __post_init__(self) -> None:
         if self.max_rails < 1:
             raise ValueError(f"max_rails must be >= 1, got {self.max_rails}")
-        if self.align < 1:
-            raise ValueError(f"align must be >= 1, got {self.align}")
-        if self.min_stripe < self.align or self.min_stripe % self.align:
+        if self.min_stripe < STRIPE_ALIGN or self.min_stripe % STRIPE_ALIGN:
             raise ValueError(
                 f"min_stripe ({self.min_stripe}) must be a positive "
-                f"multiple of align ({self.align})")
+                f"multiple of {STRIPE_ALIGN}")
 
 
 def disjoint_routes(routes: Sequence[list["Hop"]],
@@ -105,8 +105,8 @@ class StripeScheduler:
     The scheduler keeps a per-rail *backlog* of bytes handed to the rail
     but not yet emitted.  :meth:`plan` water-fills: it finds the finish
     horizon at which all (not hopelessly backlogged) rails drain together
-    and sizes each stripe as ``rate * horizon - backlog``, quantized to the
-    policy's alignment.  Ties and remainders go to the lowest-index rail
+    and sizes each stripe as ``rate * horizon - backlog``, quantized to
+    :data:`STRIPE_ALIGN`.  Ties and remainders go to the lowest-index rail
     among the least loaded — deterministic by construction.
     """
 
@@ -191,10 +191,10 @@ class StripeScheduler:
         shares = {i: self._rate(i) * horizon - self._backlog[i]
                   for i in active}
         total = sum(shares.values())
-        align = self.policy.align
         assigned = 0
         for i in sorted(active):
-            c = int(length * shares[i] / total) // align * align
+            c = (int(length * shares[i] / total)
+                 // STRIPE_ALIGN * STRIPE_ALIGN)
             chunks[i] = c
             assigned += c
         primary = active[0]     # least loaded: absorbs remainder and runts

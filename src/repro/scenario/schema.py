@@ -29,12 +29,13 @@ Every family's node/channel layout comes from :mod:`repro.hw.topogen`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Tuple
 
 from ..faults import FaultPlan
-from ..hw.params import PROTOCOLS, PipelineConfig
+from ..faults.plan import record
+from ..hw.params import PROTOCOLS, GatewayParams, PipelineConfig
 
 __all__ = ["MessageSpec", "TrafficSpec", "Topology", "Scenario",
            "SCENARIO_VERSION", "TRAFFIC_PATTERNS"]
@@ -43,6 +44,17 @@ SCENARIO_VERSION = 1
 
 #: traffic-engine arrival patterns (see :mod:`repro.traffic`).
 TRAFFIC_PATTERNS = ("uniform", "permutation", "hotspot", "incast")
+
+
+def _optional_tuple(*casts):
+    """A cast for a fixed-length tuple field that may be ``None``."""
+    def cast(value):
+        if value is None:
+            return None
+        if len(value) != len(casts):
+            raise ValueError(f"needs {len(casts)} entries, got {len(value)}")
+        return tuple(c(v) for c, v in zip(casts, value))
+    return cast
 
 
 @lru_cache(maxsize=128)
@@ -144,13 +156,8 @@ class TrafficSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrafficSpec":
-        return cls(pattern=d.get("pattern", "uniform"),
-                   flows=int(d.get("flows", 32)),
-                   mean_interarrival=float(d.get("mean_interarrival", 200.0)),
-                   size=int(d.get("size", 64 << 10)),
-                   size_jitter=float(d.get("size_jitter", 0.0)),
-                   hotspot_fraction=float(d.get("hotspot_fraction", 0.5)),
-                   kind=d.get("kind", "plain"))
+        return record(cls, d, "traffic", flows=int, mean_interarrival=float,
+                      size=int, size_jitter=float, hotspot_fraction=float)
 
 
 @dataclass(frozen=True)
@@ -272,10 +279,8 @@ class Topology:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Topology":
-        return cls(kind=d["kind"], protocols=tuple(d["protocols"]),
-                   sizes=tuple(d.get("sizes", ())),
-                   gateways=tuple(d.get("gateways", ())),
-                   dims=tuple(d.get("dims", ())))
+        return record(cls, d, "topology", protocols=tuple, sizes=tuple,
+                      gateways=tuple, dims=tuple)
 
 
 @dataclass(frozen=True)
@@ -383,12 +388,19 @@ class Scenario:
                 and all(cf.quiet for cf in f.channels.values()))
 
     # -- the policy tuples, as the objects the stack takes ---------------------------
-    @property
-    def pipeline_config(self) -> Optional[PipelineConfig]:
+    def gateway_params(self, override: Optional[GatewayParams] = None
+                       ) -> GatewayParams:
+        """The forwarding parameters a run of this scenario uses:
+        ``override`` (else the default gateway with this scenario's
+        ``gw_stall_timeout``), its pipeline replaced by the scenario's
+        ``pipeline`` when that is set.  The DES and the solver both ask
+        here, so they agree on which pipeline wins."""
+        params = override or GatewayParams(stall_timeout=self.gw_stall_timeout)
         if self.pipeline is None:
-            return None
+            return params
         depth, credits, lockstep = self.pipeline
-        return PipelineConfig(depth=depth, credits=credits, lockstep=lockstep)
+        return replace(params, pipeline=PipelineConfig(
+            depth=depth, credits=credits, lockstep=lockstep))
 
     @property
     def stripe_policy(self):
@@ -439,38 +451,25 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Scenario":
+        """Rebuild a scenario from its :meth:`to_dict` shape.  An absent
+        field takes the dataclass default; keys that are no field (the
+        ``version``, a harness's own settings) are ignored.  A malformed
+        field raises a :class:`ValueError` that names it."""
         version = d.get("version", SCENARIO_VERSION)
         if version != SCENARIO_VERSION:
             raise ValueError(f"unsupported scenario version {version}")
-        for key in ("seed", "topology"):
-            if key not in d:
-                raise ValueError(f"scenario is missing required field {key!r}")
-        pipeline = d.get("pipeline")
-        stripe = d.get("stripe")
-        adaptive = d.get("adaptive")
-        traffic = d.get("traffic")
-        return cls(
-            seed=int(d["seed"]),
-            topology=Topology.from_dict(d["topology"]),
-            packet_size=int(d.get("packet_size", 16 << 10)),
-            header_batching=bool(d.get("header_batching", False)),
-            multirail=bool(d.get("multirail", False)),
-            pipeline=None if pipeline is None else (int(pipeline[0]),
-                                                    int(pipeline[1]),
-                                                    bool(pipeline[2])),
-            stripe=None if stripe is None else (int(stripe[0]),
-                                                int(stripe[1])),
-            adaptive=None if adaptive is None else (int(adaptive[0]),
-                                                    float(adaptive[1]),
-                                                    float(adaptive[2]),
-                                                    bool(adaptive[3])),
-            messages=tuple(MessageSpec(**m) for m in d.get("messages", ())),
-            traffic=None if traffic is None else TrafficSpec.from_dict(
-                traffic),
-            faults=FaultPlan.from_dict(d.get("faults", {})),
-            max_attempts=int(d.get("max_attempts", 8)),
-            gw_stall_timeout=d.get("gw_stall_timeout"),
-        )
+        return record(
+            cls, {k: v for k, v in d.items() if k in _SCENARIO_FIELDS},
+            "scenario", seed=int, topology=Topology.from_dict,
+            packet_size=int, header_batching=bool, multirail=bool,
+            pipeline=_optional_tuple(int, int, bool),
+            stripe=_optional_tuple(int, int),
+            adaptive=_optional_tuple(int, float, float, bool),
+            messages=lambda ms: tuple(
+                record(MessageSpec, m, f"messages[{i}]")
+                for i, m in enumerate(ms)),
+            traffic=lambda t: None if t is None else TrafficSpec.from_dict(t),
+            faults=FaultPlan.from_dict, max_attempts=int)
 
     def describe(self) -> str:
         """One line for progress output."""
@@ -496,3 +495,6 @@ class Scenario:
         return (f"seed={self.seed} {shape} msgs={len(self.messages)}"
                 f"{traffic} faults={self.n_fault_events}ev"
                 f"{' ' + ' '.join(knobs) if knobs else ''}")
+
+
+_SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))

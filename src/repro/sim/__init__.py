@@ -16,7 +16,7 @@ Public surface:
 from .engine import (AllOf, AnyOf, Event, Process, Simulator, Timeout,
                      PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT)
 from .errors import (DeadlockError, FaultError, GatewayCrashed, ProcessCrashed,
-                     RetryExhausted, SchedulingError, SimError, TransferTimeout)
+                     RetryExhausted, SchedulingError, SimError)
 from .fluid import DMA, PIO, Flow, FluidNetwork, FluidPath, FluidResource
 from .sync import Barrier, Mutex, Queue, Semaphore, Signal
 from .trace import TraceRecord, TraceRecorder
@@ -25,7 +25,7 @@ __all__ = [
     "AllOf", "AnyOf", "Event", "Process", "Simulator", "Timeout",
     "PRIORITY_LATE", "PRIORITY_NORMAL", "PRIORITY_URGENT",
     "DeadlockError", "FaultError", "GatewayCrashed", "ProcessCrashed",
-    "RetryExhausted", "SchedulingError", "SimError", "TransferTimeout",
+    "RetryExhausted", "SchedulingError", "SimError",
     "DMA", "PIO", "Flow", "FluidNetwork", "FluidPath", "FluidResource",
     "Barrier", "Mutex", "Queue", "Semaphore", "Signal",
     "TraceRecord", "TraceRecorder",

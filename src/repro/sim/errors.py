@@ -43,10 +43,6 @@ class GatewayCrashed(FaultError):
         self.node_name = node_name
 
 
-class TransferTimeout(FaultError, TimeoutError):
-    """A reliable-transfer step stalled past its timeout (one attempt)."""
-
-
 class RetryExhausted(FaultError, TimeoutError):
     """A reliable transfer ran out of its retry budget.
 

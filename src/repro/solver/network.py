@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ..analysis.model import _rail_period, fragment_time, route_setup_time
-from ..hw.params import (DEFAULT_GATEWAY, DEFAULT_NODE, PROTOCOLS,
-                         GatewayParams, NodeParams, ProtocolParams)
+from ..hw.params import (DEFAULT_NODE, PROTOCOLS, GatewayParams, NodeParams,
+                         ProtocolParams)
 from ..routing import Hop, RouteTable, disjoint_routes, negotiate_mtu
 from ..scenario import Scenario
 
@@ -85,8 +85,7 @@ class SolverNetwork:
         self.rank = {name: i for i, name in enumerate(topo.node_spec())}
         self.names = list(self.rank)
         self.node = node_params or DEFAULT_NODE
-        self.gateway = gateway_params or DEFAULT_GATEWAY
-        self.pipeline = scenario.pipeline_config or self.gateway.pipeline
+        self.gateway = scenario.gateway_params(gateway_params)
         self.stripe = scenario.stripe_policy
         self.channels: list[_StubChannel] = []
         by_id: dict[str, _StubChannel] = {}
@@ -104,8 +103,8 @@ class SolverNetwork:
         self.routes = RouteTable(self.channels)
         self._resources: dict[tuple, Resource] = {}
         self._res_index: dict[tuple, int] = {}
-        #: per-route kernel results.  Packet size, gateway, node and
-        #: pipeline are fixed for this network and a channel's protocol is
+        #: per-route kernel results.  Packet size, gateway (its pipeline
+        #: included) and node are fixed for this network and a channel's protocol is
         #: ``PROTOCOLS[name]``, so :meth:`ceiling` is a function of
         #: ``(protocol names along the route, end_share)`` and
         #: :meth:`setup_time` of those plus ``rails`` — the two key shapes.
@@ -185,8 +184,7 @@ class SolverNetwork:
         period = 0.0
         for p_in, p_out in zip(protos, protos[1:]):
             _r, _s, step = _rail_period(p_in, p_out, packet, self.gateway,
-                                        self.node, self.pipeline,
-                                        end_share=end_share)
+                                        self.node, end_share=end_share)
             period = max(period, step)
         return packet / period
 

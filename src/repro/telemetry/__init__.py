@@ -49,7 +49,7 @@ class Telemetry:
     def __init__(self, clock: Optional[Callable[[], float]] = None,
                  trace: Optional[TraceRecorder] = None,
                  enabled: bool = True) -> None:
-        self.metrics = MetricsRegistry(clock=clock, enabled=enabled)
+        self.metrics = MetricsRegistry(enabled=enabled)
         self.spans = SpanTracker(clock=clock, trace=trace, enabled=enabled)
 
     @property

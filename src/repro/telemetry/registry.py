@@ -26,17 +26,12 @@ the registry reads the int instead of being pushed every increment.  They
 count only while the registry is on, like every other instrument: a base
 is taken at enable and at :meth:`~MetricsRegistry.reset`, and the value is
 frozen at disable.
-
-Histograms support **simulated-time windows**: constructed with
-``window=<µs>``, a histogram additionally keeps per-window statistics that
-reset every time the registry clock crosses a window boundary — the rolling
-view a long soak run wants next to the lifetime aggregate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 __all__ = ["Counter", "Gauge", "Histogram", "PulledCounter",
            "MetricsRegistry", "NullRegistry", "format_metrics"]
@@ -169,29 +164,20 @@ class _OffGauge(Gauge):
 
 
 class Histogram(Instrument):
-    """Distribution of observed values, with optional simulated-time windows.
-
-    Lifetime aggregates (count/sum/min/max + cumulative buckets) always
-    accumulate; with ``window`` set, a rolling ``(window_start, count, sum)``
-    triple resets whenever the registry clock enters a new window.  A value
-    lands in the first bucket whose bound it does not exceed; values above
-    the last bound, and NaN, land in the last bucket.
+    """Distribution of observed values: count/sum/min/max and cumulative
+    buckets.  A value lands in the first bucket whose bound it does not
+    exceed; values above the last bound, and NaN, land in the last bucket.
     """
 
     kind = "histogram"
 
-    __slots__ = ("bounds", "_last", "buckets", "count", "total", "min", "max",
-                 "window", "window_start", "window_count", "window_total")
+    __slots__ = ("bounds", "_last", "buckets", "count", "total", "min", "max")
 
     def __init__(self, registry, key,
-                 bounds: tuple[float, ...] = DEFAULT_BOUNDS,
-                 window: Optional[float] = None) -> None:
+                 bounds: tuple[float, ...] = DEFAULT_BOUNDS) -> None:
         super().__init__(registry, key)
-        if window is not None and window <= 0:
-            raise ValueError("window must be > 0")
         self.bounds = tuple(sorted(bounds))
         self._last = len(self.bounds) - 1
-        self.window = window
         self.reset()
 
     def observe(self, value: float) -> None:
@@ -209,33 +195,19 @@ class Histogram(Instrument):
             self.buckets[self._last] += 1
         else:
             self.buckets[bisect_left(self.bounds, value, 0, self._last)] += 1
-        if self.window is not None:
-            now = self.registry.clock()
-            start = (now // self.window) * self.window
-            if start != self.window_start:
-                self.window_start = start
-                self.window_count = 0
-                self.window_total = 0.0
-            self.window_count += 1
-            self.window_total += value
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def data(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "count": self.count, "sum": self.total, "mean": self.mean,
             "min": self.min, "max": self.max,
             "buckets": {f"le_{b:g}": n
                         for b, n in zip((*self.bounds[:-1], float("inf")),
                                         self.buckets)},
         }
-        if self.window is not None:
-            out["window"] = {"start": self.window_start,
-                             "count": self.window_count,
-                             "sum": self.window_total}
-        return out
 
     def reset(self) -> None:
         self.buckets = [0] * len(self.bounds)
@@ -243,9 +215,6 @@ class Histogram(Instrument):
         self.total = 0.0
         self.min = None
         self.max = None
-        self.window_start = None
-        self.window_count = 0
-        self.window_total = 0.0
 
 
 class _OffHistogram(Histogram):
@@ -304,15 +273,9 @@ PulledCounter._live, PulledCounter._off = PulledCounter, _OffPulledCounter
 
 
 class MetricsRegistry:
-    """Get-or-create instrument store keyed by ``(name, labels)``.
+    """Get-or-create instrument store keyed by ``(name, labels)``."""
 
-    ``clock`` supplies the registry's notion of *now* (simulated µs for a
-    world-attached registry); histogram windows and snapshots use it.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 enabled: bool = True) -> None:
-        self.clock = clock or (lambda: 0.0)
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._instruments: dict[tuple[str, tuple], Instrument] = {}
 
@@ -355,9 +318,8 @@ class MetricsRegistry:
         return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, bounds: tuple[float, ...] = DEFAULT_BOUNDS,
-                  window: Optional[float] = None,
                   **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels, bounds, window)
+        return self._get(Histogram, name, labels, bounds)
 
     def pulled_counter(self, name: str, read: Callable[[], int],
                        **labels: Any) -> PulledCounter:

@@ -29,11 +29,11 @@ def gateway_trace(direction, packet=16 << 10, size=300_000):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     w.trace.enable()
-    s = Session(w)
+    s = Session(w, packet_size=packet)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=packet)
+    ])
     transfer_once(s, vch, src, dst, payload(size))
     return w
 

@@ -14,11 +14,11 @@ def run_forwarding():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     w.trace.enable()
-    s = Session(w, telemetry=True)
+    s = Session(w, telemetry=True, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=16 << 10)
+    ])
     transfer_once(s, vch, 2, 0, payload(100_000))
     return w
 
@@ -59,11 +59,11 @@ def test_registry_counts_a_forwarded_run():
 def _untraced_forwarding():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=16 << 10)
+    ])
     transfer_once(s, vch, 2, 0, payload(100_000))
     assert len(w.trace) == 0
     return w

@@ -59,8 +59,9 @@ def test_model_handles_non_pio_pairs():
 
 def test_lockstep_period_formula():
     from repro.hw import PipelineConfig
-    pred = predict_forwarding(SCI, MYRINET, 64 << 10,
-                              pipeline=PipelineConfig(depth=2))
+    pred = predict_forwarding(
+        SCI, MYRINET, 64 << 10,
+        gateway=GatewayParams(pipeline=PipelineConfig(depth=2)))
     assert pred.period_us == pytest.approx(
         max(pred.recv_us, pred.send_us) + GatewayParams().switch_overhead)
 
@@ -68,8 +69,9 @@ def test_lockstep_period_formula():
 def test_credit_period_moves_overhead_off_critical_path():
     from repro.hw import PipelineConfig
     c = GatewayParams().switch_overhead
-    pred = predict_forwarding(SCI, MYRINET, 64 << 10,
-                              pipeline=PipelineConfig(depth=4))
+    pred = predict_forwarding(
+        SCI, MYRINET, 64 << 10,
+        gateway=GatewayParams(pipeline=PipelineConfig(depth=4)))
     assert pred.period_us == pytest.approx(
         max(pred.recv_us + c, pred.send_us))
 
@@ -79,7 +81,8 @@ def test_single_credit_is_store_and_forward():
     c = GatewayParams().switch_overhead
     for pipe in (PipelineConfig(depth=1),
                  PipelineConfig(depth=4, credits=1)):
-        pred = predict_forwarding(SCI, MYRINET, 64 << 10, pipeline=pipe)
+        pred = predict_forwarding(SCI, MYRINET, 64 << 10,
+                                  gateway=GatewayParams(pipeline=pipe))
         assert pred.period_us == pytest.approx(
             pred.recv_us + c + pred.send_us)
 
@@ -87,36 +90,23 @@ def test_single_credit_is_store_and_forward():
 def test_discipline_ordering():
     """serial >= lockstep >= credit, at every fragment size."""
     from repro.hw import PipelineConfig
+    def period(packet, depth):
+        gateway = GatewayParams(pipeline=PipelineConfig(depth=depth))
+        return predict_forwarding(SCI, MYRINET, packet,
+                                  gateway=gateway).period_us
+
     for packet in (8 << 10, 32 << 10, 128 << 10):
-        serial = predict_forwarding(SCI, MYRINET, packet,
-                                    pipeline=PipelineConfig(depth=1))
-        lock = predict_forwarding(SCI, MYRINET, packet,
-                                  pipeline=PipelineConfig(depth=2))
-        credit = predict_forwarding(SCI, MYRINET, packet,
-                                    pipeline=PipelineConfig(depth=4))
-        assert serial.period_us >= lock.period_us >= credit.period_us
-
-
-def test_legacy_params_select_the_same_periods():
-    """The gateway's own pipeline and the ``pipeline=`` override are one
-    knob: the same config selects the same period either way."""
-    from repro.hw import PipelineConfig
-    deep = PipelineConfig(depth=4)
-    via_gateway = predict_forwarding(SCI, MYRINET, 64 << 10,
-                                     gateway=GatewayParams(pipeline=deep))
-    override = predict_forwarding(SCI, MYRINET, 64 << 10, pipeline=deep)
-    assert via_gateway.period_us == override.period_us
-    assert via_gateway.period_us != predict_forwarding(
-        SCI, MYRINET, 64 << 10).period_us
+        serial, lock, credit = (period(packet, d) for d in (1, 2, 4))
+        assert serial >= lock >= credit
 
 
 def test_credit_model_matches_simulation():
     """The max(recv + c, send) formula tracks the simulated credit
     pipeline the way the lockstep formula tracks the paper's."""
     from repro.hw import PipelineConfig
-    pipe = PipelineConfig(depth=4)
-    pred = predict_forwarding(SCI, MYRINET, 32 << 10, pipeline=pipe)
-    harness = PingHarness(packet_size=32 << 10, pipeline=pipe)
+    gateway = GatewayParams(pipeline=PipelineConfig(depth=4))
+    pred = predict_forwarding(SCI, MYRINET, 32 << 10, gateway=gateway)
+    harness = PingHarness(packet_size=32 << 10, gateway_params=gateway)
     measured = harness.measure(8 << 20, direction="b0->a0").bandwidth
     assert measured == pytest.approx(pred.bandwidth, rel=0.10)
 

@@ -44,11 +44,11 @@ def test_gateway_pci_busier_than_endpoints():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     mon = BusMonitor(w.fnet)
-    s = Session(w)
+    s = Session(w, packet_size=64 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=64 << 10)
+    ])
     transfer_once(s, vch, 2, 0, payload(2_000_000))
     gw_u = mon.mean_utilization(w.node("gw").pci)
     m0_u = mon.mean_utilization(w.node("m0").pci)

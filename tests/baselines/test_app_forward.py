@@ -72,11 +72,11 @@ def test_relay_slower_than_gtm_forwarding():
     # integrated GTM forwarding, same topology and packet granularity
     w2 = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                       "s0": ["sci"]})
-    s2 = Session(w2)
+    s2 = Session(w2, packet_size=64 << 10)
     vch = s2.virtual_channel([
         s2.channel("myrinet", ["m0", "gw"]),
         s2.channel("sci", ["gw", "s0"]),
-    ], packet_size=64 << 10)
+    ])
     t_gtm = transfer_once(s2, vch, 0, 2, data)["t"]
     assert t_gtm < t_app["t"] * 0.75, (t_gtm, t_app["t"])
 

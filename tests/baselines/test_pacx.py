@@ -66,10 +66,10 @@ def test_pacx_much_slower_than_native_forwarding():
 
     w2 = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                       "s0": ["sci"]})
-    s2 = Session(w2)
+    s2 = Session(w2, packet_size=64 << 10)
     vch = s2.virtual_channel([
         s2.channel("myrinet", ["m0", "gw"]),
         s2.channel("sci", ["gw", "s0"]),
-    ], packet_size=64 << 10)
+    ])
     bw_native = len(data) / transfer_once(s2, vch, 0, 2, data)["t"]
     assert bw_native > 1.5 * bw_pacx, (bw_native, bw_pacx)

@@ -210,18 +210,21 @@ _SMALL_PACKET = 8 << 10
 def cell_pipeline() -> dict:
     """Depth-4 credit pipeline + adaptive fragment tuner vs the paper's
     depth-2 lockstep with static MTU, on the fig5 topology."""
-    from repro.hw.params import PipelineConfig
+    from repro.hw.params import GatewayParams, PipelineConfig
 
-    def bandwidth(pipeline) -> float:
-        harness = PingHarness(packet_size=_SMALL_PACKET, pipeline=pipeline)
-        return harness.measure(_MESSAGE, direction="b0->a0").bandwidth
+    def harness(**pipeline) -> PingHarness:
+        return PingHarness(packet_size=_SMALL_PACKET,
+                           gateway_params=GatewayParams(
+                               pipeline=PipelineConfig(**pipeline)))
 
-    tuned_cfg = PipelineConfig(depth=4, adaptive_mtu=True)
-    depth2 = bandwidth(None)   # paper default: depth-2 lockstep
-    depth4 = bandwidth(PipelineConfig(depth=4))
-    depth4_tuned = bandwidth(tuned_cfg)
-    harness = PingHarness(packet_size=_SMALL_PACKET, pipeline=tuned_cfg)
-    _world, session, vch, _ack = harness.build()
+    def bandwidth(**pipeline) -> float:
+        return harness(**pipeline).measure(
+            _MESSAGE, direction="b0->a0").bandwidth
+
+    depth2 = bandwidth()   # paper default: depth-2 lockstep
+    depth4 = bandwidth(depth=4)
+    depth4_tuned = bandwidth(depth=4, adaptive_mtu=True)
+    _world, session, vch, _ack = harness(depth=4, adaptive_mtu=True).build()
     route = vch.routes.route(session.rank("b0"), session.rank("a0"))
     out = {
         "depth2_static_mbs": depth2,
@@ -868,7 +871,7 @@ def cell_collectives() -> dict:
             clusters=[ClusterSpec("m", "myrinet", 4),
                       ClusterSpec("s", "sci", 3)],
             gateways=[GatewayLink("m", "s")])
-        session = Session(world)
+        session = Session(world, packet_size=_PACKET)
         channels = [session.channel("myrinet", members["m"]),
                     session.channel("sci", members["s"] + gws)]
         return session, channels, [session.rank(n) for n in
@@ -878,7 +881,7 @@ def cell_collectives() -> dict:
     for topology, build in (("single", single), ("split", split)):
         for name, algorithm in (("tree", allreduce), ("ring", ring_allreduce)):
             session, channels, workers = build()
-            vch = session.virtual_channel(channels, packet_size=_PACKET)
+            vch = session.virtual_channel(channels)
             finish = {}
 
             def body(comm, i, results, algorithm=algorithm, session=session):

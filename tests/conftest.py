@@ -30,10 +30,10 @@ def paper_testbed():
 
 @pytest.fixture
 def paper_session(paper_testbed):
-    session = Session(paper_testbed)
+    session = Session(paper_testbed, packet_size=16 << 10)
     myri = session.channel("myrinet", ["m0", "gw"])
     sci = session.channel("sci", ["gw", "s0"])
-    vch = session.virtual_channel([myri, sci], packet_size=16 << 10)
+    vch = session.virtual_channel([myri, sci])
     return session, myri, sci, vch
 
 

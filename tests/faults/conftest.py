@@ -19,16 +19,15 @@ GW_STALL = 5_000.0   # keep abandoned gateway pipelines short-lived
 def two_gateway_world():
     w = build_world({"m0": ["myrinet"], "gwA": ["myrinet", "sci"],
                      "gwB": ["myrinet", "sci"], "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     myri = s.channel("myrinet", ["m0", "gwA", "gwB"])
     sci = s.channel("sci", ["gwA", "gwB", "s0"])
     return w, s, myri, sci
 
 
-def reliable_pair(s, myri, sci, policy, packet_size=16 << 10):
+def reliable_pair(s, myri, sci, policy):
     vch = s.virtual_channel(
-        [myri, sci], packet_size=packet_size,
-        gateway_params=GatewayParams(stall_timeout=GW_STALL))
+        [myri, sci], gateway_params=GatewayParams(stall_timeout=GW_STALL))
     return (vch, ReliableEndpoint(vch.endpoint(0), policy),
             ReliableEndpoint(vch.endpoint(3), policy))
 

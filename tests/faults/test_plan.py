@@ -30,13 +30,10 @@ def test_channel_faults_quiet():
 
 
 @pytest.mark.parametrize("kw", [
-    {"frag_size": 0},
     {"max_attempts": 0},
     {"rto": 0.0},
     {"rto_max": -1.0},
     {"stall_timeout": 0.0},
-    {"backoff": 0.5},
-    {"ack_copies": 0},
     {"reack_interval": 0.0},
     {"reack_ttl": 0.0},
     # the receiver must keep re-ACKing for at least the sender's

@@ -26,11 +26,11 @@ def test_two_gateway_chain():
         "gw2": ["sci", "sbp"], "c0": ["sbp"],
     })
     w.trace.enable()
-    s = Session(w)
+    s = Session(w, packet_size=8 << 10)
     ch1 = s.channel("myrinet", ["a0", "gw1"])
     ch2 = s.channel("sci", ["gw1", "gw2"])
     ch3 = s.channel("sbp", ["gw2", "c0"])
-    vch = s.virtual_channel([ch1, ch2, ch3], packet_size=8 << 10)
+    vch = s.virtual_channel([ch1, ch2, ch3])
     data = payload(120_000)
     out = transfer_once(s, vch, src=0, dst=3, data=data)
     assert out["buf"].tobytes() == data.tobytes()
@@ -51,12 +51,12 @@ def test_two_gateway_reverse_direction():
         "a0": ["myrinet"], "gw1": ["myrinet", "sci"],
         "gw2": ["sci", "sbp"], "c0": ["sbp"],
     })
-    s = Session(w)
+    s = Session(w, packet_size=8 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["a0", "gw1"]),
         s.channel("sci", ["gw1", "gw2"]),
         s.channel("sbp", ["gw2", "c0"]),
-    ], packet_size=8 << 10)
+    ])
     data = payload(60_000, seed=9)
     out = transfer_once(s, vch, src=3, dst=0, data=data)
     assert out["buf"].tobytes() == data.tobytes()
@@ -71,10 +71,10 @@ def test_larger_clusters_multiple_flows():
                   ClusterSpec("s", "sci", 3)],
         gateways=[GatewayLink("m", "s")],
     )
-    s = Session(world)
+    s = Session(world, packet_size=16 << 10)
     myri = s.channel("myrinet", members["m"])
     sci = s.channel("sci", members["s"] + gws)
-    vch = s.virtual_channel([myri, sci], packet_size=16 << 10)
+    vch = s.virtual_channel([myri, sci])
     pairs = [("m0", "s0"), ("m1", "s1"), ("s2", "m0")]
     datas = {p: payload(80_000 + 1000 * i, seed=i) for i, p in enumerate(pairs)}
     got = {}
@@ -124,11 +124,11 @@ def test_ping_pong_through_gateway_symmetric_payload():
     """Round trip: request forwarded one way, reply the other."""
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=16 << 10)
+    ])
     data = payload(100_000)
     times = {}
 
@@ -163,11 +163,11 @@ def test_fan_in_to_single_receiver():
                   ClusterSpec("s", "sci", 2)],
         gateways=[GatewayLink("m", "s")],
     )
-    s = Session(world)
+    s = Session(world, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", members["m"]),
         s.channel("sci", members["s"] + gws),
-    ], packet_size=16 << 10)
+    ])
     srcs = ["m0", "m1"]
     datas = {name: payload(50_000, seed=i) for i, name in enumerate(srcs)}
     got = {}
@@ -201,11 +201,11 @@ def test_bandwidth_asymmetry_reproduced():
     def direction(src, dst):
         w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                          "s0": ["sci"]})
-        s = Session(w)
+        s = Session(w, packet_size=128 << 10)
         vch = s.virtual_channel([
             s.channel("myrinet", ["m0", "gw"]),
             s.channel("sci", ["gw", "s0"]),
-        ], packet_size=128 << 10)
+        ])
         data = np.zeros(4_000_000, dtype=np.uint8)
         return 4_000_000 / transfer_once(s, vch, src, dst, data)["t"]
 

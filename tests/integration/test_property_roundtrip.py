@@ -28,12 +28,12 @@ def run_roundtrip(proto_in, proto_out, sizes, modes, seed, packet_size):
     else:
         w = build_world({"a": [proto_in], "gw": [proto_in, proto_out],
                          "b": [proto_out]})
-    s = Session(w)
+    s = Session(w, packet_size=packet_size)
     chans = ([s.channel(proto_in, ["a", "gw", "b"])]
              if proto_in == proto_out else
              [s.channel(proto_in, ["a", "gw"]),
               s.channel(proto_out, ["gw", "b"])])
-    vch = s.virtual_channel(chans, packet_size=packet_size)
+    vch = s.virtual_channel(chans)
     parts = payload_for(sizes, seed)
     got = {}
 

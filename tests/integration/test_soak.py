@@ -32,14 +32,14 @@ def build_random_world(seed: int):
         gw = clusters[c][1][-1]
         adapters[gw].append(clusters[c + 1][0])
     w = build_world(adapters)
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     chans = []
     for c, (proto, names) in enumerate(clusters):
         members = list(names)
         if c > 0:
             members.append(clusters[c - 1][1][-1])   # previous gateway
         chans.append(s.channel(proto, members))
-    vch = s.virtual_channel(chans, packet_size=16 << 10)
+    vch = s.virtual_channel(chans)
     return w, s, vch
 
 
@@ -105,11 +105,11 @@ def test_soak_per_connection_fifo():
     traffic interleaves at the gateway."""
     w = build_world({"m0": ["myrinet"], "m1": ["myrinet"],
                      "gw": ["myrinet", "sci"], "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=8 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "m1", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=8 << 10)
+    ])
     seq_seen = []
 
     def main_sender():

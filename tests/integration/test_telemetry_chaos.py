@@ -15,7 +15,7 @@ def lossy_transfer(drop_p=0.04, crash_at=None, nmsgs=2, nbytes=120_000,
         "m0": ["myrinet"], "gwA": ["myrinet", "sci"],
         "gwB": ["myrinet", "sci"], "s0": ["sci"],
     })
-    s = Session(w, telemetry=True)
+    s = Session(w, telemetry=True, packet_size=16 << 10)
     myri = s.channel("myrinet", ["m0", "gwA", "gwB"])
     sci = s.channel("sci", ["gwA", "gwB", "s0"])
     faults = ChannelFaults(drop_p=drop_p, corrupt_p=drop_p / 2)
@@ -25,8 +25,7 @@ def lossy_transfer(drop_p=0.04, crash_at=None, nmsgs=2, nbytes=120_000,
                           if crash_at is not None else []))
     injector = plan.arm(w)
     vch = s.virtual_channel(
-        [myri, sci], packet_size=16 << 10,
-        gateway_params=GatewayParams(stall_timeout=5_000.0))
+        [myri, sci], gateway_params=GatewayParams(stall_timeout=5_000.0))
     rng = np.random.default_rng(seed)
     payloads = [rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes()
                 for _ in range(nmsgs)]

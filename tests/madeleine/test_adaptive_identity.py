@@ -45,11 +45,10 @@ def _run_fig5(policy):
         "b0": ["sci", "fast_ethernet"],
     })
     world.trace.enable()
-    session = Session(world)
+    session = Session(world, packet_size=64 << 10)
     ch_a = session.channel("myrinet", ["a0", "gw"])
     ch_b = session.channel("sci", ["gw", "b0"])
-    vch = session.virtual_channel([ch_a, ch_b], packet_size=64 << 10,
-                                  transport_policy=policy)
+    vch = session.virtual_channel([ch_a, ch_b], transport_policy=policy)
     message = 2 << 20
     data = np.zeros(message, dtype=np.uint8)
     done = {}

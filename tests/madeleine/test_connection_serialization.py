@@ -126,12 +126,12 @@ def test_two_workers_one_destination_no_interleave():
         "m0": ["myrinet"], "gw": ["myrinet", "sci", "sbp"],
         "b0": ["sbp"], "s0": ["sci"],
     })
-    s = Session(w)
+    s = Session(w, packet_size=8 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
         s.channel("sbp", ["gw", "b0"]),
-    ], packet_size=8 << 10)
+    ])
     # messages from m0 (via the myrinet worker) and s0 (via the sci worker)
     # both forwarded to b0
     d_m, d_s = payload(60_000, 1), payload(50_000, 2)

@@ -17,11 +17,11 @@ def test_forwarding_with_minimal_pools_completes():
     everything must still complete (backpressure, not deadlock)."""
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci_tinypool"],
                      "s0": ["sci_tinypool"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci_tinypool", ["gw", "s0"]),
-    ], packet_size=16 << 10)
+    ])
     data = payload(500_000)
     out = transfer_once(s, vch, 0, 2, data)
     assert out["buf"].tobytes() == data.tobytes()
@@ -32,12 +32,11 @@ def test_minimal_pools_with_deep_decoupled_pipeline():
     pool's limit, not deadlock."""
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci_tinypool"],
                      "s0": ["sci_tinypool"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci_tinypool", ["gw", "s0"]),
-    ], packet_size=16 << 10,
-        gateway_params=GatewayParams(pipeline=PipelineConfig(depth=4)))
+    ], gateway_params=GatewayParams(pipeline=PipelineConfig(depth=4)))
     data = payload(300_000)
     out = transfer_once(s, vch, 0, 2, data)
     assert out["buf"].tobytes() == data.tobytes()
@@ -96,13 +95,13 @@ def test_two_virtual_channels_coexist():
     each with its own gateway workers."""
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
 
     def make_vch():
         return s.virtual_channel([
             s.channel("myrinet", ["m0", "gw"]),
             s.channel("sci", ["gw", "s0"]),
-        ], packet_size=16 << 10)
+        ])
 
     vch1, vch2 = make_vch(), make_vch()
     d1, d2 = payload(50_000, 1), payload(70_000, 2)
@@ -135,11 +134,11 @@ def test_two_virtual_channels_coexist():
 def test_packet_size_below_1kb_rejected():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=512)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=512)
+    ])
     with pytest.raises(ValueError):
         vch.endpoint(0).begin_packing(2)
 

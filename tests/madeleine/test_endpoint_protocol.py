@@ -10,11 +10,11 @@ from repro.madeleine.vchannel import VChannelEndpoint
 def paper_vch():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=16 << 10)
+    ])
     return s, vch
 
 

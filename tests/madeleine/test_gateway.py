@@ -10,11 +10,10 @@ def chain(in_proto, out_proto, packet_size=16 << 10, gateway_params=None):
     """src(in_proto) -> gw(in+out) -> dst(out_proto)."""
     w = build_world({"src": [in_proto], "gw": [in_proto, out_proto],
                      "dst": [out_proto]})
-    s = Session(w)
+    s = Session(w, packet_size=packet_size)
     ch_in = s.channel(in_proto, ["src", "gw"])
     ch_out = s.channel(out_proto, ["gw", "dst"])
-    vch = s.virtual_channel([ch_in, ch_out], packet_size=packet_size,
-                            gateway_params=gateway_params)
+    vch = s.virtual_channel([ch_in, ch_out], gateway_params=gateway_params)
     return w, s, vch
 
 
@@ -89,10 +88,10 @@ def test_static_copy_costs_time():
     from repro.hw import NodeParams
     w3 = build_world({"src": ["sci"], "gw": ["sci", "sbp"], "dst": ["sbp"]},
                      node_params=NodeParams(memcpy_bandwidth=1e9))
-    s3 = Session(w3)
+    s3 = Session(w3, packet_size=16 << 10)
     ch_in = s3.channel("sci", ["src", "gw"])
     ch_out = s3.channel("sbp", ["gw", "dst"])
-    v3 = s3.virtual_channel([ch_in, ch_out], packet_size=16 << 10)
+    v3 = s3.virtual_channel([ch_in, ch_out])
     t_freecopy = transfer_once(s3, v3, 0, 2, data)["t"]
     assert t_copy > t_freecopy * 1.05
 
@@ -177,10 +176,10 @@ def test_opposite_directions_simultaneously():
     the same time (separate workers per incoming device)."""
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     myri = s.channel("myrinet", ["m0", "gw"])
     sci = s.channel("sci", ["gw", "s0"])
-    vch = s.virtual_channel([myri, sci], packet_size=16 << 10)
+    vch = s.virtual_channel([myri, sci])
     d_ms, d_sm = payload(200_000, 1), payload(200_000, 2)
     got = {}
 

@@ -12,11 +12,11 @@ def forward(packet=64 << 10, size=1_000_000, gateway_params=None,
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     w.trace.enable()
-    s = Session(w)
+    s = Session(w, packet_size=packet)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=packet, gateway_params=gateway_params)
+    ], gateway_params=gateway_params)
     src, dst = (2, 0) if direction == "sci->myri" else (0, 2)
     out = transfer_once(s, vch, src, dst, payload(size))
     return w, out

@@ -19,11 +19,10 @@ def batched_testbed(header_batching=True, packet_size=16 << 10):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     w.trace.enable()
-    s = Session(w)
+    s = Session(w, packet_size=packet_size)
     myri = s.channel("myrinet", ["m0", "gw"])
     sci = s.channel("sci", ["gw", "s0"])
-    vch = s.virtual_channel([myri, sci], packet_size=packet_size,
-                            header_batching=header_batching)
+    vch = s.virtual_channel([myri, sci], header_batching=header_batching)
     return w, s, vch
 
 

@@ -14,11 +14,11 @@ from tests.conftest import payload, transfer_once
 def paper_vch(packet_size=16 << 10, **vch_kwargs):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=packet_size)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=packet_size, **vch_kwargs)
+    ], **vch_kwargs)
     return w, s, vch
 
 

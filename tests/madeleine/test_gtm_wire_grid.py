@@ -91,10 +91,10 @@ def _session(origin: str, dest: str, vch_kwargs: dict):
                  (mid, ["gA", "hA"]), (mid, ["gB", "hB"]),
                  (dest, ["hA", "hB", "d"])]
     world = build_world(nodes)
-    session = Session(world, telemetry=True)
+    session = Session(world, telemetry=True, packet_size=PACKET)
     vch = session.virtual_channel(
         [session.channel(proto, members) for proto, members in chans],
-        packet_size=PACKET, **vch_kwargs)
+        **vch_kwargs)
     return world, session, vch
 
 

@@ -15,11 +15,10 @@ def dual_gateway_world(multirail):
         "gwB": ["myrinet", "sci"],
         "s0": ["sci"],
     })
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     myri = s.channel("myrinet", ["m0", "gwA", "gwB"])
     sci = s.channel("sci", ["gwA", "gwB", "s0"])
-    vch = s.virtual_channel([myri, sci], packet_size=16 << 10,
-                            multirail=multirail)
+    vch = s.virtual_channel([myri, sci], multirail=multirail)
     return w, s, vch
 
 
@@ -98,11 +97,10 @@ def test_multirail_parallel_messages_faster():
             "gwB": ["myrinet", "sci"],
             "s0": ["sci"], "s1": ["sci"],
         })
-        s = Session(w)
+        s = Session(w, packet_size=16 << 10)
         myri = s.channel("myrinet", ["m0", "gwA", "gwB"])
         sci = s.channel("sci", ["gwA", "gwB", "s0", "s1"])
-        vch = s.virtual_channel([myri, sci], packet_size=16 << 10,
-                                multirail=multirail)
+        vch = s.virtual_channel([myri, sci], multirail=multirail)
         done = {}
 
         def snd(dst, seed):

@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.hw import PipelineConfig, build_world
+from repro.hw import GatewayParams, PipelineConfig, build_world
 from repro.madeleine import Session
 from tests.conftest import payload, transfer_once
 
 
-def forward(packet=8 << 10, size=1_000_000, gateway_params=None,
-            pipeline=None, telemetry=False, direction="sci->myri"):
+def forward(packet=8 << 10, size=1_000_000, pipeline=PipelineConfig(),
+            telemetry=False, direction="sci->myri"):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
     w.trace.enable()
-    s = Session(w, telemetry=telemetry)
+    s = Session(w, telemetry=telemetry, packet_size=packet)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=packet, gateway_params=gateway_params, pipeline=pipeline)
+    ], gateway_params=GatewayParams(pipeline=pipeline))
     src, dst = (2, 0) if direction == "sci->myri" else (0, 2)
     out = transfer_once(s, vch, src, dst, payload(size))
     return w, s, out
@@ -33,8 +33,6 @@ def test_pipeline_config_validation():
         PipelineConfig(depth=4, credits=0)
     with pytest.raises(ValueError):
         PipelineConfig(depth=4, lockstep=True)
-    with pytest.raises(ValueError):
-        PipelineConfig(tuner_slack=1.5)
 
 
 def test_config_defaults_are_paper_faithful():
@@ -111,11 +109,11 @@ def test_ring_depth_histogram_tracks_dynamic_staging():
     # worker's private ring.
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "gigabit_tcp"],
                      "t0": ["gigabit_tcp"]})
-    s = Session(w, telemetry=True)
+    s = Session(w, telemetry=True, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("gigabit_tcp", ["gw", "t0"]),
-    ], packet_size=16 << 10, pipeline=PipelineConfig(depth=4))
+    ], gateway_params=GatewayParams(pipeline=PipelineConfig(depth=4)))
     transfer_once(s, vch, 0, 2, payload(200_000))
     hist = s.metrics.series("gateway.ring_depth")
     assert sum(h.count for h in hist) > 0
@@ -135,11 +133,11 @@ def test_retire_with_pending_ring_acquires_leaks_nothing():
     import numpy as np
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "gigabit_tcp"],
                      "t0": ["gigabit_tcp"]})
-    s = Session(w)
+    s = Session(w, packet_size=16 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("gigabit_tcp", ["gw", "t0"]),
-    ], packet_size=16 << 10)
+    ])
     worker = next(w_ for w_ in vch.workers
                   if w_.in_channel.protocol.name == "myrinet")
     ring = worker._staging_ring(vch.mtu_for(0, 2))

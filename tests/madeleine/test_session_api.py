@@ -95,14 +95,12 @@ def test_packet_size_default_flows_to_virtual_channel():
         chans = [session.channel("myrinet", ["m0", "gw"]),
                  session.channel("sci", ["gw", "s0"])]
         vch = session.virtual_channel(chans)
-        assert vch.packet_size == 8 << 10
-        override = session.virtual_channel(chans, packet_size=32 << 10)
-        assert override.packet_size == 32 << 10
+        assert vch.packet_size == session.packet_size == 8 << 10
 
 
 def test_default_packet_size_without_keyword():
     session = Session(two_nodes())
-    assert session.default_packet_size == DEFAULT_PACKET_SIZE
+    assert session.packet_size == DEFAULT_PACKET_SIZE
 
 
 def test_fault_plan_keyword_arms_the_world():
@@ -113,8 +111,7 @@ def test_fault_plan_keyword_arms_the_world():
         chans = [session.channel("myrinet", ["m0", "gw"]),
                  session.channel("sci", ["gw", "s0"])]
         vch = session.virtual_channel(
-            chans, packet_size=16 << 10,
-            gateway_params=GatewayParams(stall_timeout=5_000.0))
+            chans, gateway_params=GatewayParams(stall_timeout=5_000.0))
         rel_src = ReliableEndpoint(vch.endpoint(0), RetryPolicy())
         rel_dst = ReliableEndpoint(vch.endpoint(2), RetryPolicy())
         data = payload(100_000).tobytes()

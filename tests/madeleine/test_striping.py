@@ -19,10 +19,10 @@ def striped_session(telemetry=False, policy=None, packet_size=16 << 10):
         "gwB": ["myrinet", "sci"],
         "s0": ["sci"],
     })
-    s = Session(w, telemetry=telemetry)
+    s = Session(w, telemetry=telemetry, packet_size=packet_size)
     myri = s.channel("myrinet", ["m0", "gwA", "gwB"])
     sci = s.channel("sci", ["gwA", "gwB", "s0"])
-    vch = s.virtual_channel([myri, sci], packet_size=packet_size,
+    vch = s.virtual_channel([myri, sci],
                             stripe_policy=policy or StripePolicy())
     return w, s, vch
 

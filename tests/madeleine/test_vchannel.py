@@ -11,10 +11,10 @@ from tests.conftest import payload, transfer_once
 def paper_vch(packet_size=16 << 10):
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=packet_size)
     myri = s.channel("myrinet", ["m0", "gw"])
     sci = s.channel("sci", ["gw", "s0"])
-    vch = s.virtual_channel([myri, sci], packet_size=packet_size)
+    vch = s.virtual_channel([myri, sci])
     return w, s, myri, sci, vch
 
 

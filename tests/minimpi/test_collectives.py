@@ -15,11 +15,11 @@ def six_rank_world():
         clusters=[ClusterSpec("m", "myrinet", 4), ClusterSpec("s", "sci", 2)],
         gateways=[GatewayLink("m", "s")],
     )
-    s = Session(world)
+    s = Session(world, packet_size=32 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", members["m"]),
         s.channel("sci", members["s"] + gws),
-    ], packet_size=32 << 10)
+    ])
     workers = [s.rank(n) for n in members["m"][:3] + members["s"]]
     comms = {r: Communicator(vch, r) for r in vch.members}
     return world, s, comms, workers

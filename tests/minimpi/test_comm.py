@@ -11,11 +11,11 @@ from repro.minimpi import ANY_SOURCE, ANY_TAG, Communicator
 def mpi_world():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=32 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=32 << 10)
+    ])
     comms = {r: Communicator(vch, r) for r in vch.members}
     return w, s, comms
 

@@ -6,7 +6,7 @@ from repro.hw import GatewayParams, PipelineConfig, build_world
 from repro.madeleine import Session
 from repro.routing import (RouteTable, fragment_knee, negotiate_mtu,
                            tune_fragment_size)
-from repro.routing.mtu import MIN_MTU, MTU_GRANULARITY
+from repro.routing.mtu import MIN_MTU, MTU_GRANULARITY, TUNER_SLACK
 
 
 def paper_route():
@@ -45,28 +45,23 @@ def test_tuned_size_sits_at_the_knee():
     """The tuner returns the smallest candidate within slack of the best —
     larger fragments buy (essentially) nothing beyond it."""
     route, _rt = paper_route()
-    slack = 0.02
-    f = tune_fragment_size(route, slack=slack)
+    assert TUNER_SLACK == 0.02
+    f = tune_fragment_size(route)
     curve = dict(fragment_knee(route))
     best = max(curve.values())
-    assert curve[f] >= (1 - slack) * best
+    assert curve[f] >= (1 - TUNER_SLACK) * best
     smaller = [s for s in curve if s < f]
-    assert all(curve[s] < (1 - slack) * best for s in smaller)
-
-
-def test_more_slack_never_grows_the_fragment():
-    route, _rt = paper_route()
-    tight = tune_fragment_size(route, slack=0.01)
-    loose = tune_fragment_size(route, slack=0.20)
-    assert loose <= tight
+    assert all(curve[s] < (1 - TUNER_SLACK) * best for s in smaller)
 
 
 def test_deeper_pipeline_shifts_the_knee_down():
     """With the swap overhead off the critical path, small fragments stop
     being punished, so the tuned size cannot grow."""
     route, _rt = paper_route()
-    lockstep = tune_fragment_size(route, pipeline=PipelineConfig(depth=2))
-    deep = tune_fragment_size(route, pipeline=PipelineConfig(depth=4))
+    lockstep, deep = (
+        tune_fragment_size(route, gateway=GatewayParams(
+            pipeline=PipelineConfig(depth=depth)))
+        for depth in (2, 4))
     assert deep <= lockstep
 
 
@@ -104,12 +99,12 @@ def test_static_negotiation_untouched():
 def test_vchannel_adaptive_mtu_cached_and_recalibrated():
     w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
                      "s0": ["sci"]})
-    s = Session(w)
+    s = Session(w, packet_size=8 << 10)
     vch = s.virtual_channel([
         s.channel("myrinet", ["m0", "gw"]),
         s.channel("sci", ["gw", "s0"]),
-    ], packet_size=8 << 10,
-        pipeline=PipelineConfig(depth=4, adaptive_mtu=True))
+    ], gateway_params=GatewayParams(
+        pipeline=PipelineConfig(depth=4, adaptive_mtu=True)))
     tuned = vch.mtu_for(0, 2)
     assert tuned > 8 << 10          # grew past the static packet size
     assert vch._mtu_cache            # cached per path

@@ -6,6 +6,7 @@ from repro.hw import build_world
 from repro.madeleine import Session
 from repro.routing import (RouteTable, StripePolicy, StripeScheduler,
                            disjoint_routes, route_rate)
+from repro.routing.striping import STRIPE_ALIGN
 
 
 def dual_gateway_table():
@@ -38,12 +39,10 @@ def test_policy_validation():
     StripePolicy()   # defaults are valid
     with pytest.raises(ValueError, match="max_rails"):
         StripePolicy(max_rails=0)
-    with pytest.raises(ValueError, match="align"):
-        StripePolicy(align=0)
     with pytest.raises(ValueError, match="min_stripe"):
-        StripePolicy(min_stripe=512, align=1024)       # below align
+        StripePolicy(min_stripe=512)       # below the 1 KB alignment
     with pytest.raises(ValueError, match="min_stripe"):
-        StripePolicy(min_stripe=1536, align=1024)      # not a multiple
+        StripePolicy(min_stripe=1536)      # not a multiple of it
 
 
 # ---------------------------------------------------------- all_routes
@@ -145,8 +144,7 @@ def test_plan_sums_and_aligns():
     assert sum(plan) == length
     assert len(plan) == 2
     # every non-primary chunk is alignment-quantized
-    align = sched.policy.align
-    assert any(c % align == 0 for c in plan)
+    assert any(c % STRIPE_ALIGN == 0 for c in plan)
 
 
 def test_plan_is_deterministic():

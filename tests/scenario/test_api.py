@@ -72,6 +72,25 @@ def test_loading_a_bad_scenario_fails_at_load(edit, match):
         loads_scenario(json.dumps(doc))
 
 
+def test_an_absent_field_takes_the_dataclass_default():
+    """A file that leaves a field out gets the field's declared default:
+    the gateway watchdog stays armed at 5,000 µs, not switched off."""
+    doc = json.loads(open("benchmarks/scenarios/testbed.json").read())
+    del doc["gw_stall_timeout"]
+    assert loads_scenario(json.dumps(doc)).gw_stall_timeout == 5_000.0
+    bare = {"seed": 3, "topology": {"kind": "chain",
+                                    "protocols": ["myrinet", "sci"],
+                                    "sizes": [1, 1], "gateways": [1]},
+            "traffic": {}}
+    assert Scenario.from_dict(bare) == Scenario(
+        seed=3, topology=Topology("chain", ("myrinet", "sci"),
+                                  sizes=(1, 1), gateways=(1,)),
+        traffic=TrafficSpec())
+    # an explicit null still turns the watchdog off
+    assert Scenario.from_dict({**bare, "gw_stall_timeout": None}
+                              ).gw_stall_timeout is None
+
+
 def test_load_scenario_accepts_fuzz_repro_wrapper(tmp_path):
     sc = _scenario()
     doc = {"version": 1, "scenario": sc.to_dict(), "failures": [],
@@ -170,26 +189,34 @@ def test_chain_and_multirail_layouts_are_pinned(topo, endpoints, gateways,
 
 
 def test_policy_tuples_convert_once_on_the_scenario():
-    from repro.hw.params import PipelineConfig
+    from dataclasses import replace
+
+    from repro.hw.params import GatewayParams, PipelineConfig
     from repro.madeleine import TransportPolicy
     from repro.routing import StripePolicy
+    from repro.solver.network import SolverNetwork
 
     topo = Topology("multirail", ("myrinet", "sci"), gateways=(2,))
     msgs = (MessageSpec("a0", "b0", 1024),)
     bare = Scenario(seed=1, topology=topo, messages=msgs)
-    assert (bare.pipeline_config, bare.stripe_policy,
-            bare.transport_policy) == (None, None, None)
+    assert bare.gateway_params() == GatewayParams(stall_timeout=5_000.0)
+    assert (bare.stripe_policy, bare.transport_policy) == (None, None)
     full = bare.with_(pipeline=(4, 3, False), stripe=(2, 4096),
                       adaptive=(2048, 3.0, 1.5, True))
-    assert full.pipeline_config == PipelineConfig(depth=4, credits=3,
-                                                  lockstep=False)
+    deep = PipelineConfig(depth=4, credits=3, lockstep=False)
+    assert full.gateway_params().pipeline == deep
+    # the scenario's pipeline wins over an override's; the rest is kept
+    override = GatewayParams(switch_overhead=10.0)
+    assert full.gateway_params(override) == replace(override, pipeline=deep)
     assert full.stripe_policy == StripePolicy(max_rails=2, min_stripe=4096)
     assert full.transport_policy == TransportPolicy(
         eager_threshold=2048, restripe_high=3.0, restripe_low=1.5,
         gateway_balance=True)
     vch = Session.from_scenario(full).virtual_channels[0]
-    assert (vch.pipeline, vch.stripe_policy, vch.transport_policy) == (
-        full.pipeline_config, full.stripe_policy, full.transport_policy)
+    assert (vch.gateway_params, vch.stripe_policy, vch.transport_policy) == (
+        full.gateway_params(), full.stripe_policy, full.transport_policy)
+    assert SolverNetwork(full, gateway_params=override).gateway == (
+        full.gateway_params(override))
 
 
 # -- one transfer kind per scenario -------------------------------------------------

@@ -110,8 +110,7 @@ def _kernel_shape(direction: str) -> tuple[float, float]:
     if direction == "sci->myri":
         p_in, p_out = p_out, p_in
     t_recv, t_send, period = _rail_period(p_in, p_out, 64 << 10,
-                                          DEFAULT_GATEWAY, DEFAULT_NODE,
-                                          DEFAULT_GATEWAY.pipeline)
+                                          DEFAULT_GATEWAY, DEFAULT_NODE)
     return t_send / t_recv, period
 
 

@@ -102,8 +102,7 @@ def _reading(inst):
     lambda r: r.counter("c", rank=1),
     lambda r: r.gauge("g", rank=1),
     lambda r: r.histogram("h", rank=1),
-    lambda r: r.histogram("w", window=10.0, rank=1),
-], ids=["counter", "gauge", "histogram", "windowed"])
+], ids=["counter", "gauge", "histogram"])
 def test_created_off_then_on_then_off(make):
     registry = MetricsRegistry(enabled=False)
     inst = make(registry)
@@ -197,7 +196,7 @@ def _fluid_run():
     created off; ``pushed.*`` counters count what the network used to push
     into the ``fluid.*`` ones at every epoch."""
     sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now, enabled=False)
+    registry = MetricsRegistry(enabled=False)
     net = FluidNetwork(sim, metrics=registry)
     pushed = [registry.counter(f"pushed.{name}") for name in _FLUID]
     close = net._close_epoch

@@ -18,7 +18,7 @@ class FakeClock:
 
 
 def small_registry() -> MetricsRegistry:
-    registry = MetricsRegistry(clock=FakeClock())
+    registry = MetricsRegistry()
     registry.counter("wire.bytes", nic=0).inc(4096)
     registry.gauge("gateway.occupancy", gw=1).set(2)
     return registry
@@ -40,7 +40,7 @@ def test_metrics_json_golden(tmp_path):
 
 
 def test_metrics_rows_flatten_histograms():
-    registry = MetricsRegistry(clock=FakeClock())
+    registry = MetricsRegistry()
     registry.histogram("lat", bounds=(10.0, 100.0)).observe(5.0)
     rows = metrics_to_rows(registry)
     fields = {row[3]: row[4] for row in rows}

@@ -5,17 +5,9 @@ import pytest
 from repro.telemetry import MetricsRegistry, format_metrics
 
 
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-
 @pytest.fixture
 def registry():
-    return MetricsRegistry(clock=FakeClock(), enabled=True)
+    return MetricsRegistry(enabled=True)
 
 
 def test_counter_increments(registry):
@@ -52,21 +44,6 @@ def test_histogram_lifetime_stats(registry):
     # the last bound doubles as the overflow bucket: [<=10, rest]
     assert h.buckets == [1, 2]
     assert h.data()["buckets"] == {"le_10": 1, "le_inf": 2}
-
-
-def test_histogram_window_resets_on_boundary():
-    clock = FakeClock()
-    registry = MetricsRegistry(clock=clock)
-    h = registry.histogram("lat", window=1_000.0)
-    clock.now = 100.0
-    h.observe(7.0)
-    clock.now = 900.0
-    h.observe(9.0)
-    assert (h.window_count, h.window_total) == (2, 16.0)
-    clock.now = 1_100.0              # next window: rolling stats reset
-    h.observe(1.0)
-    assert (h.window_count, h.window_total) == (1, 1.0)
-    assert h.count == 3              # lifetime aggregate keeps accumulating
 
 
 def test_get_or_create_is_keyed_by_name_and_labels(registry):

@@ -165,6 +165,33 @@ def test_forwarded_run_rejects_bad_arguments_at_parse_time(command, bad,
     assert key.split("_")[0] in err[0]
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["topology"].pop("kind"), "kind"),
+    (lambda d: d["messages"][0].update(priority=1), "priority"),
+    (lambda d: d["faults"].update(default={"drop_p": 0.0, "jitter_us": 5}),
+     "jitter_us"),
+    (lambda d: d["faults"].update(link_events=[{"channel": "c0"}]), "time"),
+    (lambda d: d.update(topology=["chain"]), "topology"),
+], ids=["topology-without-kind", "message-unknown-key",
+        "fault-default-unknown-key", "link-event-without-time",
+        "topology-as-list"])
+def test_run_rejects_a_malformed_file_with_one_line(edit, field, tmp_path,
+                                                     capsys):
+    """A document of the wrong shape is a typed load error naming the
+    field — exit 2 and one stderr line — not a KeyError or TypeError
+    traceback."""
+    import json
+    doc = json.loads(open(TESTBED).read())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    prefix = f"repro run: {path}: "
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    assert field in err[0][len(prefix):], err
+
+
 @pytest.mark.parametrize("command", ["stats", "trace"])
 def test_forwarded_run_that_gives_up_is_a_typed_error(command, tmp_path,
                                                       capsys):
