@@ -23,8 +23,8 @@ def run_direction(src: str, dst: str) -> None:
         "gateway": ["myrinet", "sci"],
         "sci0": ["sci"],
     })
-    # telemetry=True: the metrics registry and spans record this run; the
-    # raw trace (read for the pipeline timeline) is switched on separately.
+    # telemetry=True: the metrics registry records this run; the raw trace
+    # (read for the pipeline timeline) is switched on separately.
     with Session(world, packet_size=PACKET, telemetry=True) as session:
         session.trace.enable()
         vch = session.virtual_channel([

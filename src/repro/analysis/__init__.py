@@ -4,9 +4,8 @@ from .ascii_plot import plot_series
 from .model import (MultirailPrediction, PipelinePrediction,
                     fragment_time, predict_forwarding,
                     predict_multirail, route_setup_time)
-from .export import (metrics_to_rows, spans_to_chrome, to_chrome_trace,
-                     write_chrome_trace, write_metrics_csv,
-                     write_metrics_json, write_spans_chrome)
+from .export import (metrics_to_rows, to_chrome_trace, write_chrome_trace,
+                     write_metrics_csv, write_metrics_json)
 from .occupancy import BusMonitor
 from .bandwidth import bandwidth, half_bandwidth_point
 from .pipeline import (PipelineStats, StepTimeline, extract_timeline,
@@ -17,8 +16,7 @@ __all__ = [
     "MultirailPrediction", "PipelinePrediction", "fragment_time",
     "predict_forwarding", "predict_multirail", "route_setup_time",
     "to_chrome_trace", "write_chrome_trace",
-    "metrics_to_rows", "spans_to_chrome", "write_metrics_csv",
-    "write_metrics_json", "write_spans_chrome",
+    "metrics_to_rows", "write_metrics_csv", "write_metrics_json",
     "bandwidth", "half_bandwidth_point",
     "PipelineStats", "StepTimeline", "extract_timeline", "pipeline_stats",
     "render_timeline",

@@ -1,13 +1,10 @@
-"""Exporters: traces, spans, and metrics to on-disk formats.
+"""Exporters: traces and metrics to on-disk formats.
 
-* :func:`to_chrome_trace` / :func:`write_chrome_trace` — legacy trace
-  records to the Chrome trace-event format (``chrome://tracing`` /
-  Perfetto): gateway pipeline steps and wire transfers appear as duration
-  events on per-component tracks, which makes the Figure 5/8 behaviour
-  directly explorable;
-* :func:`spans_to_chrome` / :func:`write_spans_chrome` — the same format
-  built from :class:`~repro.telemetry.SpanTracker` spans, which carry
-  explicit begin/end times and nesting instead of heuristics;
+* :func:`to_chrome_trace` / :func:`write_chrome_trace` — trace records to
+  the Chrome trace-event format (``chrome://tracing`` / Perfetto): wire
+  transfers, gateway pipeline steps and each gateway's forwarding of one
+  message appear as duration events on per-component tracks, which makes
+  the Figure 5/8 behaviour directly explorable;
 * :func:`write_metrics_json` / :func:`write_metrics_csv` — a
   :meth:`~repro.telemetry.MetricsRegistry.snapshot` as JSON, or flattened
   to long-format CSV (one row per series and field) for spreadsheet use.
@@ -18,14 +15,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from ..sim.trace import TraceRecorder
-from ..telemetry import MetricsRegistry, SpanTracker
+from ..telemetry import MetricsRegistry
 from .pipeline import require_trace
 
 __all__ = ["to_chrome_trace", "write_chrome_trace",
-           "spans_to_chrome", "write_spans_chrome",
            "write_metrics_json", "write_metrics_csv"]
 
 
@@ -35,12 +31,17 @@ def to_chrome_trace(trace: TraceRecorder) -> list[dict]:
     Tracks (pid/tid):
 
     * one track per NIC-to-NIC direction for wire transfers;
-    * per gateway, a receive track and a send track.
+    * per gateway, a receive track and a send track, and a ``forward``
+      track with one event per forwarded message: from its
+      ``message_start`` record to the matching ``message_end`` or
+      ``message_abandoned`` (``ok`` and ``where`` say which).  A message
+      still in flight when the run stopped has no event.
 
     The trace must have been enabled before the run (``trace.enable()``).
     """
     require_trace(trace, "to_chrome_trace")
     events: list[dict] = []
+    forwarding: dict[tuple, Any] = {}
     for rec in trace:
         if rec.category == "xfer" and rec.event == "fragment":
             start = rec.attrs.get("start", rec.t)
@@ -68,6 +69,25 @@ def to_chrome_trace(trace: TraceRecorder) -> list[dict]:
                 "tid": f"{rec.event} thread",
                 "args": dict(rec.attrs),
             })
+        elif rec.category == "gateway" and rec.event == "message_start":
+            forwarding[rec.attrs.get("gw"), rec.attrs.get("msg")] = rec
+        elif rec.category == "gateway" and rec.event in (
+                "message_end", "message_abandoned"):
+            start = forwarding.pop(
+                (rec.attrs.get("gw"), rec.attrs.get("msg")), None)
+            if start is None:
+                continue
+            events.append({
+                "name": "forward",
+                "cat": "gateway",
+                "ph": "X",
+                "ts": start.t,
+                "dur": max(rec.t - start.t, 0.01),
+                "pid": f"gateway {rec.attrs.get('gw')}",
+                "tid": "forward",
+                "args": {**start.attrs, "ok": rec.event == "message_end",
+                         "where": rec.attrs.get("where")},
+            })
         elif rec.category == "gateway" and rec.event == "swap":
             events.append({
                 "name": "buffer swap",
@@ -82,44 +102,9 @@ def to_chrome_trace(trace: TraceRecorder) -> list[dict]:
     return events
 
 
-def write_chrome_trace(trace: TraceRecorder, path: Union[str, Path],
-                       spans: Optional[SpanTracker] = None) -> int:
-    """Write the trace as Chrome JSON, with the completed ``spans`` in the
-    same file when given; returns the number of events."""
+def write_chrome_trace(trace: TraceRecorder, path: Union[str, Path]) -> int:
+    """Write the trace as Chrome JSON; returns the number of events."""
     events = to_chrome_trace(trace)
-    if spans is not None:
-        events += spans_to_chrome(spans)
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-    return len(events)
-
-
-# -- spans -----------------------------------------------------------------
-def spans_to_chrome(tracker: SpanTracker) -> list[dict]:
-    """Completed spans as Chrome complete ('X') events.
-
-    One pid per span category; the span's name, id, parent, and attributes
-    travel in ``args`` so Perfetto's selection panel shows them.
-    """
-    events: list[dict] = []
-    for sp in tracker.completed:
-        events.append({
-            "name": sp.name,
-            "cat": sp.category,
-            "ph": "X",
-            "ts": sp.start,
-            "dur": max(sp.stop - sp.start, 0.01),
-            "pid": f"span:{sp.category}",
-            "tid": sp.name,
-            "args": {"span": sp.id, "parent": sp.parent, **sp.attrs},
-        })
-    return events
-
-
-def write_spans_chrome(tracker: SpanTracker,
-                       path: Union[str, Path]) -> int:
-    """Write completed spans as Chrome JSON; returns the number of events."""
-    events = spans_to_chrome(tracker)
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
     return len(events)

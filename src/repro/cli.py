@@ -220,9 +220,8 @@ def _run_des(args, scenario) -> int:
         print(f"\nwrote {args.metrics}")
     if args.trace:
         from .analysis import write_chrome_trace
-        n = write_chrome_trace(session.trace, args.trace,
-                               spans=session.spans)
-        print(f"wrote {args.trace}: {n} trace events and spans")
+        n = write_chrome_trace(session.trace, args.trace)
+        print(f"wrote {args.trace}: {n} trace events")
     for flow, error in engine.failed:
         print(f"repro run: flow {flow.index} {flow.src}->{flow.dst} "
               f"({flow.nbytes} B) failed: {error}", file=sys.stderr)
@@ -390,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "in .csv, else JSON); with --solver, the solver's "
                         "flows and link utilization (JSON only)")
     p.add_argument("--trace", metavar="FILE",
-                   help="write the wire trace and the spans as one Chrome "
-                        "trace-event file")
+                   help="write the wire events and gateway forward "
+                        "intervals as one Chrome trace-event file")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(

@@ -60,7 +60,7 @@ class FaultInjector:
         self.dropped = 0
         self.corrupted = 0
         self.delayed = 0
-        m = world.telemetry.metrics
+        m = world.telemetry
         self._m_dropped = m.counter("faults.fragments_dropped")
         self._m_corrupted = m.counter("faults.fragments_corrupted")
         self._m_delayed = m.counter("faults.fragments_delayed")

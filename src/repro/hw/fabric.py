@@ -25,7 +25,7 @@ from typing import Any, Optional, Sequence, Union
 from ..memory import Buffer, CopyAccounting, StaticBufferPool
 from ..sim import (Event, FluidNetwork, FluidPath, FluidResource, Queue,
                    Simulator, TraceRecorder)
-from ..telemetry import NULL_TELEMETRY, Telemetry
+from ..telemetry import NULL_REGISTRY, MetricsRegistry
 from .node import Node
 from .params import ProtocolParams
 
@@ -136,30 +136,30 @@ class NIC:
         self.name = label
         self.tx_link = FluidResource(f"link:{label}.tx", protocol.link_bandwidth)
         self.rx_link = FluidResource(f"link:{label}.rx", protocol.link_bandwidth)
-        telemetry = fabric.telemetry
+        metrics = fabric.metrics
         self.tx_pool = (StaticBufferPool(sim, protocol.pool_blocks,
                                          protocol.max_mtu, f"{label}.txpool",
-                                         telemetry=telemetry)
+                                         metrics=metrics)
                         if protocol.tx_static else None)
         self.rx_pool = (StaticBufferPool(sim, protocol.pool_blocks,
                                          protocol.max_mtu, f"{label}.rxpool",
-                                         telemetry=telemetry)
+                                         metrics=metrics)
                         if protocol.rx_static else None)
         fabric.pools += [pool for pool in (self.tx_pool, self.rx_pool)
                          if pool is not None]
-        self._m_fragments = telemetry.metrics.counter(
+        self._m_fragments = metrics.counter(
             "wire.fragments", proto=protocol.name, nic=label)
-        self._m_bytes = telemetry.metrics.counter(
+        self._m_bytes = metrics.counter(
             "wire.bytes", proto=protocol.name, nic=label)
         # Conservation-law counters (docs/robustness.md): every fragment
         # offered to a NIC must end up delivered, dropped by a fault
         # verdict, blackholed (abandoned message), or failed (capacity
         # error) — anything left over is still waiting for a receive.
-        self._m_offered = telemetry.metrics.counter(
+        self._m_offered = metrics.counter(
             "wire.fragments_offered", proto=protocol.name, nic=label)
-        self._m_blackholed = telemetry.metrics.counter(
+        self._m_blackholed = metrics.counter(
             "wire.fragments_blackholed", proto=protocol.name, nic=label)
-        self._m_failed = telemetry.metrics.counter(
+        self._m_failed = metrics.counter(
             "wire.fragments_failed", proto=protocol.name, nic=label)
         self._txq: Queue = Queue(sim, name=f"{label}.txq")
         #: destination NIC -> (flow name, fluid path, peak) of a fragment to
@@ -323,14 +323,14 @@ class Fabric:
     def __init__(self, sim: Simulator, fnet: FluidNetwork,
                  trace: Optional[TraceRecorder] = None,
                  accounting: Optional[CopyAccounting] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 metrics: MetricsRegistry = NULL_REGISTRY) -> None:
         self.sim = sim
         self.fnet = fnet
         # `is not None` matters: an empty TraceRecorder is falsy (__len__).
         self.trace = (trace if trace is not None
                       else TraceRecorder(enabled=False))
         self.accounting = accounting if accounting is not None else CopyAccounting()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.metrics = metrics
         #: (nic id, tag) -> its match point, created on first use and
         #: deleted once a handoff leaves it with no slot and no sender (tags
         #: carry message ids, so kept entries would grow with every

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..memory import CopyAccounting
 from ..sim import FluidNetwork, Simulator, TraceRecorder
-from ..telemetry import Telemetry
+from ..telemetry import MetricsRegistry
 from .fabric import Fabric, NIC
 from .node import Node
 from .params import PROTOCOLS, NodeParams, ProtocolParams
@@ -27,8 +27,9 @@ class World:
 
     Observability is paid for per use.  The raw ``trace`` keeps one record
     per wire fragment and gateway step, so it is off until
-    ``world.trace.enable()``; the telemetry (metrics and spans) is off
-    until ``world.telemetry.enable()``.  Neither moves the schedule.
+    ``world.trace.enable()``; ``telemetry``, the world's one
+    :class:`~repro.telemetry.MetricsRegistry`, is off until
+    ``world.telemetry.enable()``.  Neither moves the schedule.
     """
 
     def __init__(self, node_params: Optional[NodeParams] = None) -> None:
@@ -37,11 +38,10 @@ class World:
         self.accounting = CopyAccounting()
         # Off by default: a disabled registry records nothing and keeps
         # benchmark numbers bit-identical (Session(telemetry=True) enables it).
-        self.telemetry = Telemetry(clock=lambda: self.sim.now,
-                                   trace=self.trace, enabled=False)
-        self.fnet = FluidNetwork(self.sim, metrics=self.telemetry.metrics)
+        self.telemetry = MetricsRegistry(enabled=False)
+        self.fnet = FluidNetwork(self.sim, metrics=self.telemetry)
         self.fabric = Fabric(self.sim, self.fnet, self.trace, self.accounting,
-                             telemetry=self.telemetry)
+                             metrics=self.telemetry)
         self.node_params = node_params or NodeParams()
         self.nodes: dict[int, Node] = {}
         self.names: dict[str, Node] = {}

@@ -107,9 +107,7 @@ class ForwardingWorker:
         self.node = in_channel.world.nodes[gw_rank]
         self.trace = in_channel.fabric.trace
         self.accounting = in_channel.fabric.accounting
-        telemetry = in_channel.fabric.telemetry
-        self.spans = telemetry.spans
-        m = telemetry.metrics
+        m = in_channel.fabric.metrics
         self._m_forwarded = m.counter("gateway.messages_forwarded",
                                       gw=gw_rank)
         self._m_abandoned = m.counter("gateway.messages_abandoned",
@@ -222,7 +220,7 @@ class ForwardingWorker:
             self._ring = ring = StaticBufferPool(
                 self.sim, self.pipeline.depth, size,
                 name=f"gw{self.gw_rank}.{self.in_channel.id}.ring",
-                telemetry=fabric.telemetry)
+                metrics=fabric.metrics)
             fabric.pools.append(ring)
         return ring
 
@@ -297,8 +295,7 @@ class ForwardingWorker:
             if self._retired:
                 out_lock.release()
                 return
-            ok = False
-            fwd_span = None
+            ok = started = False
             try:
                 fwd = replace(announce, hops_left=announce.hops_left - 1)
                 try:
@@ -315,10 +312,7 @@ class ForwardingWorker:
                                 gw=self.gw_rank, msg=announce.msg_id,
                                 origin=announce.origin, dst=announce.final_dst,
                                 route=f"{in_tm.protocol.name}->{out_tm.protocol.name}")
-                fwd_span = self.spans.begin(
-                    "gateway", "forward", gw=self.gw_rank,
-                    msg=announce.msg_id, dst=announce.final_dst,
-                    route=f"{in_tm.protocol.name}->{out_tm.protocol.name}")
+                started = True
                 # Lockstep is inherently a two-buffer scheme; other depths
                 # run through the credit pipeline (one credit = store-and-
                 # forward per fragment).
@@ -329,14 +323,16 @@ class ForwardingWorker:
                     ok = yield from self._pipeline_credit(
                         in_tm, out_tm, hop.dst, hop_src, announce)
             except GatewayCrashed:
+                # Every message_start gets its end record; the abandoned
+                # counter stays for messages the gateway itself gave up on.
                 self._retired = True
-                if fwd_span is not None:
-                    self.spans.end(fwd_span, ok=False, crashed=True)
+                if started:
+                    self.trace.emit(sim.now, "gateway", "message_abandoned",
+                                    gw=self.gw_rank, msg=announce.msg_id,
+                                    where="crash")
                 return
             finally:
                 out_lock.release()
-            if fwd_span is not None:
-                self.spans.end(fwd_span, ok=ok)
             if ok:
                 self.messages_forwarded += 1
                 self._m_forwarded.inc()

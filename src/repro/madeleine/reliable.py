@@ -150,11 +150,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if min(self.rto, self.rto_max, self.stall_timeout) <= 0:
+        # Written as ``not x > 0`` so that NaN fails them too.
+        if not all(t > 0 for t in (self.rto, self.rto_max,
+                                   self.stall_timeout)):
             raise ValueError("timeouts must be > 0")
-        if self.reack_interval <= 0 or self.reack_ttl <= 0:
+        if not (self.reack_interval > 0 and self.reack_ttl > 0):
             raise ValueError("re-ACK knobs must be > 0")
-        if self.reack_ttl <= self.rto_max:
+        if not self.reack_ttl > self.rto_max:
             raise ValueError("reack_ttl must exceed rto_max")
 
 
@@ -210,7 +212,7 @@ class ReliableEndpoint:
         self.policy = policy or RetryPolicy()
         # Pre-registered instruments: they appear (at zero) in snapshots
         # even before the first fault, so dashboards have a stable schema.
-        m = vep.vchannel.world.telemetry.metrics
+        m = vep.vchannel.world.telemetry
         lbl = dict(vchannel=vep.vchannel.name, rank=self.rank)
         self._m_bytes = m.counter("reliable.bytes_sent", **lbl)
         self._m_frags = m.counter("reliable.fragments_sent", **lbl)

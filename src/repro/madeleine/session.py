@@ -26,13 +26,14 @@ observability layer (:mod:`repro.telemetry`).  Typical use::
 
 Configuration is keyword-only: ``packet_size=`` sets the paquet size of
 every virtual channel the session builds (§2.3), ``telemetry=True/False``
-enables/disables the world's telemetry (``None`` leaves it as it is — off
-for a fresh world), and ``fault_plan=`` arms a
-:class:`~repro.faults.FaultPlan` before any channel exists.  The raw trace (one record per wire fragment and gateway step) is
-not part of ``telemetry=``: it is off until ``session.trace.enable()``.
-A closed session (after the ``with`` block, or ``close()``) refuses to
-build channels or spawn processes; its telemetry stays readable so results
-can be collected after the fact.
+enables/disables the world's metrics registry (``None`` leaves it as it
+is — off for a fresh world), and ``fault_plan=`` arms a
+:class:`~repro.faults.FaultPlan` before any channel exists.  The raw trace
+(one record per wire fragment and gateway step) is not part of
+``telemetry=``: it is off until ``session.trace.enable()``.  A closed
+session (after the ``with`` block, or ``close()``) refuses to build
+channels or spawn processes; its metrics and trace stay readable so
+results can be collected after the fact.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from ..hw.params import GatewayParams, NodeParams
 from ..hw.topology import World, build_world
 from ..sim import Event, Process
 from ..sim.trace import TraceRecorder
-from ..telemetry import MetricsRegistry, SpanTracker, Telemetry
+from ..telemetry import MetricsRegistry
 from .channel import RealChannel
 from .vchannel import DEFAULT_PACKET_SIZE, VirtualChannel
 
@@ -137,7 +138,7 @@ class Session:
     def close(self) -> None:
         """End the session: no further channels or processes.
 
-        Telemetry and the trace remain readable — closing is about
+        The metrics and the trace remain readable — closing is about
         construction, not about the collected results.
         """
         self._closed = True
@@ -152,17 +153,9 @@ class Session:
 
     # -- observability -----------------------------------------------------------
     @property
-    def telemetry(self) -> Telemetry:
-        return self.world.telemetry
-
-    @property
     def metrics(self) -> MetricsRegistry:
         """The world's metrics registry (empty snapshot while disabled)."""
-        return self.world.telemetry.metrics
-
-    @property
-    def spans(self) -> SpanTracker:
-        return self.world.telemetry.spans
+        return self.world.telemetry
 
     @property
     def trace(self) -> TraceRecorder:

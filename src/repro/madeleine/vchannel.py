@@ -174,10 +174,9 @@ class VirtualChannel:
         #: probe-measured per-protocol host rates refining the tuner.
         self._rate_overrides: Optional[dict[str, float]] = None
         self.name = name or f"vch({','.join(ch.id for ch in channels)})"
-        self.routes = RouteTable(self.channels,
-                                 telemetry=self.world.telemetry)
+        self.routes = RouteTable(self.channels, metrics=self.world.telemetry)
         #: reroute-forcing health losses seen by this virtual channel.
-        self._m_failovers = self.world.telemetry.metrics.counter(
+        self._m_failovers = self.world.telemetry.counter(
             "vchannel.failovers", vchannel=self.name)
         # Special (forwarding) twin per member channel, §2.2.2 / Figure 3.
         self._specials: dict[str, RealChannel] = {
@@ -208,7 +207,7 @@ class VirtualChannel:
         # set without anyone touching the cache by hand.
         self._stripe_plans: dict[tuple[int, int],
                                  tuple[int, list, StripeScheduler]] = {}
-        m = self.world.telemetry.metrics
+        m = self.world.telemetry
         self._m_stripes_sent = m.counter("vchannel.stripes_sent",
                                          vchannel=self.name)
         #: stripes consumed by a completed reassembly; pairs with
@@ -386,7 +385,7 @@ class VirtualChannel:
         stripe set (lazy: rails only exist once striping engages)."""
         g = self._rail_gauges.get(rail)
         if g is None:
-            g = self.world.telemetry.metrics.gauge(
+            g = self.world.telemetry.gauge(
                 "vchannel.rail_occupancy", vchannel=self.name, rail=rail)
             self._rail_gauges[rail] = g
         return g

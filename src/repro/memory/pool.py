@@ -17,15 +17,12 @@ parent's.
 from __future__ import annotations
 
 import mmap
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..sim import Event, SimError, Simulator
+from ..telemetry import NULL_REGISTRY, MetricsRegistry
 from .buffer import Buffer, STATIC
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..telemetry import Telemetry
 
 __all__ = ["StaticBufferPool", "PoolExhausted", "PoolClosed"]
 
@@ -61,7 +58,7 @@ class StaticBufferPool:
 
     def __init__(self, sim: Simulator, count: int, block_size: int,
                  name: str = "pool",
-                 telemetry: Optional["Telemetry"] = None) -> None:
+                 metrics: MetricsRegistry = NULL_REGISTRY) -> None:
         if count < 1:
             raise ValueError("pool needs at least one block")
         if block_size < 1:
@@ -70,15 +67,11 @@ class StaticBufferPool:
         self.name = name
         self.block_size = block_size
         self.count = count
-        if telemetry is None:
-            from ..telemetry import NULL_TELEMETRY
-            telemetry = NULL_TELEMETRY
         #: blocks checked out right now; its high-water mark is the
         #: staging-memory footprint question pool sizing asks.
-        self._g_in_use = telemetry.metrics.gauge("pool.in_use", pool=name)
+        self._g_in_use = metrics.gauge("pool.in_use", pool=name)
         #: acquires that had to block on an exhausted pool (backpressure).
-        self._m_waits = telemetry.metrics.counter("pool.acquire_waits",
-                                                  pool=name)
+        self._m_waits = metrics.counter("pool.acquire_waits", pool=name)
         self._free: list[Buffer] = self._blocks(count, "", 0)
         self._waiters: list[Event] = []
         #: replacement blocks :meth:`reset` has made, so labels stay unique.

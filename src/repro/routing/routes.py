@@ -21,11 +21,11 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from ..telemetry import NULL_REGISTRY, MetricsRegistry
+from .graph import ChannelGraph, build_graph
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..madeleine.channel import RealChannel
-    from ..telemetry import Telemetry
-
-from .graph import ChannelGraph, build_graph
 
 __all__ = ["Hop", "RouteTable", "NoRouteError", "MAX_ROUTE_CANDIDATES"]
 
@@ -111,7 +111,7 @@ class RouteTable:
     """All-pairs minimum-hop routes over a set of real channels."""
 
     def __init__(self, channels: Sequence["RealChannel"],
-                 telemetry: Optional["Telemetry"] = None) -> None:
+                 metrics: MetricsRegistry = NULL_REGISTRY) -> None:
         self.channels = list(channels)
         self.graph = build_graph(self.channels)
         self._cache: dict[tuple[int, int], list[Hop]] = {}
@@ -124,14 +124,10 @@ class RouteTable:
         self._down_nodes: set[int] = set()
         self._active: Optional[ChannelGraph] = None
         self._generation = 0
-        if telemetry is None:
-            from ..telemetry import NULL_TELEMETRY
-            telemetry = NULL_TELEMETRY
-        m = telemetry.metrics
-        self._m_recomputes = m.counter("routing.recomputes")
-        self._m_invalidations = m.counter("routing.invalidations")
-        self._m_down = m.counter("routing.down_transitions")
-        self._m_up = m.counter("routing.up_transitions")
+        self._m_recomputes = metrics.counter("routing.recomputes")
+        self._m_invalidations = metrics.counter("routing.invalidations")
+        self._m_down = metrics.counter("routing.down_transitions")
+        self._m_up = metrics.counter("routing.up_transitions")
 
     def members(self) -> list[int]:
         return sorted(self.graph.nodes)

@@ -46,6 +46,14 @@ SCENARIO_VERSION = 1
 TRAFFIC_PATTERNS = ("uniform", "permutation", "hotspot", "incast")
 
 
+def _flag(value):
+    """A cast for a flag: only ``true``/``false`` themselves, so that a
+    string such as ``"false"`` is an error instead of a truthy value."""
+    if value is True or value is False:
+        return value
+    raise ValueError(f"must be true or false, got {value!r}")
+
+
 def _optional_tuple(*casts):
     """A cast for a fixed-length tuple field that may be ``None``."""
     def cast(value):
@@ -461,10 +469,10 @@ class Scenario:
         return record(
             cls, {k: v for k, v in d.items() if k in _SCENARIO_FIELDS},
             "scenario", seed=int, topology=Topology.from_dict,
-            packet_size=int, header_batching=bool, multirail=bool,
-            pipeline=_optional_tuple(int, int, bool),
+            packet_size=int, header_batching=_flag, multirail=_flag,
+            pipeline=_optional_tuple(int, int, _flag),
             stripe=_optional_tuple(int, int),
-            adaptive=_optional_tuple(int, float, float, bool),
+            adaptive=_optional_tuple(int, float, float, _flag),
             messages=lambda ms: tuple(
                 record(MessageSpec, m, f"messages[{i}]")
                 for i, m in enumerate(ms)),

@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges, and histograms.
 
-The registry is the numeric half of the observability layer (spans are the
-other half, :mod:`repro.telemetry.spans`).  Components create *instruments*
-once — ``registry.counter("reliable.retransmits", rank=3)`` — and hit them
-on their hot paths; an instrument is identified by its name plus its label
+The registry is the numeric half of the observability layer (the raw
+:class:`~repro.sim.trace.TraceRecorder` is the other).  Components create
+*instruments* once — ``registry.counter("reliable.retransmits", rank=3)`` —
+and hit them on their hot paths; an instrument is identified by its name plus its label
 set, so two endpoints incrementing the same metric name produce two series.
 
 **A disabled registry runs no instrument code.**  Every instrument kind has
@@ -34,7 +34,8 @@ from bisect import bisect_left
 from typing import Any, Callable
 
 __all__ = ["Counter", "Gauge", "Histogram", "PulledCounter",
-           "MetricsRegistry", "NullRegistry", "format_metrics"]
+           "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
+           "format_metrics"]
 
 #: default histogram bucket upper bounds (µs-flavoured, powers of 10/2).
 DEFAULT_BOUNDS = (10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0)
@@ -376,6 +377,10 @@ class NullRegistry(MetricsRegistry):
 
     def enable(self) -> None:
         raise RuntimeError("a NullRegistry cannot be enabled")
+
+
+#: default for optional ``metrics=`` parameters across the codebase.
+NULL_REGISTRY = NullRegistry()
 
 
 def format_metrics(snapshot: dict[str, Any]) -> str:

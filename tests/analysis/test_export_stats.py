@@ -45,7 +45,7 @@ def test_write_chrome_trace(tmp_path):
 
 def test_registry_counts_a_forwarded_run():
     w = run_forwarding()
-    m = w.telemetry.metrics
+    m = w.telemetry
     assert m.total("wire.fragments") > 0
     # payload crossed both networks once each (plus control records)
     for proto in ("sci", "myrinet"):

@@ -69,14 +69,14 @@ def cell_fig5() -> dict:
     # Metrics and the trace create no simulator events, so enabling them is
     # schedule-preserving; the metrics expose the wire-record count header
     # batching is actually about, the trace the pipeline timeline.
-    world.telemetry.metrics.enable()
+    world.telemetry.enable()
     world.trace.enable()
     elapsed = _one_message(session, vch, "b0", "a0",
                            [np.zeros(_MESSAGE, dtype=np.uint8)])
     stats = pipeline_stats(extract_timeline(world.trace))
     sim = session.sim
     mb = _MESSAGE / (1 << 20)
-    records = world.telemetry.metrics.total("wire.fragments")
+    records = world.telemetry.total("wire.fragments")
     assert stats.overlap_fraction > 0.5, (
         f"fig5.overlap_fraction: {stats.overlap_fraction:.1%} — the gateway "
         f"no longer receives one paquet while it sends the previous one")
@@ -254,11 +254,11 @@ def cell_batching() -> dict:
         harness = PingHarness(packet_size=_PACKET,
                               header_batching=header_batching)
         world, session, vch, _ack = harness.build()
-        world.telemetry.metrics.enable()
+        world.telemetry.enable()
         elapsed = _one_message(
             session, vch, "b0", "a0",
             [np.zeros(8 << 10, dtype=np.uint8) for _ in range(32)])
-        return elapsed, float(world.telemetry.metrics.total("wire.fragments"))
+        return elapsed, float(world.telemetry.total("wire.fragments"))
 
     plain_us, plain_records = transfer(False)
     batched_us, batched_records = transfer(True)

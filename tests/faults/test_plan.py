@@ -45,6 +45,17 @@ def test_retry_policy_rejects_bad_values(kw):
         RetryPolicy(**kw)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("rto", "timeouts"), ("rto_max", "timeouts"),
+    ("stall_timeout", "timeouts"), ("reack_interval", "re-ACK"),
+    ("reack_ttl", "re-ACK"),
+])
+def test_retry_policy_rejects_nan(field, message):
+    """NaN compares False both ways, so it must fail a ``> 0`` check."""
+    with pytest.raises(ValueError, match=message):
+        RetryPolicy(**{field: float("nan")})
+
+
 def test_retry_policy_defaults_are_valid():
     p = RetryPolicy()
     assert p.reack_ttl > p.rto_max

@@ -121,7 +121,7 @@ def test_close_releases_every_pool_and_keeps_metrics_and_trace(protocols,
     # the memory of every block, whoever still holds a view of it
     blocks = [weakref.ref(b.data.base) for p in pools for b in p._free]
     assert blocks
-    fragments = world.telemetry.metrics.total("wire.fragments")
+    fragments = world.telemetry.total("wire.fragments")
     records = len(world.trace)
     gc.disable()
     try:
@@ -133,6 +133,6 @@ def test_close_releases_every_pool_and_keeps_metrics_and_trace(protocols,
     with pytest.raises(PoolClosed):
         pools[0].acquire()
     assert fragments > 0
-    assert world.telemetry.metrics.total("wire.fragments") == fragments
+    assert world.telemetry.total("wire.fragments") == fragments
     assert len(world.trace) == records > 0
     world.close()                        # idempotent

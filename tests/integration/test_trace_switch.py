@@ -2,8 +2,10 @@
 
 Each cell runs twice with telemetry on, once with the trace off (a world's
 default) and once with it switched on right after the build.  Events
-dispatched and cancelled and every completion time must be equal under
-``==``; the untraced run keeps no record, and spans complete either way.
+dispatched and cancelled, every completion time and the metrics snapshot
+must be equal under ``==``; the untraced run keeps no record, and the
+traced one holds each gateway forward as a ``message_start`` /
+``message_end`` pair.
 """
 
 from __future__ import annotations
@@ -47,11 +49,6 @@ def _eager(trace: bool):
     return session.world, [r.completed_at for r in engine.records]
 
 
-def _spans(world):
-    spans = world.telemetry.spans.query("gateway", "forward")
-    assert spans and not any(sp.open for sp in spans)
-    return [(sp.start, sp.stop) for sp in spans]
-
 
 @pytest.mark.parametrize("cell", [_fig5, _eager], ids=["fig5", "eager"])
 def test_trace_on_and_off_schedule_the_same(cell):
@@ -62,6 +59,9 @@ def test_trace_on_and_off_schedule_the_same(cell):
     assert done_off == done_on
     assert len(world_off.trace) == 0
     assert len(world_on.trace) > 0
-    assert _spans(world_off) == _spans(world_on)
-    # spans are mirrored into the trace only while it is on
-    assert world_on.trace.query("gateway", "forward_begin")
+    assert world_off.telemetry.snapshot() == world_on.telemetry.snapshot()
+    forwarded = world_on.telemetry.total("gateway.messages_forwarded")
+    assert forwarded > 0
+    assert (len(world_on.trace.query("gateway", "message_start"))
+            == len(world_on.trace.query("gateway", "message_end"))
+            == forwarded)

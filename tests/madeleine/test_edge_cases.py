@@ -3,6 +3,8 @@ virtual channels."""
 
 import pytest
 
+from repro.analysis import to_chrome_trace
+from repro.faults import FaultPlan, NodeEvent
 from repro.hw import PROTOCOLS, SCI, build_world, register_protocol, scaled
 from repro.hw import GatewayParams, PipelineConfig
 from repro.madeleine import Session
@@ -40,6 +42,41 @@ def test_minimal_pools_with_deep_decoupled_pipeline():
     data = payload(300_000)
     out = transfer_once(s, vch, 0, 2, data)
     assert out["buf"].tobytes() == data.tobytes()
+
+
+def test_a_gateway_crash_mid_message_closes_its_forward_record():
+    """The gateway crashes while its receive thread waits for a staging
+    block: its message_start is closed by message_abandoned
+    ``where="crash"``, and the Chrome trace shows the cut interval."""
+    w = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci_tinypool"],
+                     "s0": ["sci_tinypool"]})
+    w.trace.enable()
+    s = Session(w, packet_size=16 << 10, fault_plan=FaultPlan(
+        node_events=(NodeEvent(time=4_000.0, node="gw"),)))
+    vch = s.virtual_channel([
+        s.channel("myrinet", ["m0", "gw"]),
+        s.channel("sci_tinypool", ["gw", "s0"]),
+    ], gateway_params=GatewayParams(pipeline=PipelineConfig(depth=4),
+                                    stall_timeout=5_000.0))
+
+    def sender():
+        m = vch.endpoint(0).begin_packing(2)
+        yield m.pack(payload(300_000))
+        yield m.end_packing()
+
+    s.spawn(sender())
+    s.run()
+    (start,) = w.trace.query("gateway", "message_start")
+    (end,) = w.trace.query("gateway", "message_abandoned")
+    assert not w.trace.query("gateway", "message_end")
+    assert (end.attrs["gw"], end.attrs["msg"]) == (start.attrs["gw"],
+                                                   start.attrs["msg"])
+    assert end.attrs["where"] == "crash"
+    assert end.t >= 4_000.0 > start.t
+    (forward,) = [e for e in to_chrome_trace(w.trace)
+                  if e["name"] == "forward"]
+    assert forward["args"]["ok"] is False
+    assert (forward["ts"], forward["ts"] + forward["dur"]) == (start.t, end.t)
 
 
 def test_zero_length_pack_roundtrip():

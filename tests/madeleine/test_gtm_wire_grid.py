@@ -140,7 +140,7 @@ def run_cell(cell) -> dict:
         "copies": acc.copies,
         "bytes_copied": acc.bytes_copied,
         "by_label": {k: list(v) for k, v in sorted(acc.by_label().items())},
-        "wire_fragments": int(world.telemetry.metrics.total("wire.fragments")),
+        "wire_fragments": int(world.telemetry.total("wire.fragments")),
     }
 
 

@@ -47,9 +47,7 @@ def test_telemetry_keyword_enables_world_telemetry():
     assert not w.telemetry.enabled
     session = Session(w, telemetry=True)
     assert w.telemetry.enabled
-    assert session.telemetry is w.telemetry
-    assert session.metrics is w.telemetry.metrics
-    assert session.spans is w.telemetry.spans
+    assert session.metrics is w.telemetry
     assert session.trace is w.trace
 
 

@@ -140,7 +140,7 @@ def test_striping_telemetry():
     data = payload(100_000)
     out = transfer_once(s, vch, 0, 3, data)
     assert out["buf"].tobytes() == data.tobytes()
-    m = w.telemetry.metrics
+    m = w.telemetry
     assert m.counter("vchannel.stripes_sent", vchannel=vch.name).value == 2
     depth = m.histogram("vchannel.stripe_reassembly_depth",
                         bounds=(1.0, 2.0, 4.0, 8.0), vchannel=vch.name)
@@ -156,7 +156,7 @@ def test_small_paquet_rides_one_rail():
     data = payload(6_000)      # below 2 * min_stripe: not worth splitting
     out = transfer_once(s, vch, 0, 3, data)
     assert out["buf"].tobytes() == data.tobytes()
-    depth = w.telemetry.metrics.histogram(
+    depth = w.telemetry.histogram(
         "vchannel.stripe_reassembly_depth",
         bounds=(1.0, 2.0, 4.0, 8.0), vchannel=vch.name)
     assert depth.count == 1 and depth.mean == 1.0
@@ -223,7 +223,7 @@ def test_dual_nic_striping_uses_both_rails():
     data = payload(100_000)
     out = transfer_once(s, vch, 0, 1, data)
     assert out["buf"].tobytes() == data.tobytes()
-    m = w.telemetry.metrics
+    m = w.telemetry
     for rail in (0, 1):
         g = m.gauge("vchannel.rail_occupancy", vchannel=vch.name, rail=rail)
         assert g.hwm > 0 and g.value == 0

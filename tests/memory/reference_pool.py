@@ -33,7 +33,7 @@ from repro.memory.buffer import Buffer, STATIC
 from repro.sim import Event, SimError, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry import Telemetry
+    from repro.telemetry import MetricsRegistry
 
 __all__ = ["StaticBufferPool", "PoolExhausted", "PoolClosed"]
 
@@ -57,7 +57,7 @@ class StaticBufferPool:
 
     def __init__(self, sim: Simulator, count: int, block_size: int,
                  name: str = "pool",
-                 telemetry: Optional["Telemetry"] = None) -> None:
+                 metrics: Optional["MetricsRegistry"] = None) -> None:
         if count < 1:
             raise ValueError("pool needs at least one block")
         if block_size < 1:
@@ -66,15 +66,15 @@ class StaticBufferPool:
         self.name = name
         self.block_size = block_size
         self.count = count
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-            telemetry = NULL_TELEMETRY
+        if metrics is None:
+            from repro.telemetry import NULL_REGISTRY
+            metrics = NULL_REGISTRY
         #: blocks checked out right now; its high-water mark is the
         #: staging-memory footprint question pool sizing asks.
-        self._g_in_use = telemetry.metrics.gauge("pool.in_use", pool=name)
+        self._g_in_use = metrics.gauge("pool.in_use", pool=name)
         #: acquires that had to block on an exhausted pool (backpressure).
-        self._m_waits = telemetry.metrics.counter("pool.acquire_waits",
-                                                  pool=name)
+        self._m_waits = metrics.counter("pool.acquire_waits",
+                                        pool=name)
         self._free: Deque[Buffer] = deque(
             Buffer(np.zeros(block_size, dtype=np.uint8), kind=STATIC,
                    owner=self, label=f"{name}[{i}]")

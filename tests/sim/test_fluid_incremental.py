@@ -26,7 +26,7 @@ from repro.madeleine import Session, reset_global_ids
 from repro.scenario import load_scenario
 from repro.sim import DMA, PIO, FluidNetwork, FluidResource, Simulator
 from repro.sim.fluid import Flow, _OrderedSet, component
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry
 from repro.traffic import TrafficEngine
 
 
@@ -122,8 +122,8 @@ def test_full_mode_matches_solve_rates(seqdata):
 
 def test_untouched_component_not_resolved():
     sim = Simulator()
-    tel = Telemetry(clock=lambda: sim.now)
-    net = FluidNetwork(sim, metrics=tel.metrics)
+    metrics = MetricsRegistry()
+    net = FluidNetwork(sim, metrics=metrics)
     r1 = FluidResource("r1", 100.0)
     r2 = FluidResource("r2", 100.0)
     net.transfer("a1", 1e9, [(r1, DMA)], peak=80.0)
@@ -137,9 +137,9 @@ def test_untouched_component_not_resolved():
     assert len(net.flows) == 3
     assert net.live_flow_epochs == 1 + 2 + 3
     # telemetry mirrors the plain counters
-    assert tel.metrics.total("fluid.recompute_flows") == 4
-    assert tel.metrics.total("fluid.recomputes") == 3
-    hist = tel.metrics.histogram("fluid.component_size")
+    assert metrics.total("fluid.recompute_flows") == 4
+    assert metrics.total("fluid.recomputes") == 3
+    hist = metrics.histogram("fluid.component_size")
     assert hist.count == 3                 # components of size 1, 2, 1
     assert hist.total == 4
     # and the disjoint arrival left the a-component's rates untouched
@@ -247,7 +247,7 @@ def _eager_cell(monkeypatch, incremental=True, lone_path=True):
         "recompute_epochs": fnet.recompute_epochs,
         "recomputed_flows": fnet.recomputed_flows,
         "live_flow_epochs": fnet.live_flow_epochs,
-        "component_size": session.world.telemetry.metrics.histogram(
+        "component_size": session.world.telemetry.histogram(
             "fluid.component_size").data(),
         "walks": len(walks),
     }

@@ -5,13 +5,18 @@ and every match-table entry dies by reference counting, so a run that is
 held (session and traffic engine still referenced) leaves zero cyclic
 garbage behind.  The property is about references, not about the
 collector's internals, so it holds on every supported Python.
+
+The same seed-1 runs also repeat the wall-clock benchmark's committed
+simulated statistics (``benchmarks/perf/expected.json``) float for float.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.madeleine import Session, reset_global_ids
@@ -19,8 +24,8 @@ from repro.scenario import load_scenario
 from repro.sim import DMA, FluidNetwork, FluidPath, FluidResource
 from repro.traffic import TrafficEngine
 
-SCENARIOS = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" \
-    / "scenarios"
+PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
+SCENARIOS = PERF / "scenarios"
 
 #: the four send modes and both DES fabrics of the wall-clock benchmark.
 DES_WORKLOADS = ("send_modes.rendezvous", "send_modes.batched",
@@ -51,6 +56,32 @@ def test_a_held_run_leaves_no_cyclic_garbage(name):
     _session, engine = held
     assert len(engine.records) == len(engine.flows)
     assert garbage == 0
+    _SIM_STATS[name] = _sim_stats(*held)
+
+
+#: the simulated statistics of each seed-1 run above, so the check below
+#: costs no second run.
+_SIM_STATS: dict[str, dict] = {}
+
+
+def _sim_stats(session, engine) -> dict:
+    """What the benchmark records of a DES pass as ``sim``."""
+    fcts = [r.fct for r in engine.records]
+    return {"duration_us": session.now, "completed": len(engine.records),
+            "bytes": sum(r.flow.nbytes for r in engine.records),
+            "events": session.sim.events_processed,
+            "fct_p50_us": float(np.percentile(fcts, 50)),
+            "fct_p95_us": float(np.percentile(fcts, 95)),
+            "fct_mean_us": float(np.mean(fcts))}
+
+
+@pytest.mark.parametrize("name", DES_WORKLOADS)
+def test_a_seed_1_run_repeats_the_benchmark_float_for_float(name):
+    stats = _SIM_STATS.get(name) or _sim_stats(*_held_run(name))
+    workload, _, mode = name.partition(".")
+    expected = json.loads((PERF / "expected.json").read_text())[workload]["1"]
+    prefix = f"{mode}." if mode else ""
+    assert stats == {key: expected[prefix + key] for key in stats}
 
 
 # -- races -----------------------------------------------------------------------

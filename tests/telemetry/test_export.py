@@ -1,20 +1,13 @@
-"""Exporters: metrics JSON/CSV and the span Chrome-trace format."""
+"""Exporters: metrics JSON/CSV and the Chrome trace-event format."""
 
 import csv
 import json
 
-from repro.analysis import (metrics_to_rows, spans_to_chrome,
-                            write_metrics_csv, write_metrics_json,
-                            write_spans_chrome)
-from repro.telemetry import MetricsRegistry, SpanTracker
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
+from repro.analysis import (metrics_to_rows, to_chrome_trace,
+                            write_chrome_trace, write_metrics_csv,
+                            write_metrics_json)
+from repro.sim.trace import TraceRecorder
+from repro.telemetry import MetricsRegistry
 
 
 def small_registry() -> MetricsRegistry:
@@ -61,32 +54,42 @@ def test_metrics_csv_golden(tmp_path):
     assert rows[3] == ["wire.bytes", "counter", "nic=0", "value", "4096"]
 
 
-def test_spans_to_chrome_events():
-    clock = FakeClock()
-    tracker = SpanTracker(clock=clock)
-    root = tracker.begin("gateway", "forward", gw=1)
-    clock.now = 300.0
-    tracker.end(root, ok=True)
-    (event,) = spans_to_chrome(tracker)
-    assert event["ph"] == "X"
-    assert event["name"] == "forward" and event["cat"] == "gateway"
-    assert (event["ts"], event["dur"]) == (0.0, 300.0)
-    assert event["pid"] == "span:gateway"
-    assert event["args"] == {"span": root.id, "parent": None,
-                             "gw": 1, "ok": True}
+def test_forward_records_to_chrome_events():
+    """Each gateway's message_start pairs with its own end record, keyed by
+    (gw, msg); a message still open when the run stopped has no event."""
+    trace = TraceRecorder()
+    trace.emit(10.0, "gateway", "message_start", gw=1, msg=7, dst=2)
+    trace.emit(20.0, "gateway", "message_start", gw=2, msg=7, dst=2)
+    trace.emit(300.0, "gateway", "message_end", gw=1, msg=7)
+    trace.emit(400.0, "gateway", "message_abandoned", gw=2, msg=7,
+               where="crash")
+    trace.emit(500.0, "gateway", "message_start", gw=1, msg=8, dst=2)
+    done, crashed = to_chrome_trace(trace)
+    assert all(e["ph"] == "X" and e["name"] == "forward"
+               and e["cat"] == "gateway" and e["tid"] == "forward"
+               for e in (done, crashed))
+    assert (done["ts"], done["dur"], done["pid"]) == (10.0, 290.0,
+                                                      "gateway 1")
+    assert done["args"] == {"gw": 1, "msg": 7, "dst": 2, "ok": True,
+                            "where": None}
+    assert (crashed["ts"], crashed["dur"], crashed["pid"]) == (
+        20.0, 380.0, "gateway 2")
+    assert crashed["args"]["ok"] is False
+    assert crashed["args"]["where"] == "crash"
 
 
-def test_spans_chrome_file_roundtrip(tmp_path):
-    clock = FakeClock()
-    tracker = SpanTracker(clock=clock)
-    tracker.end(tracker.begin("a", "one"))
-    clock.now = 2.0
-    tracker.end(tracker.begin("a", "two"))
-    path = tmp_path / "spans.json"
-    assert write_spans_chrome(tracker, path) == 2
+def test_chrome_file_roundtrip(tmp_path):
+    trace = TraceRecorder()
+    trace.emit(2.0, "gateway", "message_start", gw=1, msg=1)
+    trace.emit(2.0, "gateway", "message_end", gw=1, msg=1)
+    trace.emit(3.0, "xfer", "fragment", start=1.0, kind="data", nbytes=8,
+               proto="sci", src=0, dst=1)
+    path = tmp_path / "trace.json"
+    assert write_chrome_trace(trace, path) == 2
     payload = json.loads(path.read_text())
-    assert [e["name"] for e in payload["traceEvents"]] == ["one", "two"]
-    # zero-duration spans are widened so Perfetto renders them
+    assert [e["name"] for e in payload["traceEvents"]] == ["forward",
+                                                          "data 8B"]
+    # zero-duration intervals are widened so Perfetto renders them
     assert all(e["dur"] >= 0.01 for e in payload["traceEvents"])
 
 

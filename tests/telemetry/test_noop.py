@@ -3,9 +3,9 @@
 import pytest
 
 from repro.hw import build_world
-from repro.sim.trace import TraceRecorder
-from repro.telemetry import (NULL_TELEMETRY, MetricsRegistry, NullRegistry,
-                             SpanTracker, Telemetry)
+from repro.madeleine import Session
+from repro.telemetry import NULL_REGISTRY, MetricsRegistry, NullRegistry
+from tests.conftest import payload, transfer_once
 
 
 def test_disabled_registry_records_nothing():
@@ -20,16 +20,17 @@ def test_disabled_registry_records_nothing():
     assert registry.snapshot() == {}
 
 
-def test_disabled_tracker_hands_out_null_spans():
-    trace = TraceRecorder()
-    tracker = SpanTracker(trace=trace, enabled=False)
-    sp = tracker.begin("a", "b")
-    sp.finish(ok=True)
-    tracker.end(sp)          # ending the null span twice is still a no-op
-    with tracker.span("a", "c"):
-        pass
-    assert len(tracker) == 0
-    assert len(trace) == 0   # nothing mirrored into the trace stream
+def test_a_forward_with_the_trace_off_records_no_interval():
+    """Telemetry on, trace off (a world's default): the gateway counts the
+    forwarded message but keeps no per-message record."""
+    world = build_world({"m0": ["myrinet"], "gw": ["myrinet", "sci"],
+                         "s0": ["sci"]})
+    s = Session(world, telemetry=True, packet_size=16 << 10)
+    vch = s.virtual_channel([s.channel("myrinet", ["m0", "gw"]),
+                             s.channel("sci", ["gw", "s0"])])
+    transfer_once(s, vch, 0, 2, payload(40_000))
+    assert s.metrics.total("gateway.messages_forwarded") == 1
+    assert len(world.trace) == 0
 
 
 def test_late_enable_records_through_existing_handles():
@@ -46,27 +47,29 @@ def test_null_registry_cannot_be_enabled():
         NullRegistry().enable()
 
 
-def test_null_telemetry_cannot_be_enabled():
+def test_shared_null_registry_cannot_be_enabled():
     with pytest.raises(RuntimeError):
-        NULL_TELEMETRY.enable()
-    assert not NULL_TELEMETRY.enabled
+        NULL_REGISTRY.enable()
+    assert not NULL_REGISTRY.enabled
 
 
-def test_telemetry_facade_toggles_both_halves():
-    t = Telemetry(enabled=False)
-    assert not t.enabled
-    t.enable()
-    assert t.metrics.enabled and t.spans.enabled
-    t.disable()
-    assert not t.metrics.enabled and not t.spans.enabled
+def test_world_telemetry_is_one_registry_that_toggles():
+    world = build_world({"a": ["myrinet"], "b": ["myrinet"]})
+    registry = world.telemetry
+    assert isinstance(registry, MetricsRegistry)
+    assert world.fabric.metrics is registry
+    registry.enable()
+    assert registry.enabled
+    registry.disable()
+    assert not registry.enabled
 
 
 def test_world_telemetry_off_by_default_and_silent():
     """An undisturbed world records no metrics — the zero-overhead default."""
     world = build_world({"a": ["myrinet"], "b": ["myrinet"]})
     assert not world.telemetry.enabled
-    assert world.telemetry.metrics.snapshot() == {}
+    assert world.telemetry.snapshot() == {}
     # instruments exist (live handles), but none has recorded anything
-    assert len(world.telemetry.metrics) > 0
+    assert len(world.telemetry) > 0
     assert all(i.value == 0 for i in
-               world.telemetry.metrics.series("wire.fragments"))
+               world.telemetry.series("wire.fragments"))

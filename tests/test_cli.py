@@ -172,9 +172,14 @@ def test_forwarded_run_rejects_bad_arguments_at_parse_time(command, bad,
      "jitter_us"),
     (lambda d: d["faults"].update(link_events=[{"channel": "c0"}]), "time"),
     (lambda d: d.update(topology=["chain"]), "topology"),
+    (lambda d: d.update(header_batching="false"), "header_batching"),
+    (lambda d: d.update(multirail="false"), "multirail"),
+    (lambda d: d.update(pipeline=[2, 2, "false"]), "pipeline"),
+    (lambda d: d.update(adaptive=[0, 3.0, 1.5, "false"]), "adaptive"),
 ], ids=["topology-without-kind", "message-unknown-key",
         "fault-default-unknown-key", "link-event-without-time",
-        "topology-as-list"])
+        "topology-as-list", "header-batching-as-string",
+        "multirail-as-string", "lockstep-as-string", "balance-as-string"])
 def test_run_rejects_a_malformed_file_with_one_line(edit, field, tmp_path,
                                                      capsys):
     """A document of the wrong shape is a typed load error naming the
@@ -206,14 +211,17 @@ def test_forwarded_run_that_gives_up_is_a_typed_error(command, tmp_path,
 
 
 def test_trace_writes_chrome_json(tmp_path, capsys):
-    """One Chrome file holds the wire events and the spans."""
-    tpath = tmp_path / "t.json"
+    """One Chrome file holds the wire events and one ``forward`` event per
+    message a gateway forwarded."""
+    tpath, mpath = tmp_path / "t.json", tmp_path / "m.json"
     assert main(["run", _testbed(tmp_path, 128 << 10),
-                 "--trace", str(tpath)]) == 0
+                 "--trace", str(tpath), "--metrics", str(mpath)]) == 0
     import json
     events = json.loads(tpath.read_text())["traceEvents"]
+    forwarded = json.loads(mpath.read_text())["gateway.messages_forwarded"]
     assert any(e["cat"] == "wire" for e in events)
-    assert any(e["name"] == "forward" for e in events)
+    assert (sum(e["name"] == "forward" for e in events)
+            == sum(s["value"] for s in forwarded["series"]) > 0)
 
 
 def test_solve_scenario_prints_flows_and_writes_json(tmp_path, capsys):
