@@ -6,13 +6,12 @@ from .model import (MultirailPrediction, PipelinePrediction,
                     predict_multirail, route_setup_time)
 from .export import (metrics_to_rows, to_chrome_trace, write_chrome_trace,
                      write_metrics_csv, write_metrics_json)
-from .occupancy import BusMonitor
 from .bandwidth import bandwidth, half_bandwidth_point
 from .pipeline import (PipelineStats, StepTimeline, extract_timeline,
                        pipeline_stats, render_timeline)
 
 __all__ = [
-    "plot_series", "BusMonitor",
+    "plot_series",
     "MultirailPrediction", "PipelinePrediction", "fragment_time",
     "predict_forwarding", "predict_multirail", "route_setup_time",
     "to_chrome_trace", "write_chrome_trace",

@@ -277,7 +277,8 @@ def _report(result) -> int:
 
 
 def cmd_run(args) -> int:
-    from .fuzz import load_repro, run_scenario
+    from .fuzz import run_scenario
+    from .scenario import load_scenario
 
     if args.trace and (args.solver or args.check) or (
             args.metrics and (args.check or args.solver
@@ -286,7 +287,7 @@ def cmd_run(args) -> int:
               "--solver run, and --solver writes JSON", file=sys.stderr)
         return 2
     try:
-        scenario = load_repro(args.file)
+        scenario = load_scenario(args.file)
     except (OSError, ValueError) as exc:
         print(f"repro run: {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -299,10 +300,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from .fuzz import load_repro, minimize_scenario, run_campaign, run_scenario
+    from .fuzz import minimize_scenario, run_campaign, run_scenario
+    from .scenario import load_scenario
 
     if args.minimize:
-        scenario = load_repro(args.minimize)
+        scenario = load_scenario(args.minimize)
         result = run_scenario(scenario)
         if not result.ok:
             result = run_scenario(minimize_scenario(

@@ -20,7 +20,7 @@ systematically:
 
 from ..scenario import MessageSpec, Scenario, Topology
 from .autopilot import CampaignReport, run_campaign
-from .corpus import load_repro, repro_name, save_repro
+from .corpus import repro_name, save_repro
 from .executor import FuzzFailure, FuzzResult, run_scenario
 from .generate import mutate_scenario, random_scenario
 from .minimize import minimize_scenario
@@ -30,6 +30,6 @@ __all__ = [
     "random_scenario", "mutate_scenario",
     "FuzzFailure", "FuzzResult", "run_scenario",
     "minimize_scenario",
-    "save_repro", "load_repro", "repro_name",
+    "save_repro", "repro_name",
     "CampaignReport", "run_campaign",
 ]

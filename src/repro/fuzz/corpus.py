@@ -1,9 +1,11 @@
 """Replayable repro files for failing scenarios.
 
 A repro file is a small JSON document: the full scenario dict plus what
-failed when it was recorded.  ``repro run --check FILE`` re-executes it;
-the files committed under ``tests/fuzz/corpus/`` are replayed by the
-regression suite so every bug the fuzzer ever found stays fixed.
+failed when it was recorded.  :func:`~repro.scenario.load_scenario` reads
+it back (the recorded failures are advisory) and ``repro run --check FILE``
+re-executes it; the files committed under ``tests/fuzz/corpus/`` are
+replayed by the regression suite so every bug the fuzzer ever found stays
+fixed.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import pathlib
 from typing import Union
 
 from .executor import FuzzResult
-from ..scenario import Scenario, load_scenario
 
-__all__ = ["save_repro", "load_repro", "repro_name"]
+__all__ = ["save_repro", "repro_name"]
 
 REPRO_VERSION = 1
 
@@ -39,14 +40,3 @@ def save_repro(path: Union[str, pathlib.Path], result: FuzzResult) -> None:
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_repro(path: Union[str, pathlib.Path]) -> Scenario:
-    """The scenario of a repro file (its recorded failures are advisory).
-
-    Accepts repro documents (the ``scenario`` wrapper, whose version
-    :func:`~repro.scenario.load_scenario` checks) and bare scenario files,
-    JSON or YAML — so ``repro run`` runs, and validates, either in any of
-    its modes.
-    """
-    return load_scenario(path)

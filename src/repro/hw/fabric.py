@@ -440,10 +440,6 @@ class Fabric:
         """
         return sum(len(point.senders) for point in self._match.values())
 
-    def pending_recv_count(self) -> int:
-        """Posted receives no sender has matched (receiver-side residual)."""
-        return sum(len(point.slots) for point in self._match.values())
-
     # -- fault recovery ---------------------------------------------------------
     def _blackhole_slot(self) -> _RecvSlot:
         """A receive slot that absorbs one fragment into the void."""

@@ -288,9 +288,6 @@ class RouteTable:
         """The hop a node (typically a gateway) takes toward ``dst``."""
         return self.route(at, dst)[0]
 
-    def hop_count(self, src: int, dst: int) -> int:
-        return len(self.route(src, dst))
-
     def _no_path(self, src: int, dst: int) -> NoRouteError:
         detail = ""
         if not self.is_healthy():

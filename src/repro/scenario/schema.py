@@ -29,7 +29,7 @@ Every family's node/channel layout comes from :mod:`repro.hw.topogen`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Tuple
 
@@ -41,6 +41,12 @@ __all__ = ["MessageSpec", "TrafficSpec", "Topology", "Scenario",
            "SCENARIO_VERSION", "TRAFFIC_PATTERNS"]
 
 SCENARIO_VERSION = 1
+
+#: top-level keys of the kernel's retired scheduler choice.  Files written
+#: while it existed still carry them (the ``benchmarks/perf`` scenarios,
+#: two fuzz corpus files); :meth:`Scenario.from_dict` accepts and ignores
+#: them, and rejects every other key that is no field.
+RETIRED_KEYS = frozenset({"scheduler", "bucket_width"})
 
 #: traffic-engine arrival patterns (see :mod:`repro.traffic`).
 TRAFFIC_PATTERNS = ("uniform", "permutation", "hotspot", "incast")
@@ -460,14 +466,16 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Scenario":
         """Rebuild a scenario from its :meth:`to_dict` shape.  An absent
-        field takes the dataclass default; keys that are no field (the
-        ``version``, a harness's own settings) are ignored.  A malformed
-        field raises a :class:`ValueError` that names it."""
+        field takes the dataclass default; the ``version`` and the
+        :data:`RETIRED_KEYS` are read past, and any other key that is no
+        field (a misspelt one) raises a :class:`ValueError` that names it,
+        as does a malformed field."""
         version = d.get("version", SCENARIO_VERSION)
         if version != SCENARIO_VERSION:
             raise ValueError(f"unsupported scenario version {version}")
         return record(
-            cls, {k: v for k, v in d.items() if k in _SCENARIO_FIELDS},
+            cls, {k: v for k, v in d.items()
+                  if k != "version" and k not in RETIRED_KEYS},
             "scenario", seed=int, topology=Topology.from_dict,
             packet_size=int, header_batching=_flag, multirail=_flag,
             pipeline=_optional_tuple(int, int, _flag),
@@ -503,6 +511,3 @@ class Scenario:
         return (f"seed={self.seed} {shape} msgs={len(self.messages)}"
                 f"{traffic} faults={self.n_fault_events}ev"
                 f"{' ' + ' '.join(knobs) if knobs else ''}")
-
-
-_SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))

@@ -24,19 +24,14 @@ numerically equal to MB/s.
 resources, so the flow↔resource contention graph decomposes into connected
 *components* whose max-min allocations are independent: the fixed point of
 a component is a pure function of its member flows (ordered by arrival),
-their effective caps, and its resource capacities.  The network exploits
-this two ways:
-
-* progressive filling always runs **per component** — the fill of an
-  N-flow component costs O(N² · path) instead of the whole population's
-  O(total²·path);
-* on each arrival/completion only the component(s) reachable from the
-  changed flow are re-solved (``incremental=True``, the default): flows in
-  untouched components keep their rates — and, because the shared wake-up
-  is reused when its firing time is unchanged, their scheduled wakeups —
-  verbatim.  A full recompute (``incremental=False``) re-fills *every*
-  component each epoch; both modes are bit-identical because re-filling an
-  untouched component reproduces its previous rates exactly.
+their effective caps, and its resource capacities.  Progressive filling
+therefore runs **per component** — the fill of an N-flow component costs
+O(N² · path) instead of the whole population's O(total²·path) — and each
+arrival/completion re-solves only the component(s) reachable from the
+changed flow.  Flows in untouched components keep their rates and, because
+the shared wake-up is reused when its firing time is unchanged, their
+scheduled wake-ups verbatim.  Every epoch's rates equal the from-scratch
+:meth:`FluidNetwork.solve_rates` fixed point of the live flows exactly.
 
 Finding a component (:func:`component`) reads each resource's member list
 once, so the walk costs O(footprint entries of the component + members of
@@ -63,7 +58,9 @@ Work done is observable on the network (``recompute_epochs``,
 attached, as ``fluid.recomputes``/``fluid.recompute_flows``/
 ``fluid.epoch_live_flows`` counters (pulled: the registry reads those three
 ints, an epoch pushes nothing) plus the ``fluid.component_size`` histogram
-(docs/telemetry.md).
+(docs/telemetry.md).  Rate changes are not published: the pipeline
+analyses behind Figures 5 and 8 read the trace
+(:mod:`repro.analysis.pipeline`).
 """
 
 from __future__ import annotations
@@ -484,21 +481,13 @@ def departure_seeds(gone: Sequence, members_of: Callable) -> list:
 class FluidNetwork:
     """Manages active flows, rate recomputation, and completion events."""
 
-    def __init__(self, sim: Simulator, metrics=None,
-                 incremental: bool = True) -> None:
+    def __init__(self, sim: Simulator, metrics=None) -> None:
         self.sim = sim
         self.flows: _OrderedSet = _OrderedSet()
-        #: re-solve only dirty contention components (False: re-fill every
-        #: component each epoch — same schedules, more work; kept for the
-        #: full≡incremental identity matrix and as a debugging fallback).
-        self.incremental = incremental
         self._wake_version = 0
         self._wake_ev: Optional[Event] = None
         self._wake_at: float = float("inf")
         self._seq = itertools.count()
-        #: optional observers called as fn(t, flow, new_rate) on rate changes
-        #: (used by the pipeline analyses behind Figures 5 and 8).
-        self.rate_observers: list[Callable[[float, Flow, float], None]] = []
         # -- work accounting (always on; plain ints are ~free) --------------
         #: rate-recomputation epochs (arrivals + wake-ups with live flows).
         self.recompute_epochs = 0
@@ -536,17 +525,13 @@ class FluidNetwork:
             return done.succeed(flow)
         flow.done = done
         self._advance()
-        if self._attach(flow) and self.incremental:
+        if self._attach(flow):
             # a lone arrival is its own component: no walk, no sort
             self._refill([flow])
             self._close_epoch(1)
         else:
             self._recompute([flow])
         return done
-
-    def utilization(self, resource: FluidResource) -> float:
-        """Instantaneous total rate through ``resource``."""
-        return sum(f.rate for f in resource.flows)
 
     # -- contention-graph bookkeeping -----------------------------------------
     def _attach(self, flow: Flow) -> bool:
@@ -599,17 +584,13 @@ class FluidNetwork:
         flow.rate = 0.0
         flow.remaining = 0.0
         flow.finished_at = self.sim.now
-        for obs in self.rate_observers:
-            obs(self.sim.now, flow, 0.0)
         done, flow.done = flow.done, None
         done.succeed(flow)
 
     def _recompute(self, seeds: Iterable[Flow]) -> None:
         """Re-solve the contention component(s) reachable from ``seeds``
-        (every component when ``incremental`` is off) and re-arm the
-        wake-up.  Components not reached keep their rates untouched."""
-        if not self.incremental:
-            seeds = self.flows
+        and re-arm the wake-up.  Components not reached keep their rates
+        untouched."""
         visited: set = set()
         touched = 0
         for seed in seeds:
@@ -628,11 +609,7 @@ class FluidNetwork:
         rates = fill([self._effective_cap(f) for f in comp],
                      [f.footprint for f in comp], _capacity)
         for flow, rate in zip(comp, rates):
-            changed = abs(rate - flow.rate) > _EPS
             flow.rate = rate
-            if changed:
-                for obs in self.rate_observers:
-                    obs(self.sim.now, flow, rate)
 
     def _close_epoch(self, touched: int) -> None:
         """Count an epoch that re-solved ``touched`` flows; re-arm the

@@ -74,6 +74,9 @@ def max_min_rates(flows: Sequence[RoutedFlow],
     most ``len(flows)`` rounds.  A flow's ``footprint`` weights count how
     many times it crosses a resource (a gateway's PCI bus carries each
     forwarded byte twice), so ``rate × weight`` is what a flow consumes.
+
+    :func:`solve` does not call it: it is the from-scratch oracle the
+    tests hold :func:`solve` to, and ``benchmarks/perf/micro.py`` times it.
     """
     rate = {f.id: 0.0 for f in flows}
     used = {key: 0.0 for key in capacities}
@@ -140,8 +143,7 @@ class SolverResult:
     duration_us: float
     #: fixed-point recomputations (one per arrival/completion epoch).
     recomputes: int
-    #: rail flows actually re-solved, summed over epochs (the work done);
-    #: with ``incremental=False`` this equals ``live_flow_epochs``.
+    #: rail flows actually re-solved, summed over epochs (the work done).
     epoch_flows: int = 0
     #: live rail flows at each epoch, summed — ``epoch_flows /
     #: live_flow_epochs`` is the mean fraction of the population each
@@ -150,9 +152,6 @@ class SolverResult:
     #: contention-component size -> number of times a component of that
     #: size was re-solved.
     component_sizes: dict = field(default_factory=dict)
-    #: with ``crosscheck=True``: the largest relative deviation of any
-    #: epoch's live rates from a from-scratch :func:`max_min_rates` oracle.
-    crosscheck_max_dev: float = 0.0
 
     def link_utilization(self) -> dict[str, float]:
         """Wire-segment utilization only, keyed by channel id."""
@@ -230,30 +229,23 @@ class _Rail:
         return self._packed
 
 
-def solve(scenario: Scenario, node_params=None, gateway_params=None,
-          incremental: bool = True,
-          crosscheck: bool = False) -> SolverResult:
+def solve(scenario: Scenario, node_params=None,
+          gateway_params=None) -> SolverResult:
     """Solve ``scenario`` analytically: route every flow with the DES's own
     route table, allocate max-min fair rates at every arrival/completion
     epoch, and integrate the fluid rates into per-flow finish times and
     per-resource utilization.
 
     Rates only change inside the contention component(s) an epoch's
-    arrivals/completions touch, so by default (``incremental=True``) only
-    those components are re-filled; rails elsewhere keep their rates and
-    predicted finish times verbatim.  ``incremental=False`` re-fills every
-    component each epoch — identical results, more work (a rail whose
-    re-filled rate is unchanged is left unsettled either way, which is what
-    makes the two modes *bit*-identical, not merely close).
-    ``crosscheck=True`` additionally re-solves every epoch from scratch
-    with :func:`max_min_rates` and records the largest relative rate
-    deviation in :attr:`SolverResult.crosscheck_max_dev`.
+    arrivals/completions touch, so only those components are re-filled;
+    rails elsewhere keep their rates and predicted finish times verbatim,
+    and a re-filled rail whose rate is unchanged is not settled either.
     """
     net = SolverNetwork(scenario, node_params=node_params,
                         gateway_params=gateway_params)
     res_keys = net.res_keys()
-    caps = {key: net.resources[key].capacity for key in res_keys}
-    capacities = [caps[key] for key in res_keys]      # dense, by resource id
+    capacities = [net.resources[key].capacity       # dense, by resource id
+                  for key in res_keys]
     capacity_array = np.array(capacities)
     rails: list[RoutedFlow] = []
     meta = []           # (flow, setup, k), in flow-index order
@@ -282,7 +274,6 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     epoch_flows = 0
     live_flow_epochs = 0
     component_sizes: dict = {}
-    crosscheck_dev = 0.0
 
     def settle_resource(i: int, t: float) -> None:
         dt = t - res_last[i]
@@ -303,9 +294,7 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
 
     def resolve(seeds: list) -> None:
         """Re-fill the contention component(s) reachable from ``seeds``."""
-        nonlocal recomputes, epoch_flows, live_flow_epochs, crosscheck_dev
-        if not incremental:
-            seeds = list(active.values())
+        nonlocal recomputes, epoch_flows, live_flow_epochs
         visited: set = set()
         touched = 0
         for seed in seeds:
@@ -355,13 +344,6 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
         recomputes += 1
         epoch_flows += touched
         live_flow_epochs += len(active)
-        if crosscheck and active:
-            oracle = max_min_rates([rail.rf for rail in active.values()],
-                                   caps)
-            for rail in active.values():
-                ref = oracle[rail.rf.id]
-                dev = abs(rail.rate - ref) / max(1.0, abs(ref))
-                crosscheck_dev = max(crosscheck_dev, dev)
 
     while cursor < len(arrivals) or active:
         if not active:
@@ -434,8 +416,7 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
                         utilization=utilization, duration_us=duration,
                         recomputes=recomputes, epoch_flows=epoch_flows,
                         live_flow_epochs=live_flow_epochs,
-                        component_sizes=component_sizes,
-                        crosscheck_max_dev=crosscheck_dev)
+                        component_sizes=component_sizes)
 
 
 def solve_bandwidth(scenario: Scenario, node_params=None,

@@ -11,7 +11,8 @@ import pathlib
 
 import pytest
 
-from repro.fuzz import load_repro, run_scenario
+from repro.fuzz import run_scenario
+from repro.scenario import load_scenario
 
 SCENARIOS = sorted(
     (pathlib.Path(__file__).parent / "scenarios").glob("*.json"))
@@ -24,7 +25,7 @@ def test_the_fault_runs_are_committed():
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_fault_scenario_file(path):
-    scenario = load_repro(path)
+    scenario = load_scenario(path)
     result = run_scenario(scenario)
     assert result.ok, "; ".join(str(f) for f in result.failures)
     if path.stem == "total_loss":

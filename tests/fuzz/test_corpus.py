@@ -8,8 +8,9 @@ import pathlib
 
 import pytest
 
-from repro.fuzz import load_repro, random_scenario, run_scenario, save_repro
+from repro.fuzz import random_scenario, run_scenario, save_repro
 from repro.fuzz.corpus import repro_name
+from repro.scenario import load_scenario
 
 CORPUS = sorted(
     (pathlib.Path(__file__).parent / "corpus").glob("*.json"))
@@ -21,7 +22,7 @@ def test_corpus_is_not_empty():
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_replay_passes(path):
-    scenario = load_repro(path)
+    scenario = load_scenario(path)
     result = run_scenario(scenario)
     assert result.ok, (
         f"regression: {path.name} fails again: "
@@ -33,11 +34,11 @@ def test_save_load_roundtrip(tmp_path):
     result = run_scenario(scenario)
     path = tmp_path / repro_name(result)
     save_repro(path, result)
-    assert load_repro(path) == scenario
+    assert load_scenario(path) == scenario
 
 
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "scenario": {}}')
     with pytest.raises(ValueError, match="version 99"):
-        load_repro(path)
+        load_scenario(path)

@@ -1,6 +1,6 @@
 """The committed corpus, pinned run by run.
 
-``run_scenario(load_repro(p))`` of every file under ``tests/fuzz/corpus/``:
+``run_scenario(load_scenario(p))`` of every file under ``tests/fuzz/corpus/``:
 its ``stats`` dict (simulated time, processed events, deliveries, fragment
 and gateway counters) and its sorted coverage ``features``, compared with
 ``==`` against ``tests/data/fuzz_corpus_golden.json``.  The recording was
@@ -17,7 +17,8 @@ import sys
 
 import pytest
 
-from repro.fuzz import load_repro, run_scenario
+from repro.fuzz import run_scenario
+from repro.scenario import load_scenario
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.json"))
 RECORDING = (pathlib.Path(__file__).parent.parent / "data"
@@ -25,7 +26,7 @@ RECORDING = (pathlib.Path(__file__).parent.parent / "data"
 
 
 def _observe(path: pathlib.Path) -> dict:
-    result = run_scenario(load_repro(path))
+    result = run_scenario(load_scenario(path))
     return {"ok": result.ok, "stats": result.stats,
             "features": sorted(result.features)}
 

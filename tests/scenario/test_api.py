@@ -101,15 +101,14 @@ def test_load_scenario_accepts_fuzz_repro_wrapper(tmp_path):
 
 
 def test_load_repro_accepts_bare_and_yaml_docs(tmp_path):
-    from repro.fuzz import load_repro
-
+    # the one loader reads repro files, bare scenarios and YAML alike
     sc = _traffic_scenario()
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(sc.to_dict()))
-    assert load_repro(bare) == sc
+    assert load_scenario(bare) == sc
     as_yaml = tmp_path / "sc.yaml"
     dump_scenario(sc, as_yaml)
-    assert load_repro(as_yaml) == sc
+    assert load_scenario(as_yaml) == sc
 
 
 def test_session_from_scenario_builds_full_stack():

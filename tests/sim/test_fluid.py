@@ -195,24 +195,6 @@ def test_flow_validation():
         Flow("f", 1, [(r, "weird")], peak=1.0)
 
 
-def test_utilization():
-    sim, net = make()
-    r = FluidResource("r", 100.0)
-    net.transfer("a", 1000.0, [(r, DMA)], peak=30.0)
-    net.transfer("b", 1000.0, [(r, DMA)], peak=30.0)
-    assert net.utilization(r) == pytest.approx(60.0)
-
-
-def test_rate_observers_called():
-    sim, net = make()
-    r = FluidResource("r", 100.0)
-    events = []
-    net.rate_observers.append(lambda t, f, rate: events.append((t, f.name, rate)))
-    done = net.transfer("a", 100.0, [(r, DMA)], peak=50.0)
-    sim.run(until=done)
-    assert events[0] == (0.0, "a", 50.0)
-
-
 # -- property-based: the solver itself -------------------------------------------
 
 @st.composite

@@ -1,18 +1,18 @@
 """The incremental fluid-rate engine: equivalence, locality, determinism.
 
-Three properties carry the PR 9 engine:
+Three properties carry the engine:
 
-* **equivalence** — after any add/remove sequence, every live flow's rate
-  equals the from-scratch :meth:`FluidNetwork.solve_rates` fixed point
-  exactly (``==``, not approx: refilling a component is a pure function of
-  its membership);
+* **equivalence** — after any add/remove sequence, and at every epoch of a
+  running network, every live flow's rate equals the from-scratch
+  :meth:`FluidNetwork.solve_rates` fixed point of all live flows exactly
+  (``==``, not approx: refilling a component is a pure function of its
+  membership);
 * **locality** — an arrival/completion re-solves only its own contention
   component, observable through the work counters;
-* **determinism** — full-recompute and incremental modes produce
-  bit-identical event schedules on randomized workloads.
+* **determinism** — two runs of one randomized workload in one process
+  produce the same event schedule.
 """
 
-import functools
 import itertools
 import pathlib
 import random
@@ -43,6 +43,23 @@ def _remove(net: FluidNetwork, flow: Flow) -> None:
     net._detach(flow)
     flow.rate = 0.0
     net._recompute(seeds)
+
+
+class _Oracled(FluidNetwork):
+    """A network that holds every epoch to the from-scratch oracle: when
+    an epoch closes, each live flow's rate must equal
+    :meth:`FluidNetwork.solve_rates` of all live flows, exactly."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+
+    def _close_epoch(self, touched: int) -> None:
+        oracle = FluidNetwork.solve_rates(self.flows)
+        for f in self.flows:
+            assert f.rate == oracle[f], (f.name, f.rate, oracle[f])
+        self.checked += 1
+        super()._close_epoch(touched)
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -93,31 +110,6 @@ def test_incremental_matches_solve_rates(seqdata):
             assert f.rate == oracle[f]   # exact, not approx
 
 
-@settings(max_examples=60, deadline=None)
-@given(_op_sequences())
-def test_full_mode_matches_solve_rates(seqdata):
-    caps, slow, specs, ops = seqdata
-    sim = Simulator()
-    net = FluidNetwork(sim, incremental=False)
-    res = [FluidResource(f"r{i}", c, preempt_slowdown=s)
-           for i, (c, s) in enumerate(zip(caps, slow))]
-    live: dict[int, Flow] = {}
-    for which in ops:
-        if which in live:
-            _remove(net, live.pop(which))
-        else:
-            hops, peak = specs[which]
-            flow = Flow(f"f{which}", 1e9, [(res[i], kind)
-                                           for i, kind in hops], peak)
-            flow.done = sim.event()
-            live[which] = flow
-            net._attach(flow)
-            net._recompute([flow])
-        oracle = FluidNetwork.solve_rates(net.flows)
-        for f in net.flows:
-            assert f.rate == oracle[f]
-
-
 # -- locality ------------------------------------------------------------------
 
 def test_untouched_component_not_resolved():
@@ -148,18 +140,6 @@ def test_untouched_component_not_resolved():
     assert rates["b1"] == pytest.approx(80.0)
 
 
-def test_full_mode_resolves_everything():
-    sim = Simulator()
-    net = FluidNetwork(sim, incremental=False)
-    r1 = FluidResource("r1", 100.0)
-    r2 = FluidResource("r2", 100.0)
-    net.transfer("a1", 1e9, [(r1, DMA)], peak=80.0)
-    net.transfer("b1", 1e9, [(r2, DMA)], peak=80.0)
-    # second epoch re-solved both components: 1 + 2
-    assert net.recomputed_flows == 3
-    assert net.live_flow_epochs == 3
-
-
 def test_pio_cap_tracks_dma_membership():
     # dma_flows bookkeeping: the PIO cap must appear when a DMA flow joins
     # a shared resource and disappear when it leaves.
@@ -179,11 +159,12 @@ def test_pio_cap_tracks_dma_membership():
 
 # -- determinism matrix --------------------------------------------------------
 
-def _drive(incremental: bool, seed: int):
-    """A randomized many-flow workload; returns the completion trace."""
+def _drive(network, seed: int):
+    """A randomized many-flow workload on a ``network`` class; returns the
+    completion trace and the network."""
     rng = random.Random(seed)
     sim = Simulator()
-    net = FluidNetwork(sim, incremental=incremental)
+    net = network(sim)
     res = [FluidResource(f"r{i}", rng.uniform(50.0, 200.0),
                          preempt_slowdown=rng.uniform(1.0, 3.0))
            for i in range(6)]
@@ -204,13 +185,16 @@ def _drive(incremental: bool, seed: int):
     for pid in range(rng.randrange(8, 16)):
         sim.process(proc(pid), name=f"p{pid}")
     sim.run()
-    return trace, sim.now, sim.events_processed, sim.events_cancelled
+    return (trace, sim.now, sim.events_processed, sim.events_cancelled), net
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_full_incremental_heap_calendar_matrix(seed):
-    # (the name keeps the scheduler axis it had while there were two)
-    assert _drive(True, seed) == _drive(False, seed)
+    # (the name keeps the axes it had while there were two modes and two
+    # schedulers; the full re-solve is now the oracle of every epoch)
+    schedule, net = _drive(_Oracled, seed)
+    assert net.checked == net.recompute_epochs > 0
+    assert schedule == _drive(FluidNetwork, seed)[0]
 
 
 # -- the lone arrival -----------------------------------------------------------
@@ -219,7 +203,7 @@ _EAGER = (pathlib.Path(__file__).resolve().parents[2]
           / "benchmarks/perf/scenarios/send_modes.eager.json")
 
 
-def _eager_cell(monkeypatch, incremental=True, lone_path=True):
+def _eager_cell(monkeypatch, network=FluidNetwork, lone_path=True):
     """The ``send_modes`` eager cell at seed 1; what the fluid layer did."""
     walks = []
 
@@ -230,8 +214,7 @@ def _eager_cell(monkeypatch, incremental=True, lone_path=True):
     reset_global_ids()
     scenario = load_scenario(_EAGER)
     with monkeypatch.context() as m:
-        m.setattr(topology, "FluidNetwork",
-                  functools.partial(FluidNetwork, incremental=incremental))
+        m.setattr(topology, "FluidNetwork", network)
         m.setattr(fluid, "component", counting_component)
         if not lone_path:           # every arrival walks its component
             attach = FluidNetwork._attach
@@ -250,26 +233,26 @@ def _eager_cell(monkeypatch, incremental=True, lone_path=True):
         "component_size": session.world.telemetry.histogram(
             "fluid.component_size").data(),
         "walks": len(walks),
+        "checked": getattr(fnet, "checked", 0),     # epochs held to oracle
     }
 
 
 def test_lone_arrivals_change_no_finish_time_and_no_counter(monkeypatch):
     lone = _eager_cell(monkeypatch)
     walked = _eager_cell(monkeypatch, lone_path=False)
-    full = _eager_cell(monkeypatch, incremental=False)
+    oracled = _eager_cell(monkeypatch, network=_Oracled)
     assert len(lone["finish"]) == 600
     # against the same network with every arrival walking its component:
     # the same epochs, the same flows re-solved, the same component sizes
     # observed — only the walks are gone
     assert lone.pop("walks") < walked.pop("walks")
     assert lone == walked
-    # against a full re-fill of every component each epoch: the same
-    # schedule; full mode re-solves every live flow, so its work counters
-    # and component histogram are its own
-    assert full["finish"] == lone["finish"]
-    assert full["recompute_epochs"] == lone["recompute_epochs"]
-    assert full["live_flow_epochs"] == lone["live_flow_epochs"]
-    assert full["recomputed_flows"] == full["live_flow_epochs"]
+    # every epoch's rates equal a full re-solve of all live flows, and
+    # checking them moves nothing
+    assert oracled.pop("checked") == oracled["recompute_epochs"]
+    oracled.pop("walks")
+    lone.pop("checked")
+    assert oracled == lone
 
 
 # -- determinism hygiene -------------------------------------------------------

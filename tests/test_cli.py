@@ -176,10 +176,13 @@ def test_forwarded_run_rejects_bad_arguments_at_parse_time(command, bad,
     (lambda d: d.update(multirail="false"), "multirail"),
     (lambda d: d.update(pipeline=[2, 2, "false"]), "pipeline"),
     (lambda d: d.update(adaptive=[0, 3.0, 1.5, "false"]), "adaptive"),
+    (lambda d: d.update(gw_stall_timout=d.pop("gw_stall_timeout")),
+     "gw_stall_timout"),
 ], ids=["topology-without-kind", "message-unknown-key",
         "fault-default-unknown-key", "link-event-without-time",
         "topology-as-list", "header-batching-as-string",
-        "multirail-as-string", "lockstep-as-string", "balance-as-string"])
+        "multirail-as-string", "lockstep-as-string", "balance-as-string",
+        "misspelt-top-level-key"])
 def test_run_rejects_a_malformed_file_with_one_line(edit, field, tmp_path,
                                                      capsys):
     """A document of the wrong shape is a typed load error naming the
