@@ -25,7 +25,7 @@ from typing import Any, Optional, Sequence, Union
 from ..memory import Buffer, CopyAccounting, StaticBufferPool
 from ..sim import (Event, FluidNetwork, FluidPath, FluidResource, Queue,
                    Simulator, TraceRecorder)
-from ..telemetry import NULL_REGISTRY, MetricsRegistry
+from ..telemetry import NULL_REGISTRY, Declaration, MetricsRegistry
 from .node import Node
 from .params import ProtocolParams
 
@@ -118,6 +118,16 @@ class _MatchPoint:
     senders: list[Event] = field(default_factory=list)  # waiting tx wakeups
 
 
+#: the series every NIC declares, labelled by protocol and NIC name.  The
+#: last three are the conservation-law counters (docs/robustness.md): every
+#: fragment offered to a NIC must end up delivered, dropped by a fault
+#: verdict, blackholed (abandoned message), or failed (capacity error) —
+#: anything left over is still waiting for a receive.
+WIRE = Declaration(("proto", "nic"), counters=(
+    "wire.fragments", "wire.bytes", "wire.fragments_offered",
+    "wire.fragments_blackholed", "wire.fragments_failed"))
+
+
 class NIC:
     """One network adapter: a pair of link resources, optional static pools,
     and a serializing transmit engine."""
@@ -147,20 +157,11 @@ class NIC:
                         if protocol.rx_static else None)
         fabric.pools += [pool for pool in (self.tx_pool, self.rx_pool)
                          if pool is not None]
-        self._m_fragments = metrics.counter(
-            "wire.fragments", proto=protocol.name, nic=label)
-        self._m_bytes = metrics.counter(
-            "wire.bytes", proto=protocol.name, nic=label)
-        # Conservation-law counters (docs/robustness.md): every fragment
-        # offered to a NIC must end up delivered, dropped by a fault
-        # verdict, blackholed (abandoned message), or failed (capacity
-        # error) — anything left over is still waiting for a receive.
-        self._m_offered = metrics.counter(
-            "wire.fragments_offered", proto=protocol.name, nic=label)
-        self._m_blackholed = metrics.counter(
-            "wire.fragments_blackholed", proto=protocol.name, nic=label)
-        self._m_failed = metrics.counter(
-            "wire.fragments_failed", proto=protocol.name, nic=label)
+        wire = metrics.declared(WIRE)
+        (self._m_fragments, self._m_bytes, self._m_offered,
+         self._m_blackholed, self._m_failed) = wire.families
+        #: this NIC's slot in the ``wire.*`` families.
+        self._wire_slot = wire.declare((protocol.name, label))
         self._txq: Queue = Queue(sim, name=f"{label}.txq")
         #: destination NIC -> (flow name, fluid path, peak) of a fragment to
         #: it: all fixed by the two NICs, so built on the first fragment
@@ -189,7 +190,7 @@ class NIC:
         size = _total_bytes(views) if (nbytes is None and views) else int(nbytes or 0)
         req = _SendRequest(dst=dst, tag=tag, payload=views, nbytes=size,
                            meta=dict(meta or {}), done=self.fabric.sim.event())
-        self._m_offered.inc()
+        self._m_offered.inc(self._wire_slot)
         # Initiate the rendezvous immediately; the engine transmits requests
         # in match-completion order.  Per-tag matching is FIFO, so in-order
         # delivery per connection is preserved, while an unmatched fragment
@@ -215,7 +216,7 @@ class NIC:
                 # driver reaps the queued descriptor locally instead of
                 # pushing it through the wire, so an aborted message's
                 # backlog cannot starve the retry that follows it.
-                self._m_blackholed.inc()
+                self._m_blackholed.inc(self._wire_slot)
                 req.done.succeed(req.nbytes)
                 continue
             if slot.capacity < req.nbytes:
@@ -228,7 +229,7 @@ class NIC:
                     f"{req.nbytes}B exceeds posted receive of {slot.capacity}B")
                 if not slot.done.triggered:
                     slot.done.fail(exc)
-                self._m_failed.inc()
+                self._m_failed.inc(self._wire_slot)
                 req.done.fail(exc)
                 continue
             injector = self.fabric.injector
@@ -294,8 +295,8 @@ class NIC:
                     src=self.name, dst=req.dst.name, proto=proto.name,
                     nbytes=req.nbytes, start=t0, tag=str(req.tag),
                     kind=req.meta.get("type"))
-            self._m_fragments.inc()
-            self._m_bytes.inc(req.nbytes)
+            self._m_fragments.inc(self._wire_slot)
+            self._m_bytes.inc(self._wire_slot, req.nbytes)
             req.done.succeed(req.nbytes)
             self.fabric._complete_recv(req.dst, slot, req)
 

@@ -46,6 +46,7 @@ from ..memory import Buffer, StaticBufferPool
 from ..memory.pool import PoolExhausted
 from ..routing import NoRouteError
 from ..sim import Barrier, GatewayCrashed, Queue, Semaphore
+from ..telemetry import DEFAULT_BOUNDS, Declaration
 from .wire import DESC_BYTES, MODE_GTM, Announce, decode_descriptor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,6 +90,26 @@ class _Item:
     last: bool
 
 
+#: the series every forwarding worker of a gateway counts into (all the
+#: workers of one rank share them).
+PER_GATEWAY = Declaration(
+    ("gw",), counters=("gateway.messages_forwarded",
+                       "gateway.messages_abandoned",
+                       "gateway.items_forwarded"),
+    histograms=(("gateway.swap_us", DEFAULT_BOUNDS),))
+#: the series of one forwarding direction (rank × incoming channel; a
+#: worker respawned after a crash takes over its predecessor's):
+#: receive-thread waits for a returned credit (the send side is the
+#: pipeline bottleneck at that instant); staged items inside the pipeline,
+#: whose ``hwm`` is the occupancy the paper's double-buffer argument is
+#: about; the mirror of ``credits_outstanding``; and the staging-ring
+#: blocks in use at each dynamic-staging acquire.
+PER_DIRECTION = Declaration(
+    ("gw", "channel"), counters=("gateway.credit_stalls",),
+    gauges=("gateway.occupancy", "gateway.credits_outstanding"),
+    histograms=(("gateway.ring_depth", (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)),))
+
+
 class ForwardingWorker:
     """Forwards GTM messages arriving on one special channel at one gateway."""
 
@@ -108,28 +129,17 @@ class ForwardingWorker:
         self.trace = in_channel.fabric.trace
         self.accounting = in_channel.fabric.accounting
         m = in_channel.fabric.metrics
-        self._m_forwarded = m.counter("gateway.messages_forwarded",
-                                      gw=gw_rank)
-        self._m_abandoned = m.counter("gateway.messages_abandoned",
-                                      gw=gw_rank)
-        self._m_items = m.counter("gateway.items_forwarded", gw=gw_rank)
-        #: staged items currently inside this direction's pipeline (one
-        #: series per rank × incoming channel); its ``hwm`` is the pipeline
-        #: occupancy the paper's double-buffer argument is about.
-        self._g_occupancy = m.gauge("gateway.occupancy", gw=gw_rank,
-                                    channel=in_channel.id)
+        per_gw = m.declared(PER_GATEWAY)
+        (self._m_forwarded, self._m_abandoned, self._m_items,
+         self._h_swap) = per_gw.families
+        self._gw_slot = per_gw.declare((gw_rank,))
+        per_dir = m.declared(PER_DIRECTION)
+        (self._m_credit_stalls, self._g_occupancy, self._g_credits,
+         self._h_ring) = per_dir.families
+        self._dir_slot = per_dir.declare((gw_rank, in_channel.id))
         #: plain mirror of the occupancy gauge, read by the adaptive
         #: transport policy as its gateway-load signal (no telemetry query).
         self.staged_items = 0
-        self._h_swap = m.histogram("gateway.swap_us", gw=gw_rank)
-        #: receive-thread waits for a returned credit (the send side is the
-        #: pipeline bottleneck at that instant).
-        self._m_credit_stalls = m.counter("gateway.credit_stalls",
-                                          gw=gw_rank, channel=in_channel.id)
-        #: staging-ring blocks in use at each dynamic-staging acquire.
-        self._h_ring = m.histogram("gateway.ring_depth",
-                                   bounds=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-                                   gw=gw_rank, channel=in_channel.id)
         #: per-direction staging-buffer ring for dynamic×dynamic routes,
         #: lazily sized to the first message's MTU (recreated if a later
         #: route negotiates a larger one).
@@ -142,8 +152,6 @@ class ForwardingWorker:
         #: only).  Returns to 0 after every cleanly forwarded message —
         #: the fuzz executor's credit-leak invariant (docs/robustness.md).
         self.credits_outstanding = 0
-        self._g_credits = m.gauge("gateway.credits_outstanding",
-                                  gw=gw_rank, channel=in_channel.id)
         self._retired = False
         self._abort_ev = self.sim.event(name=f"gw{gw_rank}.abort")
         self.process = self.sim.process(
@@ -204,7 +212,8 @@ class ForwardingWorker:
                 block = ring.try_acquire()
             except PoolExhausted:
                 block = yield from self._bounded_acquire(ring)
-            self._h_ring.observe(float(ring.count - ring.available))
+            self._h_ring.observe(self._dir_slot,
+                                 float(ring.count - ring.available))
             return block, ring
         block = yield from self._bounded_acquire(pool)
         return block, pool
@@ -239,7 +248,7 @@ class ForwardingWorker:
         # Every staged item leaves the pipeline through here (or through the
         # static-copy hand-over in _transmit_item), so the occupancy gauge
         # stays balanced on all abandon paths too.
-        self._g_occupancy.dec()
+        self._g_occupancy.dec(self._dir_slot)
         self.staged_items -= 1
         if pool is not None:
             pool.release(buffer)
@@ -278,7 +287,7 @@ class ForwardingWorker:
                                     gw=self.gw_rank, msg=announce.msg_id,
                                     reason=str(exc))
                     self.messages_abandoned += 1
-                    self._m_abandoned.inc()
+                    self._m_abandoned.inc(self._gw_slot)
                     continue
                 raise
             final = hop.dst == announce.final_dst
@@ -306,7 +315,7 @@ class ForwardingWorker:
                                     gw=self.gw_rank, msg=announce.msg_id,
                                     where="announce")
                     self.messages_abandoned += 1
-                    self._m_abandoned.inc()
+                    self._m_abandoned.inc(self._gw_slot)
                     continue
                 self.trace.emit(sim.now, "gateway", "message_start",
                                 gw=self.gw_rank, msg=announce.msg_id,
@@ -335,12 +344,12 @@ class ForwardingWorker:
                 out_lock.release()
             if ok:
                 self.messages_forwarded += 1
-                self._m_forwarded.inc()
+                self._m_forwarded.inc(self._gw_slot)
                 self.trace.emit(sim.now, "gateway", "message_end",
                                 gw=self.gw_rank, msg=announce.msg_id)
             else:
                 self.messages_abandoned += 1
-                self._m_abandoned.inc()
+                self._m_abandoned.inc(self._gw_slot)
                 self.trace.emit(sim.now, "gateway", "message_abandoned",
                                 gw=self.gw_rank, msg=announce.msg_id,
                                 where="pipeline")
@@ -356,7 +365,7 @@ class ForwardingWorker:
         """
         staging, pool = yield from self._acquire_staging(
             in_tm, out_tm, announce.mtu)
-        self._g_occupancy.inc()
+        self._g_occupancy.inc(self._dir_slot)
         self.staged_items += 1
         # §4 future work: regulate the incoming flow — delay the next posted
         # receive so the accepted ingress rate stays under the limit.
@@ -451,7 +460,7 @@ class ForwardingWorker:
                     self._release_staging(b, p) if ev.ok else None)
                 raise
             self._release_staging(item.staging, item.pool)
-        self._m_items.inc()
+        self._m_items.inc(self._gw_slot)
         self.trace.emit(sim.now, "gateway", "send",
                         gw=self.gw_rank, msg=announce.msg_id, seq=item.seq,
                         nbytes=item.nbytes, start=t0, kind=item.meta.get("type"))
@@ -507,7 +516,7 @@ class ForwardingWorker:
                 break
             yield sim.timeout(self.params.switch_overhead,
                               name=f"gw{self.gw_rank}.swap")
-            self._h_swap.observe(self.params.switch_overhead)
+            self._h_swap.observe(self._gw_slot, self.params.switch_overhead)
             self.trace.emit(sim.now, "gateway", "swap",
                             gw=self.gw_rank, msg=announce.msg_id, seq=item.seq)
             yield handoff.put(item)
@@ -560,13 +569,13 @@ class ForwardingWorker:
         while True:
             acq = gate.acquire()
             if not acq.triggered:
-                self._m_credit_stalls.inc()
+                self._m_credit_stalls.inc(self._dir_slot)
             idx, _value = yield sim.any_of([acq, sender])
             if idx == 1:
                 ok = False
                 break
             self.credits_outstanding += 1
-            self._g_credits.inc()
+            self._g_credits.inc(self._dir_slot)
             try:
                 item = yield from self._receive_item(in_tm, out_tm, hop_src,
                                                      announce)
@@ -578,7 +587,7 @@ class ForwardingWorker:
                 break
             yield sim.timeout(self.params.switch_overhead,
                               name=f"gw{self.gw_rank}.swap")
-            self._h_swap.observe(self.params.switch_overhead)
+            self._h_swap.observe(self._gw_slot, self.params.switch_overhead)
             self.trace.emit(sim.now, "gateway", "swap",
                             gw=self.gw_rank, msg=announce.msg_id, seq=item.seq)
             yield handoff.put(item)
@@ -600,7 +609,7 @@ class ForwardingWorker:
                 if not TEST_HOOKS.leak_credits:
                     gate.release()
                     self.credits_outstanding -= 1
-                    self._g_credits.dec()
+                    self._g_credits.dec(self._dir_slot)
                 if item.last:
                     return True
         except (_Stalled, GatewayCrashed):

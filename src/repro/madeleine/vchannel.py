@@ -243,12 +243,15 @@ class VirtualChannel:
         self._m_balance_moves = m.counter("gateway.balance_moves",
                                           vchannel=self.name)
         self.gateways = gateway_ranks(self.channels)
-        self.workers: list[ForwardingWorker] = []
-        for gw in self.gateways:
-            for ch in self.channels:
-                if gw in ch.members:
-                    self.workers.append(ForwardingWorker(
-                        self, gw, self._specials[ch.id], self.gateway_params))
+        #: each rank's channels, in channel order.
+        joined: dict[int, list[RealChannel]] = {}
+        for ch in self.channels:
+            for rank in ch.members:
+                joined.setdefault(rank, []).append(ch)
+        self.workers: list[ForwardingWorker] = [
+            ForwardingWorker(self, gw, self._specials[ch.id],
+                             self.gateway_params)
+            for gw in self.gateways for ch in joined[gw]]
         self._endpoints: dict[int, VChannelEndpoint] = {}
         self._injector = None
         injector = self.world.fabric.injector

@@ -21,7 +21,7 @@ import mmap
 import numpy as np
 
 from ..sim import Event, SimError, Simulator
-from ..telemetry import NULL_REGISTRY, MetricsRegistry
+from ..telemetry import NULL_REGISTRY, Declaration, MetricsRegistry
 from .buffer import Buffer, STATIC
 
 __all__ = ["StaticBufferPool", "PoolExhausted", "PoolClosed"]
@@ -43,6 +43,14 @@ def _segment(count: int, block_size: int) -> np.ndarray:
         mmap.mmap(-1, count * block_size,
                   flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
         dtype=np.uint8)
+
+
+#: the series every pool declares: acquires that had to block on an
+#: exhausted pool (backpressure), and blocks checked out right now, whose
+#: high-water mark is the staging-memory footprint question pool sizing
+#: asks.
+POOL = Declaration(("pool",), counters=("pool.acquire_waits",),
+                   gauges=("pool.in_use",))
 
 
 class StaticBufferPool:
@@ -67,11 +75,11 @@ class StaticBufferPool:
         self.name = name
         self.block_size = block_size
         self.count = count
-        #: blocks checked out right now; its high-water mark is the
-        #: staging-memory footprint question pool sizing asks.
-        self._g_in_use = metrics.gauge("pool.in_use", pool=name)
-        #: acquires that had to block on an exhausted pool (backpressure).
-        self._m_waits = metrics.counter("pool.acquire_waits", pool=name)
+        table = metrics.declared(POOL)
+        self._m_waits, self._g_in_use = table.families
+        #: this pool's slot in both (a pool made under the name of an
+        #: earlier one shares its series).
+        self._slot = table.declare((name,))
         self._free: list[Buffer] = self._blocks(count, "", 0)
         self._waiters: list[Event] = []
         #: replacement blocks :meth:`reset` has made, so labels stay unique.
@@ -112,10 +120,10 @@ class StaticBufferPool:
             buf = self._free.pop(0)
             buf._released = False
             self._outstanding.add(buf)
-            self._g_in_use.set(len(self._outstanding))
+            self._g_in_use.set(self._slot, len(self._outstanding))
             ev.succeed(buf)
         else:
-            self._m_waits.inc()
+            self._m_waits.inc(self._slot)
             self._waiters.append(ev)
         return ev
 
@@ -128,7 +136,7 @@ class StaticBufferPool:
         buf = self._free.pop(0)
         buf._released = False
         self._outstanding.add(buf)
-        self._g_in_use.set(len(self._outstanding))
+        self._g_in_use.set(self._slot, len(self._outstanding))
         return buf
 
     def release(self, buf: Buffer) -> None:
@@ -151,7 +159,7 @@ class StaticBufferPool:
             self._waiters.pop(0).succeed(buf)
         else:
             self._free.append(buf)
-        self._g_in_use.set(len(self._outstanding))
+        self._g_in_use.set(self._slot, len(self._outstanding))
 
     def cancel_acquire(self, ev: Event) -> bool:
         """Withdraw a still-pending acquire.
@@ -223,5 +231,5 @@ class StaticBufferPool:
             buf._released = False
             self._outstanding.add(buf)
             ev.succeed(buf)
-        self._g_in_use.set(len(self._outstanding))
+        self._g_in_use.set(self._slot, len(self._outstanding))
         return retired

@@ -18,14 +18,16 @@ and both **off by default**:
 
 Every :class:`~repro.hw.topology.World` owns one disabled registry,
 ``world.telemetry``; ``Session(world, telemetry=True)`` (or
-``world.telemetry.enable()``) turns it on.  The transport stack holds
-instrument handles either way: each is bound to a live body or to a no-op
-one, and enabling or disabling the registry rebinds them, which is what
-makes late enabling work and what makes a disabled registry run no
-instrument code.  Counts a component keeps as plain ints anyway are
-*pulled* (:class:`PulledCounter`) rather than pushed.  Components built
-without a world bind their instruments to :data:`NULL_REGISTRY`, which
-records nothing.
+``world.telemetry.enable()``) turns it on.  The registry keeps one family
+per metric name.  NICs, forwarding workers and pools declare their series
+in it and update them by slot, so a world's thousands of series cost no
+object each; other components hold instrument handles.  Either way each
+family and handle is bound to a live body or to a no-op one, and enabling
+or disabling the registry rebinds them, which is what makes late enabling
+work and what makes a disabled registry run no instrument code.  Counts a
+component keeps as plain ints anyway are *pulled* (:class:`PulledCounter`)
+rather than pushed.  Components built without a world use
+:data:`NULL_REGISTRY`, which keeps and records nothing.
 
 See ``docs/telemetry.md`` for the metric catalog.
 """
@@ -34,11 +36,15 @@ from __future__ import annotations
 
 from .conservation import (ConservationLaw, LawViolation, FRAGMENT_LAW,
                            STRIPE_LAW, STANDARD_LAWS, check_laws)
-from .registry import (NULL_REGISTRY, Counter, Gauge, Histogram,
-                       MetricsRegistry, NullRegistry, PulledCounter,
+from .registry import (DEFAULT_BOUNDS, NULL_REGISTRY, Counter,
+                       CounterFamily, Declaration, Gauge, GaugeFamily,
+                       Histogram, HistogramFamily, MetricsRegistry,
+                       NullRegistry, PulledCounter, Series, SeriesTable,
                        format_metrics)
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "NULL_REGISTRY", "NullRegistry", "PulledCounter", "format_metrics",
+           "DEFAULT_BOUNDS", "Declaration", "SeriesTable", "CounterFamily",
+           "GaugeFamily", "HistogramFamily", "Series",
            "ConservationLaw", "LawViolation", "FRAGMENT_LAW", "STRIPE_LAW",
            "STANDARD_LAWS", "check_laws"]
