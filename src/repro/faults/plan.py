@@ -13,9 +13,10 @@ fault sequence, so a fault run is a reproducible bug report.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
-from typing import (TYPE_CHECKING, Any, Callable, Mapping, Optional,
-                    Sequence, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Optional, Sequence,
+                    Union)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.topology import World

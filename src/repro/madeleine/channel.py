@@ -14,7 +14,8 @@ on them, applications never do.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..hw.topology import World
 from ..memory import Buffer

@@ -38,8 +38,8 @@ results can be collected after the fact.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Generator, Mapping, Optional, Sequence,
-                    Union)
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Generator, Optional, Sequence, Union
 
 from ..hw.params import GatewayParams, NodeParams
 from ..hw.topology import World, build_world

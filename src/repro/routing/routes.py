@@ -115,6 +115,11 @@ class RouteTable:
         self.channels = list(channels)
         self.graph = build_graph(self.channels)
         self._cache: dict[tuple[int, int], list[Hop]] = {}
+        #: one :class:`Hop` per ``(channel id, src, dst)``, shared by every
+        #: route that crosses the edge.  Kept across :meth:`invalidate`: a
+        #: down channel is never in the active graph's adjacency, so no
+        #: route is built from its hops while it is down.
+        self._hops: dict[tuple[str, int, int], Hop] = {}
         #: per-destination BFS distance maps over the active graph; shared by
         #: every source routing toward that destination, so a table over an
         #: N-node topology costs one BFS per destination instead of one
@@ -148,7 +153,8 @@ class RouteTable:
         """Drop all cached routes (and the cached surviving subgraph).
 
         Called on every health transition so a route computed before a
-        failure can never be served after it.
+        failure can never be served after it.  The shared :class:`Hop`
+        objects stay: they name an edge, not its health.
         """
         self._cache.clear()
         self._dist.clear()
@@ -280,7 +286,7 @@ class RouteTable:
         choices = []
         for a, b in zip(path, path[1:]):
             chans = g.adj[a][b]
-            choices.append([Hop(channel=chans[cid], src=a, dst=b)
+            choices.append([self._hop(chans[cid], a, b)
                             for cid in sorted(chans)])
         return [list(combo) for combo in itertools.product(*choices)]
 
@@ -351,5 +357,13 @@ class RouteTable:
         for a, b in zip(path, path[1:]):
             # Deterministic channel choice among (live) parallel edges.
             chans = g.adj[a][b]
-            hops.append(Hop(channel=chans[min(chans)], src=a, dst=b))
+            hops.append(self._hop(chans[min(chans)], a, b))
         return hops
+
+    def _hop(self, channel: "RealChannel", src: int, dst: int) -> Hop:
+        """The table's one :class:`Hop` for ``src -> dst`` over ``channel``."""
+        edge = (channel.id, src, dst)
+        hop = self._hops.get(edge)
+        if hop is None:
+            hop = self._hops[edge] = Hop(channel=channel, src=src, dst=dst)
+        return hop

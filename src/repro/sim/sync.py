@@ -8,7 +8,9 @@ Madeleine gateway code.
 Their waiter and item queues are plain lists (``append``/``pop(0)``): a
 world builds thousands of queues that mostly sit idle, an empty list costs
 a few dozen bytes where an empty ``deque`` costs 760, and no queue holds
-more than a handful of entries, so ``pop(0)`` stays cheap.
+more than a handful of entries, so ``pop(0)`` stays cheap.  A
+:class:`Queue` goes further: its three lists start as one shared empty
+tuple and become lists on their first append.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ from typing import Any, Optional
 from .engine import Event, Simulator
 
 __all__ = ["Semaphore", "Mutex", "Queue", "Barrier", "Signal"]
+
+#: What an idle :class:`Queue`'s item and waiter queues hold: immutable, so
+#: one object serves every queue, and as empty and as falsy as ``[]`` to
+#: the truth and ``len`` tests that read it.  ``append`` on it raises
+#: ``AttributeError``, which is where a queue makes its list.
+_IDLE: tuple = ()
 
 
 class Semaphore:
@@ -84,8 +92,9 @@ class Queue:
     simulation instant.
 
     A world builds thousands of queues (every channel end, message and
-    transmit ring has one) and most stay idle, so an idle queue is three
-    empty lists in a slotted object: about 250 bytes.
+    transmit ring has one) and most stay idle, so an idle queue is a
+    slotted object whose item and waiter queues are the shared ``_IDLE``
+    tuple: no list exists until something is appended.
     """
 
     __slots__ = ("sim", "name", "capacity", "_items", "_getters",
@@ -98,9 +107,9 @@ class Queue:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._items: list[Any] = []
-        self._getters: list[Event] = []
-        self._putters: list[tuple[Event, Any]] = []
+        self._items: list[Any] = _IDLE
+        self._getters: list[Event] = _IDLE
+        self._putters: list[tuple[Event, Any]] = _IDLE
 
     def __len__(self) -> int:
         return len(self._items)
@@ -112,10 +121,16 @@ class Queue:
             self._getters.pop(0).succeed(item)
             ev.succeed()
         elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
+            try:
+                self._items.append(item)
+            except AttributeError:      # the first item of an idle queue
+                self._items = [item]
             ev.succeed()
         else:
-            self._putters.append((ev, item))
+            try:
+                self._putters.append((ev, item))
+            except AttributeError:
+                self._putters = [(ev, item)]
         return ev
 
     def put_nowait(self, item: Any) -> bool:
@@ -130,7 +145,10 @@ class Queue:
             self._getters.pop(0).succeed(item)
             return True
         if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
+            try:
+                self._items.append(item)
+            except AttributeError:
+                self._items = [item]
             return True
         return False
 
@@ -144,7 +162,10 @@ class Queue:
                 pev.succeed()
             ev.succeed(item)
         else:
-            self._getters.append(ev)
+            try:
+                self._getters.append(ev)
+            except AttributeError:
+                self._getters = [ev]
         return ev
 
     def try_get(self) -> tuple[bool, Any]:
@@ -169,7 +190,7 @@ class Queue:
         try:
             self._getters.remove(ev)
             return True
-        except ValueError:
+        except (ValueError, AttributeError):    # not waiting, or never did
             return False
 
 

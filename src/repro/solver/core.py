@@ -206,11 +206,10 @@ class _Rail:
     __slots__ = ("rf", "footprint", "rem", "t_last", "rate", "version",
                  "seq", "_packed")
 
-    def __init__(self, rf: RoutedFlow, seq: int) -> None:
+    def __init__(self, rf: RoutedFlow, seq: int, footprint: tuple) -> None:
         self.rf = rf
         #: (resource id, weight) pairs — footprint with interned keys.
-        self.footprint = tuple(zip(rf.res_ids,
-                                   (w for _k, w in rf.footprint)))
+        self.footprint = footprint
         self.rem = float(rf.nbytes)
         self.t_last = rf.arrival + rf.setup_us
         self.rate = 0.0
@@ -390,7 +389,7 @@ def solve(scenario: Scenario, node_params=None,
             if rf.nbytes <= 0:     # a rail the stripe split left empty
                 finish[rf.id] = now
                 continue
-            rail = _Rail(rf, seq)
+            rail = _Rail(rf, seq, net.rail_entries(rf))
             seq += 1
             rail.t_last = now
             active[rf.id] = rail

@@ -17,12 +17,18 @@ agree on which wires a flow crosses:
   analytic rate ceiling from the §3.3.1 gateway-pipeline kernel
   (:func:`~repro.analysis.model.fragment_time` for direct hops,
   ``_rail_period`` for every gateway relay along the route).
+
+Per-flow state points at shared objects: a footprint's keys are the
+:attr:`Resource.key` tuples themselves and each ``(key, weight)`` entry comes
+from one intern table of the network, so a scenario of thousands of flows
+holds one object per distinct entry, not one per flow and hop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.model import _rail_period, fragment_time, route_setup_time
 from ..hw.params import (DEFAULT_NODE, PROTOCOLS, GatewayParams, NodeParams,
@@ -66,7 +72,10 @@ class RoutedFlow:
     arrival: float
     ceiling: float                 # bytes/µs, from the pipeline kernel
     setup_us: float                # route-aware pre-streaming setup
-    footprint: tuple[tuple[tuple, int], ...]   # ((resource key, weight), ...)
+    #: ``((resource key, weight), ...)``; built by :class:`SolverNetwork`,
+    #: every key is its :attr:`Resource.key` and every entry is shared with
+    #: the other flows that carry an equal one.
+    footprint: tuple[tuple[tuple, int], ...]
     #: interned integer resource ids aligned with ``footprint`` (see
     #: :attr:`SolverNetwork.res_index`) — the epoch loop's contention
     #: bookkeeping indexes arrays by these instead of hashing key tuples.
@@ -103,6 +112,10 @@ class SolverNetwork:
         self.routes = RouteTable(self.channels)
         self._resources: dict[tuple, Resource] = {}
         self._res_index: dict[tuple, int] = {}
+        #: ``(channel id, src, dst)`` → the canonical keys one hop loads.
+        self._hop_keys: dict[tuple, tuple] = {}
+        #: ``(key, weight)`` → the one shared footprint entry equal to it.
+        self._entries: dict[tuple, tuple] = {}
         #: per-route kernel results.  Packet size, gateway (its pipeline
         #: included) and node are fixed for this network and a channel's protocol is
         #: ``PROTOCOLS[name]``, so :meth:`ceiling` is a function of
@@ -147,6 +160,15 @@ class SolverNetwork:
     def _intern(self, footprint: tuple) -> tuple:
         """The ``res_ids`` tuple matching ``footprint`` entry for entry."""
         return tuple(self._res_index[key] for key, _w in footprint)
+
+    def rail_entries(self, rf: RoutedFlow) -> tuple:
+        """``((resource id, weight), ...)`` of ``rf``, aligned with its
+        footprint — the shape the epoch loop reads.  The pairs come from
+        the same intern table as the footprint entries (an id is an int and
+        a key a tuple, so the two kinds never compare equal)."""
+        entry = self._entries.setdefault
+        return tuple([entry(iw, iw) for iw in
+                      zip(rf.res_ids, [w for _k, w in rf.footprint])])
 
     # -- per-route kernels ---------------------------------------------------
     def packet_for(self, route: Sequence[Hop]) -> int:
@@ -213,17 +235,37 @@ class SolverNetwork:
         """``((resource key, weight), ...)`` of one unit-rate flow on
         ``route``: each hop loads its channel wire, both seats' NICs, and
         both seats' PCI buses (so an interior gateway is loaded twice —
-        once receiving, once retransmitting)."""
+        once receiving, once retransmitting).  Sorted by key; keys and
+        entries are the network's shared objects."""
         weights: dict[tuple, int] = {}
         for hop in route:
-            ch = hop.channel
-            for key in (("link", ch.id),
-                        ("nic",) + ch.nic(hop.src),
-                        ("nic",) + ch.nic(hop.dst),
-                        ("pci", hop.src),
-                        ("pci", hop.dst)):
+            for key in self._keys_of(hop):
                 weights[key] = weights.get(key, 0) + 1
-        return tuple(sorted(weights.items()))
+        entry = self._entries.setdefault
+        return tuple([entry(kw, kw) for kw in sorted(weights.items())])
+
+    def _keys_of(self, hop: Hop) -> tuple:
+        """The five canonical resource keys ``hop`` loads, looked up once
+        per ``(channel id, src, dst)``."""
+        ch = hop.channel
+        edge = (ch.id, hop.src, hop.dst)
+        keys = self._hop_keys.get(edge)
+        if keys is None:
+            res = self._resources
+            keys = self._hop_keys[edge] = tuple(
+                res[key].key for key in (("link", ch.id),
+                                         ("nic",) + ch.nic(hop.src),
+                                         ("nic",) + ch.nic(hop.dst),
+                                         ("pci", hop.src),
+                                         ("pci", hop.dst)))
+        return keys
+
+    def _rx_entry(self, dst: int, weight: float) -> tuple:
+        """The shared ``(("rx", dst), weight)`` entry of a flow's receive
+        slot; rx entries are the only float-weighted ones, so equality never
+        merges one with a hop's integer count."""
+        kw = (self._resources[("rx", dst)].key, weight)
+        return self._entries.setdefault(kw, kw)
 
     # -- flow expansion ------------------------------------------------------
     def rails_for(self, src: int, dst: int) -> list[list[Hop]]:
@@ -253,7 +295,7 @@ class SolverNetwork:
             route = rails[0] if len(rails) < 2 else self.routes.route(src, dst)
             ceil = self.ceiling(route)
             footprint = self.footprint(route) \
-                + ((("rx", dst), 1.0 / ceil),)
+                + (self._rx_entry(dst, 1.0 / ceil),)
             return [RoutedFlow(id=(index, 0), nbytes=nbytes, arrival=arrival,
                                ceiling=ceil,
                                setup_us=self.setup_time(route),
@@ -270,7 +312,8 @@ class SolverNetwork:
             chunk = (nbytes - assigned if k == len(rails) - 1
                      else nbytes * ceil / total)
             assigned += chunk
-            footprint = self.footprint(route) + ((("rx", dst), 1.0 / total),)
+            footprint = self.footprint(route) \
+                + (self._rx_entry(dst, 1.0 / total),)
             out.append(RoutedFlow(
                 id=(index, k), nbytes=chunk, arrival=arrival, ceiling=ceil,
                 setup_us=self.setup_time(route, rails=len(rails),
