@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
 from ..sim import GatewayCrashed
+from ..telemetry import Declaration
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.fabric import NIC, _SendRequest
@@ -46,6 +47,13 @@ class Verdict:
 #: (subject: rank).
 Listener = Callable[[str, Union[str, int]], None]
 
+#: the series of a world's fault injector (one slot, no labels): fragment
+#: verdicts, and link and node transitions.
+FAULTS = Declaration((), counters=(
+    "faults.fragments_dropped", "faults.fragments_corrupted",
+    "faults.fragments_delayed", "faults.link_transitions",
+    "faults.node_transitions"))
+
 
 class FaultInjector:
     """Holds fault state and decides the fate of each fragment."""
@@ -60,12 +68,10 @@ class FaultInjector:
         self.dropped = 0
         self.corrupted = 0
         self.delayed = 0
-        m = world.telemetry
-        self._m_dropped = m.counter("faults.fragments_dropped")
-        self._m_corrupted = m.counter("faults.fragments_corrupted")
-        self._m_delayed = m.counter("faults.fragments_delayed")
-        self._m_link_events = m.counter("faults.link_transitions")
-        self._m_node_events = m.counter("faults.node_transitions")
+        table = world.telemetry.declared(FAULTS)
+        (self._m_dropped, self._m_corrupted, self._m_delayed,
+         self._m_link_events, self._m_node_events) = table.families
+        self._m_slot = table.declare(())
         sim = world.sim
         for i, ev in enumerate(plan.link_events):
             sim.process(self._link_driver(ev), name=f"fault:link{i}")
@@ -101,7 +107,7 @@ class FaultInjector:
         if cid in self.down_channels:
             return
         self.down_channels.add(cid)
-        self._m_link_events.inc()
+        self._m_link_events.inc(self._m_slot)
         self.world.trace.emit(self.world.sim.now, "fault", "link_down",
                               channel=cid)
         self._notify("link_down", cid)
@@ -111,7 +117,7 @@ class FaultInjector:
         if cid not in self.down_channels:
             return
         self.down_channels.discard(cid)
-        self._m_link_events.inc()
+        self._m_link_events.inc(self._m_slot)
         self.world.trace.emit(self.world.sim.now, "fault", "link_up",
                               channel=cid)
         self._notify("link_up", cid)
@@ -121,7 +127,7 @@ class FaultInjector:
         if node.rank in self.down_nodes:
             return
         self.down_nodes.add(node.rank)
-        self._m_node_events.inc()
+        self._m_node_events.inc(self._m_slot)
         exc = GatewayCrashed(node.name)
         self.world.fabric.crash_node(node, exc)
         for nic in node.nics.values():
@@ -137,7 +143,7 @@ class FaultInjector:
         if node.rank not in self.down_nodes:
             return
         self.down_nodes.discard(node.rank)
-        self._m_node_events.inc()
+        self._m_node_events.inc(self._m_slot)
         for nic in node.nics.values():
             for pool in (nic.tx_pool, nic.rx_pool):
                 if pool is not None:
@@ -159,7 +165,7 @@ class FaultInjector:
         if (nic.node.rank in self.down_nodes
                 or req.dst.node.rank in self.down_nodes):
             self.dropped += 1
-            self._m_dropped.inc()
+            self._m_dropped.inc(self._m_slot)
             return Verdict(drop=True)
         tag = req.tag
         if not (isinstance(tag, tuple) and len(tag) >= 2):
@@ -167,7 +173,7 @@ class FaultInjector:
         cid = base_channel_id(tag[1])
         if cid in self.down_channels:
             self.dropped += 1
-            self._m_dropped.inc()
+            self._m_dropped.inc(self._m_slot)
             return Verdict(drop=True)
         cf = self.plan.channels.get(cid, self.plan.default)
         if cf is None or cf.quiet:
@@ -175,7 +181,7 @@ class FaultInjector:
         rng = self.rng
         if cf.drop_p > 0 and rng.random() < cf.drop_p:
             self.dropped += 1
-            self._m_dropped.inc()
+            self._m_dropped.inc(self._m_slot)
             return Verdict(drop=True)
         corrupt = cf.corrupt_p > 0 and rng.random() < cf.corrupt_p
         delayed = cf.delay_p > 0 and rng.random() < cf.delay_p
@@ -186,8 +192,8 @@ class FaultInjector:
         self.corrupted += int(corrupt)
         self.delayed += int(delayed)
         if corrupt:
-            self._m_corrupted.inc()
+            self._m_corrupted.inc(self._m_slot)
         if delayed:
-            self._m_delayed.inc()
+            self._m_delayed.inc(self._m_slot)
         return Verdict(corrupt=corrupt, corrupt_offset=offset,
                        delay_us=delay)

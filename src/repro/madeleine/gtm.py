@@ -249,7 +249,7 @@ class GTMOutgoing(OutgoingMessage):
         pieces = [Buffer.wrap(table)] + [buf for buf, _s, _r in pending]
         if (yield from self._put("eagr", None, pieces,
                                  sum(map(len, pieces)))):
-            self.vchannel._m_eager_sends.inc()
+            self.vchannel._m_eager_sends.inc(self.vchannel._m_slot)
 
 
 class GTMIncoming(IncomingMessage):

@@ -39,6 +39,7 @@ import numpy as np
 from ..memory import Buffer
 from ..routing import NoRouteError
 from ..sim import Event, GatewayCrashed, Queue, RetryExhausted
+from ..telemetry import DEFAULT_BOUNDS, Declaration
 from .flags import RecvMode, SendMode
 from .message import MessageStateError
 
@@ -65,6 +66,17 @@ BACKOFF = 2.0
 #: message, so its loss is what usually makes the sender miss real
 #: receiver progress; redundancy shrinks that chance geometrically.
 ACK_COPIES = 2
+
+#: the series of every reliable endpoint, labelled by its virtual channel
+#: and rank; declared when the endpoint is built, so they appear (at zero)
+#: in snapshots even before the first fault and dashboards have a stable
+#: schema.
+RELIABLE = Declaration(
+    ("vchannel", "rank"), counters=(
+        "reliable.bytes_sent", "reliable.fragments_sent", "reliable.attempts",
+        "reliable.retransmits", "reliable.deliveries",
+        "reliable.acks_received"),
+    histograms=(("reliable.ack_latency_us", DEFAULT_BOUNDS),))
 
 _transfer_ids = itertools.count(1)
 
@@ -210,17 +222,10 @@ class ReliableEndpoint:
         self.sim = vep.vchannel.sim
         self.trace = vep.vchannel.world.fabric.trace
         self.policy = policy or RetryPolicy()
-        # Pre-registered instruments: they appear (at zero) in snapshots
-        # even before the first fault, so dashboards have a stable schema.
-        m = vep.vchannel.world.telemetry
-        lbl = dict(vchannel=vep.vchannel.name, rank=self.rank)
-        self._m_bytes = m.counter("reliable.bytes_sent", **lbl)
-        self._m_frags = m.counter("reliable.fragments_sent", **lbl)
-        self._m_attempts = m.counter("reliable.attempts", **lbl)
-        self._m_retransmits = m.counter("reliable.retransmits", **lbl)
-        self._m_delivered = m.counter("reliable.deliveries", **lbl)
-        self._m_acks = m.counter("reliable.acks_received", **lbl)
-        self._h_ack_latency = m.histogram("reliable.ack_latency_us", **lbl)
+        table = vep.vchannel.world.telemetry.declared(RELIABLE)
+        (self._m_bytes, self._m_frags, self._m_attempts, self._m_retransmits,
+         self._m_delivered, self._m_acks, self._h_ack_latency) = table.families
+        self._m_slot = table.declare((vep.vchannel.name, self.rank))
         #: completed transfers, as ``(src, payload: bytes, transfer_id)``.
         self.deliveries: Queue = Queue(self.sim,
                                        name=f"rel@{self.rank}.deliveries")
@@ -258,10 +263,10 @@ class ReliableEndpoint:
         stalls = 0          # consecutive attempts with zero ack progress
         while stalls < policy.max_attempts:
             attempt += 1
-            self._m_attempts.inc()
+            self._m_attempts.inc(self._m_slot)
             if attempt > 1:
                 self.retransmits += 1
-                self._m_retransmits.inc()
+                self._m_retransmits.inc(self._m_slot)
             try:
                 msg = self.vep.begin_packing(dst)
             except NoRouteError as exc:
@@ -290,8 +295,8 @@ class ReliableEndpoint:
                     frag + struct.pack(_CRC_FMT,
                                        _frag_crc(frag, transfer, seq)),
                     SendMode.CHEAPER, RecvMode.EXPRESS))
-                self._m_frags.inc()
-                self._m_bytes.inc(len(frag))
+                self._m_frags.inc(self._m_slot)
+                self._m_bytes.inc(self._m_slot, len(frag))
             _disown(msg.end_packing())
             st.attempt_t0 = self.sim.now
             self.trace.emit(self.sim.now, "reliable", "attempt",
@@ -420,11 +425,12 @@ class ReliableEndpoint:
         if kind == _KIND_ACK:
             st = self._sends.get(transfer)
             if st is not None:
-                self._m_acks.inc()
+                self._m_acks.inc(self._m_slot)
                 if start > st.acked:
                     # This ACK advanced the window: its latency is the time
                     # since the attempt it acknowledges was emitted.
-                    self._h_ack_latency.observe(self.sim.now - st.attempt_t0)
+                    self._h_ack_latency.observe(self._m_slot,
+                                               self.sim.now - st.attempt_t0)
                 st.acked = max(st.acked, start)
                 waiter = self._ack_waiters.pop(transfer, None)
                 if waiter is not None and not waiter.triggered:
@@ -483,7 +489,7 @@ class ReliableEndpoint:
                                    attempt=attempt, acked=st.acked)
         if st.acked >= st.nfrags and not st.done:
             st.done = True
-            self._m_delivered.inc()
+            self._m_delivered.inc(self._m_slot)
             yield self.deliveries.put((st.src, bytes(st.data), transfer))
         yield from self._send_ack(st.src, transfer, st.acked)
 

@@ -77,7 +77,7 @@ class StripedOutgoing:
                                             seq=i, total=total))
             for i, route in enumerate(rails)]
         self.msg_id = self.rails[0].msg_id
-        vchannel._m_stripes_sent.inc(total)
+        vchannel._m_stripes_sent.inc(vchannel._m_slot, total)
         if vchannel.transport_policy is not None:
             # Fail-fast registry: a rail loss aborts this transfer at once.
             vchannel._live_stripes.add(self)
@@ -94,16 +94,17 @@ class StripedOutgoing:
         chunks = self.scheduler.plan(len(buf))
         events = []
         off = 0
+        occupancy = self.vchannel._g_rail_occupancy
         for i, (rail, nbytes) in enumerate(zip(self.rails, chunks)):
             view = buf.view(off, off + nbytes)
             off += nbytes
             self.scheduler.note_sent(i, nbytes)
-            gauge = self.vchannel._rail_gauge(i)
-            gauge.inc(nbytes)
+            slot = self.vchannel._rail_slot(i)
+            occupancy.inc(slot, nbytes)
             ev = rail.pack(view, smode, rmode)
             ev.add_callback(
-                lambda _e, i=i, n=nbytes, g=gauge:
-                (self.scheduler.note_done(i, n), g.dec(n)))
+                lambda _e, i=i, n=nbytes, slot=slot:
+                (self.scheduler.note_done(i, n), occupancy.dec(slot, n)))
             events.append(ev)
         return self.sim.all_of(events)
 
@@ -147,7 +148,6 @@ class StripedIncoming(IncomingMessage):
         self._attach_evs = [
             sim.event(name=f"stripe-in:{stripe_id}.rail{i}")
             for i in range(total)]
-        self._h_depth = vchannel._h_stripe_depth
         self._open(sim, f"stripe-in:{origin}:{stripe_id}", True)
 
     # -- rail arrival ---------------------------------------------------------
@@ -230,7 +230,9 @@ class StripedIncoming(IncomingMessage):
             raise UnpackMismatch(
                 f"stripes announce {sum(lengths)}B but unpack expects "
                 f"{len(buf)}B")
-        self._h_depth.observe(float(sum(1 for n in lengths if n)))
+        vch = self.vchannel
+        vch._h_stripe_depth.observe(vch._m_slot,
+                                    float(sum(1 for n in lengths if n)))
         events = []
         off = 0
         for rail, nbytes in zip(self._rails, lengths):
@@ -243,4 +245,5 @@ class StripedIncoming(IncomingMessage):
         # Every rail must close with its own terminator.
         yield self.sim.all_of([rail.end_unpacking()
                                for rail in self._rails])
-        self.vchannel._m_stripes_reassembled.inc(self.total)
+        vch = self.vchannel
+        vch._m_stripes_reassembled.inc(vch._m_slot, self.total)

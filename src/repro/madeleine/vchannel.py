@@ -23,6 +23,7 @@ from ..routing import (RouteTable, StripePolicy, StripeScheduler,
                        disjoint_routes, gateway_ranks, negotiate_mtu,
                        tune_fragment_size)
 from ..sim import Event, Queue
+from ..telemetry import Declaration
 from .adaptive import TransportPolicy, apply_restripe
 from .bmm import UnpackMismatch
 from .channel import RealChannel
@@ -36,6 +37,28 @@ from .wire import MODE_GTM, MODE_REGULAR
 __all__ = ["VirtualChannel", "VChannelEndpoint"]
 
 DEFAULT_PACKET_SIZE = 16 << 10
+
+#: the series of every virtual channel, labelled by its name:
+#: reroute-forcing health losses; stripes sent, and stripes consumed by a
+#: completed reassembly, which pair in the striping conservation law
+#: (docs/robustness.md) and match once every striped message has fully
+#: drained; stripe rails whose record never decoded (sender crash
+#: mid-record or corruption in transit: the whole striped message is left
+#: to the reliable layer to retransmit); eager sends; weight moves
+#: (suspensions + readmissions + fail-fast aborts) applied by the adaptive
+#: re-striping policy; multirail messages steered off their round-robin
+#: rail by gateway-occupancy feedback; and the rails each reassembled
+#: stripe group used.
+VCHANNEL = Declaration(
+    ("vchannel",), counters=(
+        "vchannel.failovers", "vchannel.stripes_sent",
+        "vchannel.stripes_reassembled", "vchannel.stripe_rails_abandoned",
+        "vchannel.eager_sends", "vchannel.restripe_events",
+        "gateway.balance_moves"),
+    histograms=(("vchannel.stripe_reassembly_depth", (1.0, 2.0, 4.0, 8.0)),))
+#: bytes in flight on each rail of a virtual channel's stripe set,
+#: declared when striping first engages (rails only exist then).
+RAILS = Declaration(("vchannel", "rail"), gauges=("vchannel.rail_occupancy",))
 
 
 class VChannelEndpoint(MessageEndpoint):
@@ -84,7 +107,7 @@ class VChannelEndpoint(MessageEndpoint):
                 # retransmission recover the message end to end.
                 ev.defuse()
                 rail.abort()
-                self.vchannel._m_rails_abandoned.inc()
+                self.vchannel._m_rails_abandoned.inc(self.vchannel._m_slot)
                 return
             raise ev.value
         record = ev.value
@@ -111,7 +134,7 @@ class VChannelEndpoint(MessageEndpoint):
             # a forged record never completes; the reliable receiver's
             # stall bound aborts it.
             rail.abort()
-            self.vchannel._m_rails_abandoned.inc()
+            self.vchannel._m_rails_abandoned.inc(self.vchannel._m_slot)
             return
         if group.complete:
             del self._stripe_groups[key]
@@ -174,10 +197,19 @@ class VirtualChannel:
         #: probe-measured per-protocol host rates refining the tuner.
         self._rate_overrides: Optional[dict[str, float]] = None
         self.name = name or f"vch({','.join(ch.id for ch in channels)})"
-        self.routes = RouteTable(self.channels, metrics=self.world.telemetry)
-        #: reroute-forcing health losses seen by this virtual channel.
-        self._m_failovers = self.world.telemetry.counter(
-            "vchannel.failovers", vchannel=self.name)
+        m = self.world.telemetry
+        self.routes = RouteTable(self.channels, metrics=m)
+        table = m.declared(VCHANNEL)
+        (self._m_failovers, self._m_stripes_sent, self._m_stripes_reassembled,
+         self._m_rails_abandoned, self._m_eager_sends,
+         self._m_restripe_events, self._m_balance_moves,
+         self._h_stripe_depth) = table.families
+        #: this channel's slot in every family of :data:`VCHANNEL`.
+        self._m_slot = table.declare((self.name,))
+        self._rail_table = m.declared(RAILS)
+        (self._g_rail_occupancy,) = self._rail_table.families
+        #: stripe rail -> this channel's slot in ``vchannel.rail_occupancy``.
+        self._rail_slots: dict[int, int] = {}
         # Special (forwarding) twin per member channel, §2.2.2 / Figure 3.
         self._specials: dict[str, RealChannel] = {
             ch.id: RealChannel(self.world, ch.protocol.name, ch.members,
@@ -207,24 +239,6 @@ class VirtualChannel:
         # set without anyone touching the cache by hand.
         self._stripe_plans: dict[tuple[int, int],
                                  tuple[int, list, StripeScheduler]] = {}
-        m = self.world.telemetry
-        self._m_stripes_sent = m.counter("vchannel.stripes_sent",
-                                         vchannel=self.name)
-        #: stripes consumed by a completed reassembly; pairs with
-        #: ``stripes_sent`` in the striping conservation law
-        #: (docs/robustness.md) — they match once every striped message
-        #: has fully drained.
-        self._m_stripes_reassembled = m.counter("vchannel.stripes_reassembled",
-                                                vchannel=self.name)
-        #: stripe rails whose record never decoded (sender crash mid-record
-        #: or corruption in transit); the whole striped message is left to
-        #: the reliable layer to retransmit.
-        self._m_rails_abandoned = m.counter("vchannel.stripe_rails_abandoned",
-                                            vchannel=self.name)
-        self._h_stripe_depth = m.histogram(
-            "vchannel.stripe_reassembly_depth",
-            bounds=(1.0, 2.0, 4.0, 8.0), vchannel=self.name)
-        self._rail_gauges: dict[int, object] = {}
         #: congestion-aware adaptive transport (docs/adaptive.md); None
         #: (the default) keeps every wire decision exactly as before.
         self.transport_policy = transport_policy
@@ -232,16 +246,6 @@ class VirtualChannel:
         #: rail loss aborts them at once instead of riding out the
         #: reliable layer's stall bound.
         self._live_stripes: set[StripedOutgoing] = set()
-        self._m_eager_sends = m.counter("vchannel.eager_sends",
-                                        vchannel=self.name)
-        #: weight moves (suspensions + readmissions + fail-fast aborts)
-        #: applied by the adaptive re-striping policy.
-        self._m_restripe_events = m.counter("vchannel.restripe_events",
-                                            vchannel=self.name)
-        #: multirail messages steered off their round-robin rail by
-        #: gateway-occupancy feedback.
-        self._m_balance_moves = m.counter("gateway.balance_moves",
-                                          vchannel=self.name)
         self.gateways = gateway_ranks(self.channels)
         #: each rank's channels, in channel order.
         joined: dict[int, list[RealChannel]] = {}
@@ -276,14 +280,14 @@ class VirtualChannel:
     def _on_fault(self, kind: str, subject) -> None:
         if kind == "link_down":
             self.routes.mark_down(subject)
-            self._m_failovers.inc()
+            self._m_failovers.inc(self._m_slot)
             if self.transport_policy is not None:
                 self._fail_fast_stripes(subject)
         elif kind == "link_up":
             self.routes.mark_up(subject)
         elif kind == "node_down":
             self.routes.mark_node_down(subject)
-            self._m_failovers.inc()
+            self._m_failovers.inc(self._m_slot)
             for w in self.workers:
                 if w.gw_rank == subject:
                     w.retire()
@@ -309,12 +313,12 @@ class VirtualChannel:
                    for rail in out.rail_routes for hop in rail):
                 self._live_stripes.discard(out)
                 out.abort()
-                self._m_restripe_events.inc()
+                self._m_restripe_events.inc(self._m_slot)
         for ep in self._endpoints.values():
             for key, group in list(ep._stripe_groups.items()):
                 del ep._stripe_groups[key]
                 group.abort()
-                self._m_restripe_events.inc()
+                self._m_restripe_events.inc(self._m_slot)
 
     def _maybe_restripe(self, scheduler: StripeScheduler) -> None:
         """Per-paquet hook from :class:`StripedOutgoing`: re-weight the
@@ -325,7 +329,7 @@ class VirtualChannel:
             return
         moved = apply_restripe(pol, scheduler, self)
         if moved:
-            self._m_restripe_events.inc(moved)
+            self._m_restripe_events.inc(self._m_slot, moved)
 
     def _revive_rank(self, rank: int) -> None:
         """Bring a restarted node back: flush stale state queued at its
@@ -383,15 +387,15 @@ class VirtualChannel:
         self._rate_overrides = dict(rates)
         self._mtu_cache.clear()
 
-    def _rail_gauge(self, rail: int):
-        """Bytes currently in flight on rail ``rail`` of this channel's
-        stripe set (lazy: rails only exist once striping engages)."""
-        g = self._rail_gauges.get(rail)
-        if g is None:
-            g = self.world.telemetry.gauge(
-                "vchannel.rail_occupancy", vchannel=self.name, rail=rail)
-            self._rail_gauges[rail] = g
-        return g
+    def _rail_slot(self, rail: int) -> int:
+        """This channel's slot in ``vchannel.rail_occupancy`` for rail
+        ``rail`` of its stripe set (declared on first use: rails only exist
+        once striping engages)."""
+        slot = self._rail_slots.get(rail)
+        if slot is None:
+            slot = self._rail_slots[rail] = self._rail_table.declare(
+                (self.name, rail))
+        return slot
 
     def _stripe_rails(self, src: int,
                       dst: int) -> tuple[list, Optional[StripeScheduler]]:
@@ -471,7 +475,7 @@ class VirtualChannel:
         best = min(range(len(rails)),
                    key=lambda k: (loads[k], (k - rr_pick) % len(rails)))
         if best != rr_pick:
-            self._m_balance_moves.inc()
+            self._m_balance_moves.inc(self._m_slot)
         return best
 
     def __repr__(self) -> str:  # pragma: no cover

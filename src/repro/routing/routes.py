@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from ..telemetry import NULL_REGISTRY, MetricsRegistry
+from ..telemetry import NULL_REGISTRY, Declaration, MetricsRegistry
 from .graph import ChannelGraph, build_graph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,6 +36,13 @@ __all__ = ["Hop", "RouteTable", "NoRouteError", "MAX_ROUTE_CANDIDATES"]
 #: this many paths (they are yielded in a deterministic order, so the
 #: truncated set is still reproducible across runs).
 MAX_ROUTE_CANDIDATES = 64
+
+#: the series of every route table of a world (one slot, no labels):
+#: routes computed, cache invalidations, and down and up health
+#: transitions of channels and nodes.
+ROUTING = Declaration((), counters=(
+    "routing.recomputes", "routing.invalidations",
+    "routing.down_transitions", "routing.up_transitions"))
 
 
 class NoRouteError(RuntimeError):
@@ -129,10 +136,10 @@ class RouteTable:
         self._down_nodes: set[int] = set()
         self._active: Optional[ChannelGraph] = None
         self._generation = 0
-        self._m_recomputes = metrics.counter("routing.recomputes")
-        self._m_invalidations = metrics.counter("routing.invalidations")
-        self._m_down = metrics.counter("routing.down_transitions")
-        self._m_up = metrics.counter("routing.up_transitions")
+        table = metrics.declared(ROUTING)
+        (self._m_recomputes, self._m_invalidations, self._m_down,
+         self._m_up) = table.families
+        self._m_slot = table.declare(())
 
     def members(self) -> list[int]:
         return sorted(self.graph.nodes)
@@ -160,7 +167,7 @@ class RouteTable:
         self._dist.clear()
         self._active = None
         self._generation += 1
-        self._m_invalidations.inc()
+        self._m_invalidations.inc(self._m_slot)
 
     def mark_down(self, channel: Union["RealChannel", str]) -> None:
         """Record that ``channel`` (or its forwarding twin) is unusable.
@@ -172,7 +179,7 @@ class RouteTable:
         if cid in self._down_channels:
             return
         self._down_channels.add(cid)
-        self._m_down.inc()
+        self._m_down.inc(self._m_slot)
         self.invalidate()
 
     def mark_up(self, channel: Union["RealChannel", str]) -> None:
@@ -186,7 +193,7 @@ class RouteTable:
         if cid not in self._down_channels:
             return
         self._down_channels.discard(cid)
-        self._m_up.inc()
+        self._m_up.inc(self._m_slot)
         self.invalidate()
 
     def mark_node_down(self, rank: int) -> None:
@@ -194,7 +201,7 @@ class RouteTable:
         if rank in self._down_nodes:
             return
         self._down_nodes.add(rank)
-        self._m_down.inc()
+        self._m_down.inc(self._m_slot)
         self.invalidate()
 
     def mark_node_up(self, rank: int) -> None:
@@ -203,7 +210,7 @@ class RouteTable:
         if rank not in self._down_nodes:
             return
         self._down_nodes.discard(rank)
-        self._m_up.inc()
+        self._m_up.inc(self._m_slot)
         self.invalidate()
 
     @property
@@ -329,7 +336,7 @@ class RouteTable:
         return dist
 
     def _compute(self, src: int, dst: int) -> list[Hop]:
-        self._m_recomputes.inc()
+        self._m_recomputes.inc(self._m_slot)
         g = self.active_graph
         for rank in (src, dst):
             if rank not in g:

@@ -54,11 +54,10 @@ in it, so the loop's execution takes that round and stops
 (:func:`_first_round`), with the same operations in the same order.
 
 Work done is observable on the network (``recompute_epochs``,
-``recomputed_flows``, ``live_flow_epochs``) and, when a metrics registry is
-attached, as ``fluid.recomputes``/``fluid.recompute_flows``/
-``fluid.epoch_live_flows`` counters (pulled: the registry reads those three
-ints, an epoch pushes nothing) plus the ``fluid.component_size`` histogram
-(docs/telemetry.md).  Rate changes are not published: the pipeline
+``recomputed_flows``, ``live_flow_epochs``) and in its metrics registry as
+``fluid.recomputes``/``fluid.recompute_flows``/``fluid.epoch_live_flows``
+counters (pulled: the registry reads those three ints, an epoch pushes
+nothing) plus the ``fluid.component_size`` histogram (docs/telemetry.md).  Rate changes are not published: the pipeline
 analyses behind Figures 5 and 8 read the trace
 (:mod:`repro.analysis.pipeline`).
 """
@@ -71,6 +70,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..telemetry import NULL_REGISTRY, Declaration, MetricsRegistry
 from .engine import Event, Simulator
 
 __all__ = ["FluidResource", "FluidPath", "Flow", "FluidNetwork", "DMA",
@@ -92,6 +92,12 @@ PIO = "pio"
 
 #: bucket bounds for the component-size histogram (flows per re-solve).
 _COMPONENT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+#: the series of a fluid network (one slot, no labels): the size of every
+#: re-filled component, and its three work counts, pulled.
+FLUID = Declaration(
+    (), histograms=(("fluid.component_size", _COMPONENT_BOUNDS),),
+    pulled=("fluid.recomputes", "fluid.recompute_flows",
+            "fluid.epoch_live_flows"))
 
 #: how the DES answers :func:`fill`/:func:`component` about a FluidResource.
 _capacity = operator.attrgetter("capacity")
@@ -481,7 +487,8 @@ def departure_seeds(gone: Sequence, members_of: Callable) -> list:
 class FluidNetwork:
     """Manages active flows, rate recomputation, and completion events."""
 
-    def __init__(self, sim: Simulator, metrics=None) -> None:
+    def __init__(self, sim: Simulator,
+                 metrics: MetricsRegistry = NULL_REGISTRY) -> None:
         self.sim = sim
         self.flows: _OrderedSet = _OrderedSet()
         self._wake_version = 0
@@ -497,18 +504,13 @@ class FluidNetwork:
         #: live_flow_epochs`` is the mean fraction of the population each
         #: epoch had to touch.
         self.live_flow_epochs = 0
-        if metrics is not None:
-            # the registry reads the three ints above; nothing is pushed
-            metrics.pulled_counter("fluid.recomputes",
-                                   lambda: self.recompute_epochs)
-            metrics.pulled_counter("fluid.recompute_flows",
-                                   lambda: self.recomputed_flows)
-            metrics.pulled_counter("fluid.epoch_live_flows",
-                                   lambda: self.live_flow_epochs)
-            self._m_component = metrics.histogram("fluid.component_size",
-                                                  bounds=_COMPONENT_BOUNDS)
-        else:
-            self._m_component = None
+        table = metrics.declared(FLUID)
+        self._m_component, recomputes, recompute_flows, live = table.families
+        self._m_slot = table.declare(())
+        # the registry reads the three ints above; nothing is pushed
+        recomputes.pull(self._m_slot, lambda: self.recompute_epochs)
+        recompute_flows.pull(self._m_slot, lambda: self.recomputed_flows)
+        live.pull(self._m_slot, lambda: self.live_flow_epochs)
 
     # -- public API ---------------------------------------------------------
     def transfer(self, name: str, size: float,
@@ -604,8 +606,7 @@ class FluidNetwork:
 
     def _refill(self, comp: list[Flow]) -> None:
         """Fill one component (arrival order) and publish its new rates."""
-        if self._m_component is not None:
-            self._m_component.observe(float(len(comp)))
+        self._m_component.observe(self._m_slot, float(len(comp)))
         rates = fill([self._effective_cap(f) for f in comp],
                      [f.footprint for f in comp], _capacity)
         for flow, rate in zip(comp, rates):

@@ -19,14 +19,17 @@ and both **off by default**:
 Every :class:`~repro.hw.topology.World` owns one disabled registry,
 ``world.telemetry``; ``Session(world, telemetry=True)`` (or
 ``world.telemetry.enable()``) turns it on.  The registry keeps one family
-per metric name.  NICs, forwarding workers and pools declare their series
-in it and update them by slot, so a world's thousands of series cost no
-object each; other components hold instrument handles.  Either way each
-family and handle is bound to a live body or to a no-op one, and enabling
-or disabling the registry rebinds them, which is what makes late enabling
-work and what makes a disabled registry run no instrument code.  Counts a
-component keeps as plain ints anyway are *pulled* (:class:`PulledCounter`)
-rather than pushed.  Components built without a world use
+per metric name, and there is one way to make a series: each component
+states its series as a module-level :class:`Declaration`, declares its
+label values once for a slot, and updates the families by slot, so a
+world's thousands of series cost no object each.  Each family is bound to
+a live body or to a no-op one, and enabling or disabling the registry
+rebinds them, which is what makes late enabling work and what makes a
+disabled registry run no update code.  Counts a component keeps as plain
+ints anyway are *pulled* (a :class:`PulledFamily` reads them) rather than
+pushed.  ``registry.counter(name, **labels)`` and its siblings are thin
+declarers for code outside the library: each returns a :class:`Series`
+view of one declared series.  Components built without a world use
 :data:`NULL_REGISTRY`, which keeps and records nothing.
 
 See ``docs/telemetry.md`` for the metric catalog.
@@ -36,15 +39,14 @@ from __future__ import annotations
 
 from .conservation import (ConservationLaw, LawViolation, FRAGMENT_LAW,
                            STRIPE_LAW, STANDARD_LAWS, check_laws)
-from .registry import (DEFAULT_BOUNDS, NULL_REGISTRY, Counter,
-                       CounterFamily, Declaration, Gauge, GaugeFamily,
-                       Histogram, HistogramFamily, MetricsRegistry,
-                       NullRegistry, PulledCounter, Series, SeriesTable,
-                       format_metrics)
+from .registry import (DEFAULT_BOUNDS, NULL_REGISTRY, CounterFamily,
+                       Declaration, Family, GaugeFamily, Histogram,
+                       HistogramFamily, MetricsRegistry, NullRegistry,
+                       PulledFamily, Series, SeriesTable, format_metrics)
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "NULL_REGISTRY", "NullRegistry", "PulledCounter", "format_metrics",
-           "DEFAULT_BOUNDS", "Declaration", "SeriesTable", "CounterFamily",
-           "GaugeFamily", "HistogramFamily", "Series",
+__all__ = ["MetricsRegistry", "NULL_REGISTRY", "NullRegistry",
+           "format_metrics", "DEFAULT_BOUNDS", "Declaration", "SeriesTable",
+           "Family", "CounterFamily", "GaugeFamily", "HistogramFamily",
+           "PulledFamily", "Histogram", "Series",
            "ConservationLaw", "LawViolation", "FRAGMENT_LAW", "STRIPE_LAW",
            "STANDARD_LAWS", "check_laws"]

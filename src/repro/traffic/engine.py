@@ -33,6 +33,7 @@ from ..hw import PROTOCOLS
 from ..routing import NoRouteError, route_rate
 from ..scenario import Scenario
 from ..sim import RetryExhausted
+from ..telemetry import DEFAULT_BOUNDS, Declaration
 from .flows import Flow, scenario_flows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,6 +43,15 @@ __all__ = ["FlowRecord", "TrafficEngine", "run_traffic"]
 
 #: plain-flow framing: little-endian (flow_id: u32, nbytes: u64).
 _FRAME = struct.Struct("<IQ")
+
+#: the series of a session's traffic (one slot, no labels): flows started
+#: and completed, bytes they delivered, flows in flight, and each
+#: completed flow's completion time.
+TRAFFIC = Declaration(
+    (), counters=("traffic.flows_started", "traffic.flows_completed",
+                  "traffic.bytes_delivered"),
+    gauges=("traffic.active_flows",),
+    histograms=(("traffic.fct_us", DEFAULT_BOUNDS),))
 
 
 @dataclass(frozen=True)
@@ -89,24 +99,22 @@ class TrafficEngine:
         self._active = 0
         self.peak_active = 0
         self._started = False
-        m = session.metrics
-        self._m_started = m.counter("traffic.flows_started")
-        self._m_completed = m.counter("traffic.flows_completed")
-        self._m_active = m.gauge("traffic.active_flows")
-        self._m_fct = m.histogram("traffic.fct_us")
-        self._m_bytes = m.counter("traffic.bytes_delivered")
+        table = session.metrics.declared(TRAFFIC)
+        (self._m_started, self._m_completed, self._m_bytes, self._m_active,
+         self._m_fct) = table.families
+        self._m_slot = table.declare(())
 
     # -- flow lifecycle bookkeeping -----------------------------------------
     def _flow_started(self) -> None:
-        self._m_started.inc()
+        self._m_started.inc(self._m_slot)
         self._active += 1
         if self._active > self.peak_active:
             self.peak_active = self._active
-        self._m_active.inc()
+        self._m_active.inc(self._m_slot)
 
     def _flow_ended(self) -> None:
         self._active -= 1
-        self._m_active.dec()
+        self._m_active.dec(self._m_slot)
 
     def _flow_completed(self, flow: Flow, attempts: int = 1,
                         origin=None, buf=None) -> None:
@@ -114,10 +122,10 @@ class TrafficEngine:
         receiver unpacked (``origin`` rank, landed ``buf``); a reliable
         flow's payload sits on its destination endpoint's ``deliveries``."""
         self._flow_ended()
-        self._m_completed.inc()
-        self._m_bytes.inc(flow.nbytes)
+        self._m_completed.inc(self._m_slot)
+        self._m_bytes.inc(self._m_slot, flow.nbytes)
         record = FlowRecord(flow, self.session.now, attempts)
-        self._m_fct.observe(record.fct)
+        self._m_fct.observe(self._m_slot, record.fct)
         self.records.append(record)
 
     # -- the one sender and the one receiver --------------------------------

@@ -1,10 +1,10 @@
-"""Instruments bind to a live or a no-op body.
+"""Families bind to a live or a no-op body.
 
-A disabled registry hands out instruments whose methods are empty; enabling
-and disabling rebinds every existing handle.  Values survive the rebinding,
-and an instrument records only while its registry is on.  Pulled counters
-read a count their owner keeps and must equal what pushing would have
-counted.
+A disabled registry makes families whose update methods are empty;
+enabling and disabling rebinds every existing family, and with it every
+series view the thin declarers handed out.  Values survive the rebinding,
+and a series records only while its registry is on.  Pulled counters read
+a count their owner keeps and must equal what pushing would have counted.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import math
 import pytest
 
 from repro.sim import DMA, FluidNetwork, FluidResource, Simulator
-from repro.telemetry import (Counter, Gauge, Histogram, MetricsRegistry,
-                             PulledCounter)
+from repro.telemetry import Declaration, MetricsRegistry, PulledFamily
 
 
 def _empty():
@@ -78,24 +77,24 @@ def test_min_and_max_follow_builtin_min_and_max():
 
 
 # -- live and no-op bodies ------------------------------------------------------------
-def _touch(inst, n):
-    if isinstance(inst, Counter):
-        inst.inc(n)
-    elif isinstance(inst, Gauge):
-        inst.set(inst.value + n)
-        inst.inc(n)
-        inst.dec(n)
+def _touch(series, n):
+    if series.kind == "counter":
+        series.inc(n)
+    elif series.kind == "gauge":
+        series.set(series.value + n)
+        series.inc(n)
+        series.dec(n)
     else:
-        inst.observe(float(n))
+        series.observe(float(n))
 
 
-def _reading(inst):
-    if isinstance(inst, Histogram):
-        return (inst.count, inst.total, inst.min, inst.max,
-                tuple(inst.buckets))
-    if isinstance(inst, Gauge):
-        return (inst.value, inst.hwm)
-    return inst.value
+def _reading(series):
+    if series.kind == "histogram":
+        return (series.count, series.total, series.min, series.max,
+                tuple(series.buckets))
+    if series.kind == "gauge":
+        return (series.value, series.hwm)
+    return series.value
 
 
 @pytest.mark.parametrize("make", [
@@ -110,8 +109,9 @@ def test_created_off_then_on_then_off(make):
     _touch(inst, 3)
     assert _reading(inst) == start                  # off: nothing recorded
     registry.enable()
-    assert make(registry) is inst                   # the same handle
-    _touch(inst, 4)
+    again = make(registry)                          # the same series
+    assert (again.family, again.slot) == (inst.family, inst.slot)
+    _touch(again, 4)
     on = _reading(inst)
     assert on != start
     registry.disable()
@@ -128,13 +128,14 @@ def test_created_off_then_on_then_off(make):
     (lambda r: r.histogram("h"), ("observe",)),
 ], ids=["counter", "gauge", "histogram"])
 def test_a_disabled_registry_runs_no_instrument_code(make, methods):
+    """The family behind a handle: a view only forwards to it."""
     registry = MetricsRegistry(enabled=False)
-    inst = make(registry)
-    assert all(_runs_nothing(getattr(inst, m)) for m in methods)
+    family = make(registry).family
+    assert all(_runs_nothing(getattr(family, m)) for m in methods)
     registry.enable()
-    assert not any(_runs_nothing(getattr(inst, m)) for m in methods)
+    assert not any(_runs_nothing(getattr(family, m)) for m in methods)
     registry.disable()
-    assert all(_runs_nothing(getattr(inst, m)) for m in methods)
+    assert all(_runs_nothing(getattr(family, m)) for m in methods)
 
 
 def test_a_disabled_counter_ignores_a_negative_step():
@@ -147,27 +148,38 @@ def test_a_disabled_counter_ignores_a_negative_step():
 
 
 def test_an_instrument_keeps_its_labels_once_as_its_key():
+    """A series view is its family and slot; the labels are kept once, as
+    the slot's key in the family's table."""
     c = MetricsRegistry().counter("retries", rank=0, gw="a")
-    assert c.key == ("retries", (("gw", "a"), ("rank", 0)))
+    assert c.family.table.keys[c.slot] == (0, "a")
     assert (c.name, c.labels) == ("retries", {"gw": "a", "rank": 0})
     assert not hasattr(c, "__dict__")
 
 
+def _pulled(registry, name="n"):
+    """A one-slot pulled counter ``name`` and its slot."""
+    table = registry.declared(Declaration((), pulled=(name,)))
+    return table.families[0], table.declare(())
+
+
 def test_a_kind_conflict_names_the_kind():
     registry = MetricsRegistry()
-    registry.pulled_counter("n", lambda: 0)
-    with pytest.raises(ValueError, match="PulledCounter"):
+    family, slot = _pulled(registry)
+    family.pull(slot, lambda: 0)
+    with pytest.raises(ValueError, match="PulledFamily"):
         registry.counter("n")
     with pytest.raises(ValueError, match="already has a reader"):
-        registry.pulled_counter("n", lambda: 0)
+        family.pull(slot, lambda: 0)
 
 
 # -- pulled counters ------------------------------------------------------------------
 def test_pulled_counter_counts_only_while_on():
     owner = {"n": 5}
     registry = MetricsRegistry(enabled=False)
-    c = registry.pulled_counter("n", lambda: owner["n"])
-    assert isinstance(c, PulledCounter)
+    family, slot = _pulled(registry)
+    family.pull(slot, lambda: owner["n"])
+    (c,) = registry.series("n")
+    assert isinstance(c.family, PulledFamily)
     owner["n"] += 2
     assert c.value == 0
     registry.enable()

@@ -2,8 +2,8 @@
 
 Owners declare their label values in a :class:`SeriesTable` and update
 every family of its :class:`Declaration` by slot.  The families bind to a
-live or a no-op body like instruments do, keep what they recorded across
-a disable and an enable, and read like instruments.
+live or a no-op body, keep what they recorded across a disable and an
+enable, and the thin declarers hand out views of the declared series.
 """
 
 from __future__ import annotations
@@ -97,9 +97,16 @@ def test_owners_with_the_same_labels_share_their_series():
 
 def test_a_name_has_one_kind_and_one_way():
     registry = MetricsRegistry()
-    registry.declared(DECL)
-    with pytest.raises(ValueError, match="CounterFamily"):
-        registry.counter("c", gw=1, channel="x")
+    table = registry.declared(DECL)
+    slot = table.declare((1, "x"))
+    c = registry.counter("c", channel="x", gw=1)    # the declared series
+    assert (c.family, c.slot) == (table.families[0], slot)
+    table.families[0].inc(slot, 2)
+    assert c.value == 2
+    with pytest.raises(ValueError, match="'c' is already a CounterFamily"):
+        registry.gauge("c", gw=1, channel="x")      # another kind
+    with pytest.raises(ValueError, match="'c' is already a CounterFamily"):
+        registry.counter("c", gw=1)                 # other label names
     registry.counter("n")
     with pytest.raises(ValueError, match="Counter"):
         registry.declared(Declaration(("gw",), counters=("n",)))
@@ -112,7 +119,7 @@ def test_the_null_registry_keeps_nothing():
     c.inc(0)
     g.set(0, 3)
     h.observe(0, 1.0)
-    # an instrument of a declared name: the null registry keeps neither
+    # a thin declarer's series: the null registry keeps neither
     NULL_REGISTRY.gauge("g", gw=1, channel="x").set(2)
     assert len(NULL_REGISTRY) == 0
     assert NULL_REGISTRY.snapshot() == {}

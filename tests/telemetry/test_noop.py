@@ -69,7 +69,7 @@ def test_world_telemetry_off_by_default_and_silent():
     world = build_world({"a": ["myrinet"], "b": ["myrinet"]})
     assert not world.telemetry.enabled
     assert world.telemetry.snapshot() == {}
-    # instruments exist (live handles), but none has recorded anything
+    # the series are declared, but none has recorded anything
     assert len(world.telemetry) > 0
     assert all(i.value == 0 for i in
                world.telemetry.series("wire.fragments"))

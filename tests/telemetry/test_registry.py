@@ -1,4 +1,4 @@
-"""MetricsRegistry semantics: instruments, label sets, snapshots."""
+"""MetricsRegistry semantics: thin declarers, label sets, snapshots."""
 
 import pytest
 
@@ -50,8 +50,10 @@ def test_get_or_create_is_keyed_by_name_and_labels(registry):
     a = registry.counter("retries", rank=0)
     b = registry.counter("retries", rank=0)
     c = registry.counter("retries", rank=1)
-    assert a is b
-    assert a is not c
+    assert (a.family, a.slot) == (b.family, b.slot)  # one series
+    assert a.family is c.family and a.slot != c.slot
+    a.inc(2)
+    assert (b.value, c.value) == (2, 0)
     assert len(registry) == 2
 
 
