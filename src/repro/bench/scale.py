@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..madeleine import reset_global_ids
 from ..scenario import Scenario, Topology, TrafficSpec
 
 __all__ = ["DEFAULT_GRID", "sweep_nodes", "run_traffic_scenario",
@@ -62,7 +61,6 @@ def _cell_scenario(topo: Topology, flows: int, *, pattern: str,
 def run_traffic_scenario(scenario: Scenario) -> dict:
     """Run one traffic scenario and return its flow-level summary row."""
     from ..traffic import run_traffic
-    reset_global_ids()
     return traffic_row(*run_traffic(scenario))
 
 

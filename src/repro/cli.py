@@ -203,10 +203,8 @@ def _print_row(row: dict, keys) -> None:
 def _run_des(args, scenario) -> int:
     """The DES: the summary row, one stderr line per failed flow."""
     from .bench.scale import traffic_row
-    from .madeleine import reset_global_ids
     from .traffic import run_traffic
 
-    reset_global_ids()
     session, engine = run_traffic(scenario, trace=bool(args.trace))
     _print_row(traffic_row(session, engine), (
         "flows", "completed", "failed", "peak_active", "p50_fct_us",

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Optional
 
-from ..madeleine import Session, reset_global_ids
+from ..madeleine import Session
 from ..sim import ProcessCrashed
 from ..scenario import Scenario
 from ..telemetry.conservation import FRAGMENT_LAW, STRIPE_LAW
@@ -109,10 +109,6 @@ class _Run:
     """All mutable state of one scenario execution."""
 
     def __init__(self, scenario: Scenario) -> None:
-        # Bit-identical replays: fault-recovery branches on wire content
-        # that embeds the process-wide id counters, so every run starts
-        # from the same id space.
-        reset_global_ids()
         self.scenario = scenario
         self.session = Session.from_scenario(scenario)
         self.world = self.session.world

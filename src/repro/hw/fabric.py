@@ -17,7 +17,6 @@ like the single DMA/PIO engine of the real hardware.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
@@ -132,11 +131,8 @@ class NIC:
     """One network adapter: a pair of link resources, optional static pools,
     and a serializing transmit engine."""
 
-    _ids = itertools.count()
-
     def __init__(self, fabric: "Fabric", node: Node,
                  protocol: ProtocolParams, index: int = 0) -> None:
-        self.id = next(NIC._ids)
         self.fabric = fabric
         self.node = node
         self.protocol = protocol
@@ -332,11 +328,11 @@ class Fabric:
                       else TraceRecorder(enabled=False))
         self.accounting = accounting if accounting is not None else CopyAccounting()
         self.metrics = metrics
-        #: (nic id, tag) -> its match point, created on first use and
+        #: (nic, tag) -> its match point, created on first use and
         #: deleted once a handoff leaves it with no slot and no sender (tags
         #: carry message ids, so kept entries would grow with every
         #: message); lookups that must not create one use ``get``.
-        self._match: defaultdict[tuple[int, Any], _MatchPoint] = \
+        self._match: defaultdict[tuple[NIC, Any], _MatchPoint] = \
             defaultdict(_MatchPoint)
         #: every static pool built on this fabric (NIC tx/rx pools, gateway
         #: staging rings), for :meth:`repro.hw.World.close`.
@@ -360,7 +356,7 @@ class Fabric:
         views = _as_views(buffer)
         cap = capacity if capacity is not None else _total_bytes(views)
         slot = _RecvSlot(buffer=views, capacity=cap, done=self.sim.event())
-        key = (nic.id, tag)
+        key = (nic, tag)
         point = self._match[key]
         # Handoff is synchronous so the slots/senders lists never hold both
         # kinds at once (no lost-wakeup or double-grab races).
@@ -381,7 +377,7 @@ class Fabric:
         trigger ``done_ev``, so the caller must wait for that before
         reusing the memory.
         """
-        key = (nic.id, tag)
+        key = (nic, tag)
         point = self._match.get(key)
         if point is None:
             return False
@@ -397,7 +393,7 @@ class Fabric:
     def _match_sender(self, dst: NIC, tag: Any) -> Event:
         """Event triggering with the matched :class:`_RecvSlot`."""
         ev = self.sim.event()
-        key = (dst.id, tag)
+        key = (dst, tag)
         point = self._match[key]
         if point.slots:
             ev.succeed(point.slots.pop(0))
@@ -428,7 +424,7 @@ class Fabric:
         delay.add_callback(finish)
 
     def pending_sends(self, nic: NIC, tag: Any) -> int:
-        point = self._match.get((nic.id, tag))
+        point = self._match.get((nic, tag))
         return len(point.senders) if point else 0
 
     def pending_send_count(self) -> int:
@@ -482,10 +478,10 @@ class Fabric:
         transmit *to* it completes into the void.  Returns the number of
         failed receive slots.
         """
-        nic_ids = {nic.id for nic in node.nics.values()}
+        nics = set(node.nics.values())
         n = 0
         for key, point in list(self._match.items()):
-            if key[0] not in nic_ids:
+            if key[0] not in nics:
                 continue
             for slot in point.slots:
                 if not slot.done.triggered:

@@ -9,6 +9,7 @@ gateway, exactly as in the paper's testbed (§3).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -48,6 +49,15 @@ class World:
         #: ids of every RealChannel built on this world (forwarding twins
         #: included); FaultPlan.arm validates link-event targets against it.
         self.channel_ids: set[str] = set()
+        # The ids the wire carries (announces, headers, stripe records) and
+        # the unnamed-channel numbers: each world counts its own, so a run
+        # repeats exactly in one process.  GTM message ids are disjoint
+        # from regular ones.
+        self.msg_ids = itertools.count(1)
+        self.gtm_msg_ids = itertools.count(1 << 20)
+        self.transfer_ids = itertools.count(1)
+        self.stripe_ids = itertools.count(1)
+        self.channel_seq = itertools.count()
 
     def add_node(self, name: str,
                  protocols: Iterable[ProtocolParams | str] = (),

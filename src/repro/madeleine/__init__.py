@@ -17,8 +17,6 @@ Layering (Figure 1 + the paper's extension):
 * :mod:`~repro.madeleine.session` — the user entry point.
 """
 
-import itertools
-
 from .adaptive import TransportPolicy
 from .bmm import UnpackMismatch, split_fragments
 from .channel import Endpoint, RealChannel
@@ -41,27 +39,12 @@ from .wire import (ANNOUNCE_BYTES, DESC_BYTES, EAGER_ENTRY_BYTES,
                    encode_announce, encode_descriptor, encode_eager,
                    encode_stripe)
 
-def reset_global_ids() -> None:
-    """Restart the process-wide id counters (messages, transfers, stripes,
-    channels, forwarding workers).
 
-    Ids are opaque labels, so sharing one counter across sessions is
-    normally harmless — but fault-recovery code branches on wire *content*
-    that embeds them (a stale fragment redelivered by a drop verdict, a
-    corrupted record), so two runs of the same seeded scenario in one
-    process can diverge after the first fault.  A replay harness that needs
-    bit-identical schedules (the fuzzer, minimization) calls this before
-    each run to start every session from the same id space.
+def reset_global_ids() -> None:
+    """Does nothing: every id is counted by its world (``repro.hw.World``),
+    so a run repeats in one process without a reset.  Kept only because
+    the wall-clock benchmark's workloads still call it; it goes with them.
     """
-    from . import channel, gateway, gtm, message, reliable, stripe
-    from ..sim import fluid
-    message._msg_ids = itertools.count(1)
-    gtm._msg_ids = itertools.count(1 << 20)
-    stripe._stripe_ids = itertools.count(1)
-    reliable._transfer_ids = itertools.count(1)
-    channel._channel_seq = itertools.count()
-    gateway.ForwardingWorker._ids = itertools.count()
-    fluid.Flow._ids = itertools.count()
 
 
 __all__ = [

@@ -13,7 +13,6 @@ on them, applications never do.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -29,8 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     pass
 
 __all__ = ["RealChannel", "Endpoint"]
-
-_channel_seq = itertools.count()
 
 
 class Endpoint(MessageEndpoint):
@@ -145,7 +142,7 @@ class RealChannel:
                               if isinstance(adapter_index, Mapping)
                               else adapter_index)
         self.special = special
-        seq = next(_channel_seq)
+        seq = next(world.channel_seq)
         self.id = name or f"ch{seq}:{protocol_name}{'!fwd' if special else ''}"
         world.channel_ids.add(self.id)
         for rank in members:

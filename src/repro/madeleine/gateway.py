@@ -54,22 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tm import TransmissionModule
     from .vchannel import VirtualChannel
 
-__all__ = ["ForwardingWorker", "GatewayError", "TEST_HOOKS"]
-
-
-@dataclass
-class _TestHooks:
-    """Deliberate-bug switches for the fuzz executor's self-test.
-
-    ``leak_credits`` disables the credit return in the N-deep pipeline so
-    a known-bad implementation exists for the credit-leak invariant to
-    catch (tests/fuzz/test_executor.py).  Never set outside tests.
-    """
-
-    leak_credits: bool = False
-
-
-TEST_HOOKS = _TestHooks()
+__all__ = ["ForwardingWorker", "GatewayError"]
 
 
 class GatewayError(RuntimeError):
@@ -113,12 +98,9 @@ PER_DIRECTION = Declaration(
 class ForwardingWorker:
     """Forwards GTM messages arriving on one special channel at one gateway."""
 
-    _ids = itertools.count()
-
     def __init__(self, vchannel: "VirtualChannel", gw_rank: int,
                  in_channel: "RealChannel",
                  params: Optional[GatewayParams] = None) -> None:
-        self.id = next(ForwardingWorker._ids)
         self.vchannel = vchannel
         self.gw_rank = gw_rank
         self.in_channel = in_channel
@@ -606,10 +588,9 @@ class ForwardingWorker:
                     return False
                 yield from self._transmit_item(item, in_tm, out_tm,
                                                next_rank, announce)
-                if not TEST_HOOKS.leak_credits:
-                    gate.release()
-                    self.credits_outstanding -= 1
-                    self._g_credits.dec(self._dir_slot)
+                gate.release()
+                self.credits_outstanding -= 1
+                self._g_credits.dec(self._dir_slot)
                 if item.last:
                     return True
         except (_Stalled, GatewayCrashed):

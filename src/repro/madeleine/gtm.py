@@ -32,7 +32,6 @@ Header records are never staged: they ride as their own gather element.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from ..memory import Buffer
@@ -51,8 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .vchannel import VirtualChannel
 
 __all__ = ["GTMOutgoing", "GTMIncoming", "wire_items"]
-
-_msg_ids = itertools.count(1 << 20)   # disjoint from regular message ids
 
 
 def wire_items(length: int, mtu: int,
@@ -106,7 +103,8 @@ class GTMOutgoing(OutgoingMessage):
                         if len(route) > 1 else hop0.channel)
         self._hops_left = len(route) - 1
         # One in-flight message per (first-hop) connection, as in Madeleine.
-        self._open(wire_channel.tm(src), hop0.dst, next(_msg_ids), "gtm-out",
+        self._open(wire_channel.tm(src), hop0.dst,
+                   next(vchannel.world.gtm_msg_ids), "gtm-out",
                    wire_channel.endpoint(src).connection_lock(hop0.dst))
         #: adaptive eager/rendezvous switch: while this is a list the
         #: message has not committed to a wire path — packs accumulate here

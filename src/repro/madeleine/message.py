@@ -31,7 +31,6 @@ once the whole message is flushed/delivered.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -46,8 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import Endpoint
 
 __all__ = ["OutgoingMessage", "IncomingMessage", "MessageStateError"]
-
-_msg_ids = itertools.count(1)
 
 
 class MessageStateError(RuntimeError):
@@ -134,8 +131,8 @@ class OutgoingMessage(_ExecutorMixin):
                 f"rank {dst} is not a member of channel {endpoint.channel.id!r}")
         self.endpoint = endpoint
         self.dst = dst
-        self._open(endpoint.tm, dst, next(_msg_ids), "out",
-                   endpoint.connection_lock(dst))
+        self._open(endpoint.tm, dst, next(endpoint.channel.world.msg_ids),
+                   "out", endpoint.connection_lock(dst))
         self.bmm = make_sender_bmm(self)
         self._submit(self._announce_op())
 

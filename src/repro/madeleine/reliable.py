@@ -28,7 +28,6 @@ partitioned — never a hang.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -77,8 +76,6 @@ RELIABLE = Declaration(
         "reliable.retransmits", "reliable.deliveries",
         "reliable.acks_received"),
     histograms=(("reliable.ack_latency_us", DEFAULT_BOUNDS),))
-
-_transfer_ids = itertools.count(1)
 
 
 class _BadHeader(ValueError):
@@ -254,7 +251,7 @@ class ReliableEndpoint:
             raise ValueError("reliable send needs a non-empty payload")
         policy = self.policy
         nfrags = -(-len(data) // FRAG_SIZE)
-        transfer = next(_transfer_ids)
+        transfer = next(self.vep.vchannel.world.transfer_ids)
         st = _SendState(nfrags)
         self._sends[transfer] = st
         rto = policy.rto

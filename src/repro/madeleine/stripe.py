@@ -27,7 +27,6 @@ the pack sequence exactly, as everywhere in Madeleine.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from ..memory import Buffer
@@ -43,8 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .vchannel import VirtualChannel
 
 __all__ = ["StripedOutgoing", "StripedIncoming"]
-
-_stripe_ids = itertools.count(1)
 
 
 class StripedOutgoing:
@@ -65,7 +62,7 @@ class StripedOutgoing:
         self.src = src
         self.dst = dst
         self.scheduler = scheduler
-        self.stripe_id = next(_stripe_ids)
+        self.stripe_id = next(vchannel.world.stripe_ids)
         self.aborted = False
         total = len(rails)
         #: the rails' routes, kept for the adaptive policy's health checks

@@ -94,8 +94,6 @@ Handler = Callable[[Call], Union[None, bytes, bytearray, np.ndarray, Buffer]]
 class RpcNode:
     """One rank's RPC endpoint: a dispatcher plus client-side calls."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, vchannel: VirtualChannel, rank: int) -> None:
         if rank not in vchannel.members:
             raise RpcError(f"rank {rank} is not a member of the channel")
@@ -105,6 +103,7 @@ class RpcNode:
         self.sim = vchannel.sim
         self._services: dict[str, Handler] = {}
         self._pending: dict[int, Any] = {}   # call_id -> completion event
+        self._call_ids = itertools.count(1)
         self._started = False
         self.calls_served = 0
 
@@ -221,7 +220,7 @@ class RpcNode:
         if not self._started:
             raise RpcError("start() the node before calling out "
                            "(it must be able to receive the reply)")
-        call_id = next(RpcNode._ids)
+        call_id = next(self._call_ids)
         waiter = self.sim.event(name=f"rpc.call{call_id}")
         self._pending[call_id] = waiter
         yield self._send(dest, _KIND_REQUEST, call_id, service.encode(),
@@ -241,6 +240,6 @@ class RpcNode:
         """One-way invocation (no reply)."""
         if not self._started:
             raise RpcError("start() the node first")
-        call_id = next(RpcNode._ids)
+        call_id = next(self._call_ids)
         yield self._send(dest, _KIND_ONEWAY, call_id, service.encode(),
                          self._as_payload(payload))

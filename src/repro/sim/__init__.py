@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`Simulator`, :class:`Event`, :class:`Process` — the event loop and
   generator-based processes (:mod:`repro.sim.engine`);
-* :class:`Semaphore`, :class:`Mutex`, :class:`Queue`, :class:`Barrier`,
-  :class:`Signal` — FIFO synchronization (:mod:`repro.sim.sync`);
+* :class:`Semaphore`, :class:`Mutex`, :class:`Queue`, :class:`Barrier` —
+  FIFO synchronization (:mod:`repro.sim.sync`);
 * :class:`FluidNetwork`, :class:`FluidResource`, :class:`FluidPath`,
   :class:`Flow` — fluid-flow bandwidth sharing with priority arbitration
   (:mod:`repro.sim.fluid`);
@@ -18,7 +18,7 @@ from .engine import (AllOf, AnyOf, Event, Process, Simulator, Timeout,
 from .errors import (DeadlockError, FaultError, GatewayCrashed, ProcessCrashed,
                      RetryExhausted, SchedulingError, SimError)
 from .fluid import DMA, PIO, Flow, FluidNetwork, FluidPath, FluidResource
-from .sync import Barrier, Mutex, Queue, Semaphore, Signal
+from .sync import Barrier, Mutex, Queue, Semaphore
 from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
@@ -27,6 +27,6 @@ __all__ = [
     "DeadlockError", "FaultError", "GatewayCrashed", "ProcessCrashed",
     "RetryExhausted", "SchedulingError", "SimError",
     "DMA", "PIO", "Flow", "FluidNetwork", "FluidPath", "FluidResource",
-    "Barrier", "Mutex", "Queue", "Semaphore", "Signal",
+    "Barrier", "Mutex", "Queue", "Semaphore",
     "TraceRecord", "TraceRecorder",
 ]

@@ -196,9 +196,7 @@ class Flow:
     one direction only and both die by reference counting.
     """
 
-    _ids = itertools.count()
-
-    __slots__ = ("id", "name", "size", "remaining", "route", "path",
+    __slots__ = ("name", "size", "remaining", "route", "path",
                  "footprint", "peak", "rate", "done", "started_at",
                  "finished_at", "_last_update", "_seq")
 
@@ -210,7 +208,6 @@ class Flow:
         if peak <= 0:
             raise ValueError("flow peak rate must be > 0")
         route = path if type(path) is FluidPath else FluidPath(path)
-        self.id = next(Flow._ids)
         self.name = name
         self.size = float(size)
         self.remaining = float(size)
@@ -224,7 +221,7 @@ class Flow:
         self.finished_at: Optional[float] = None
         self._last_update: float = 0.0
         #: network-local arrival sequence (assigned on attach); orders
-        #: component members independently of the process-wide id counter.
+        #: component members.
         self._seq: int = -1
 
     def kind_on(self, resource: FluidResource) -> Optional[str]:
@@ -491,7 +488,6 @@ class FluidNetwork:
                  metrics: MetricsRegistry = NULL_REGISTRY) -> None:
         self.sim = sim
         self.flows: _OrderedSet = _OrderedSet()
-        self._wake_version = 0
         self._wake_ev: Optional[Event] = None
         self._wake_at: float = float("inf")
         self._seq = itertools.count()
@@ -638,9 +634,10 @@ class FluidNetwork:
                 left = flow.remaining / flow.rate
                 if left < horizon:
                     horizon = left
-        pending = self._wake_ev is not None and not self._wake_ev.processed
+        # _on_wake clears _wake_ev as it fires, and a cancelled wake-up
+        # never fires, so a held one is still on the heap.
+        pending = self._wake_ev is not None
         if horizon == _INF:
-            self._wake_version += 1
             if pending:
                 self._wake_ev.cancel()
             self._wake_ev = None
@@ -649,19 +646,14 @@ class FluidNetwork:
         wake_at = self.sim.now + delay
         if pending and wake_at == self._wake_at:
             return  # the armed wake-up is already exact — reuse it
-        self._wake_version += 1
         if pending:
             self._wake_ev.cancel()
-        # the wake-up carries the version it was armed under as its value
-        ev = self.sim.timeout(delay, value=self._wake_version,
-                              name="fluid.wake", pooled=True)
+        ev = self.sim.timeout(delay, name="fluid.wake", pooled=True)
         ev.callbacks.append(self._on_wake)
         self._wake_ev = ev
         self._wake_at = wake_at
 
     def _on_wake(self, ev: Event) -> None:
-        if ev._value != self._wake_version:
-            return  # superseded by a more recent recomputation
         self._wake_ev = None
         self._advance()
         finished = [f for f in self.flows if f.remaining <= 1e-6 * max(1.0, f.size)]

@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from .engine import Event, Simulator
 
-__all__ = ["Semaphore", "Mutex", "Queue", "Barrier", "Signal"]
+__all__ = ["Semaphore", "Mutex", "Queue", "Barrier"]
 
 #: What an idle :class:`Queue`'s item and waiter queues hold: immutable, so
 #: one object serves every queue, and as empty and as falsy as ``[]`` to
@@ -218,43 +218,3 @@ class Barrier:
             for w in waiting:
                 w.succeed(gen)
         return ev
-
-
-class Signal:
-    """A level-triggered broadcast flag.
-
-    ``wait()`` triggers immediately if the signal is set, else when next
-    fired.  ``fire()`` wakes all current waiters; ``set()`` latches.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._set = False
-        self._waiters: list[Event] = []
-
-    @property
-    def is_set(self) -> bool:
-        return self._set
-
-    def wait(self) -> Event:
-        ev = self.sim.event(name=f"{self.name}.signal")
-        if self._set:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def fire(self, value: Any = None) -> None:
-        """Wake all current waiters without latching."""
-        waiters, self._waiters = self._waiters, []
-        for w in waiters:
-            w.succeed(value)
-
-    def set(self) -> None:
-        """Latch the signal and wake everyone."""
-        self._set = True
-        self.fire()
-
-    def clear(self) -> None:
-        self._set = False

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.bench import MultirailHarness, PingHarness, figure_sweep
-from repro.madeleine import reset_global_ids
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent.parent / "data"
                      / "paper_cells_golden.json").read_text(encoding="utf-8"))
@@ -421,7 +420,6 @@ def _mixed_workload(policy):
     from repro.hw import build_world
     from repro.madeleine import Session
 
-    reset_global_ids()
     world = build_world({
         "a0": ["myrinet"], "a1": ["myrinet"],
         "gw0": ["myrinet", "sci"], "gw1": ["myrinet", "sci"],
@@ -478,7 +476,6 @@ def _rail_loss(rails: int, policy, fault_at=None):
     from repro.madeleine import ReliableEndpoint, RetryPolicy, Session
     from repro.routing import StripePolicy
 
-    reset_global_ids()
     gws = [f"gw{i}" for i in range(rails)]
     world = build_world({
         "a0": ["myrinet"] * rails,
@@ -918,7 +915,6 @@ def cell_failover() -> dict:
     msgs = payloads(11, 2, 240_000)
 
     def completion(drop_p=0.0, crash=False) -> float:
-        reset_global_ids()
         world, session, myri, sci = two_gateway_world()
         faults = ChannelFaults(drop_p=drop_p, corrupt_p=drop_p / 2)
         FaultPlan(seed=11, channels={myri.id: faults, sci.id: faults},

@@ -3,7 +3,6 @@
 import json
 
 from repro.fuzz import run_campaign
-from repro.madeleine.gateway import TEST_HOOKS
 
 
 def test_small_campaign_passes_and_accumulates_coverage():
@@ -15,13 +14,9 @@ def test_small_campaign_passes_and_accumulates_coverage():
     assert "0 failure(s)" in report.summary()
 
 
-def test_campaign_reports_and_saves_failures(tmp_path):
-    TEST_HOOKS.leak_credits = True
-    try:
-        report = run_campaign(runs=4, seed_base=0, minimize=False,
-                              out_dir=tmp_path)
-    finally:
-        TEST_HOOKS.leak_credits = False
+def test_campaign_reports_and_saves_failures(tmp_path, leaky_gateway):
+    report = run_campaign(runs=4, seed_base=0, minimize=False,
+                          out_dir=tmp_path)
     assert not report.ok
     assert report.failures
     saved = list(tmp_path.glob("*.json"))

@@ -8,7 +8,6 @@ import pytest
 from repro.faults import ChannelFaults, FaultPlan
 from repro.fuzz import (MessageSpec, Scenario, Topology, minimize_scenario,
                         random_scenario, run_scenario)
-from repro.madeleine.gateway import TEST_HOOKS
 from repro.scenario import TrafficSpec, load_scenario
 
 
@@ -55,15 +54,6 @@ def _leak_scenario():
                   MessageSpec("a0", "b1", 1_000)),
         faults=FaultPlan(seed=99),
     )
-
-
-@pytest.fixture
-def leaky_gateway():
-    TEST_HOOKS.leak_credits = True
-    try:
-        yield
-    finally:
-        TEST_HOOKS.leak_credits = False
 
 
 def test_injected_credit_leak_is_caught(leaky_gateway):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import PingHarness, one_way_ping
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.scenario import load_scenario
 from repro.traffic import TrafficEngine
 
@@ -25,7 +25,6 @@ EAGER = (Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 
 def _fig5(trace: bool):
     """Figure 5: 2 MB b0 -> a0 through the gateway, 64 KB paquets."""
-    reset_global_ids()
     world, session, vch, ack = PingHarness(packet_size=64 << 10).build()
     world.telemetry.enable()
     if trace:
@@ -37,7 +36,6 @@ def _fig5(trace: bool):
 
 def _eager(trace: bool):
     """The ``send_modes.eager`` cell of the wall-clock benchmark."""
-    reset_global_ids()
     scenario = load_scenario(EAGER)
     session = Session.from_scenario(scenario)
     if trace:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.hw import build_world
-from repro.madeleine import Session, TransportPolicy, reset_global_ids
+from repro.madeleine import Session, TransportPolicy
 
 GOLDEN = (pathlib.Path(__file__).parent.parent / "data"
           / "golden_fig5_trace.json")
@@ -38,7 +38,6 @@ def _rows(world):
 def _run_fig5(policy):
     """The golden-trace scenario (2 MB b0 -> a0, 64 KB paquets) with an
     explicit transport policy."""
-    reset_global_ids()
     world = build_world({
         "a0": ["myrinet", "fast_ethernet"],
         "gw": ["myrinet", "sci", "fast_ethernet"],
@@ -95,7 +94,6 @@ def test_fig5_full_trace_identical_with_and_without_policy():
 def _run_matrix(policy, seed):
     """A randomized message matrix over the dual-gateway multirail bridge
     (the topology where gateway balancing would hook in if enabled)."""
-    reset_global_ids()
     world = build_world({
         "a0": ["myrinet"], "a1": ["myrinet"],
         "gw0": ["myrinet", "sci"], "gw1": ["myrinet", "sci"],

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.hw import build_world
-from repro.madeleine import Session, TransportPolicy, reset_global_ids
+from repro.madeleine import Session, TransportPolicy
 from repro.madeleine.flags import RecvMode, SendMode
 from repro.routing import StripePolicy
 
@@ -100,7 +100,6 @@ def _session(origin: str, dest: str, vch_kwargs: dict):
 
 def run_cell(cell) -> dict:
     origin, dest, mode, sizes, flags, *recv = cell
-    reset_global_ids()
     world, session, vch = _session(origin, dest, MODES.get(mode))
     src, dst = session.rank("o"), session.rank("d")
     rng = np.random.default_rng(len(sizes) + sum(sizes))

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.bench import PingHarness
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.memory import (Buffer, PoolClosed, PoolExhausted, StaticBufferPool,
                           STATIC)
 from repro.scenario import load_scenario
@@ -339,7 +339,6 @@ def test_building_fat_tree_dense_maps_its_pools_without_touching_them():
     """128 pools of 8 x 128 KB blocks: 128 MB mapped, almost none of it
     resident before a fragment lands."""
     scenario = load_scenario(SCENARIOS / "fat_tree_dense.json").with_(seed=1)
-    reset_global_ids()
     before = _status_mb()
     world = Session.from_scenario(scenario).world
     pools = world.fabric.pools

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.faults import FaultPlan
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.scenario import (MessageSpec, Scenario, Topology, TrafficSpec,
                             dump_scenario, load_scenario, loads_scenario)
 
@@ -113,7 +113,6 @@ def test_load_repro_accepts_bare_and_yaml_docs(tmp_path):
 
 def test_session_from_scenario_builds_full_stack():
     sc = _scenario()
-    reset_global_ids()
     session = Session.from_scenario(sc)
     assert len(session.virtual_channels) == 1
     vch = session.virtual_channels[0]

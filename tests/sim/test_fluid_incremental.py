@@ -13,7 +13,6 @@ Three properties carry the engine:
   produce the same event schedule.
 """
 
-import itertools
 import pathlib
 import random
 
@@ -22,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.hw.topology as topology
 import repro.sim.fluid as fluid
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.scenario import load_scenario
 from repro.sim import DMA, PIO, FluidNetwork, FluidResource, Simulator
 from repro.sim.fluid import Flow, _OrderedSet, component
@@ -211,7 +210,6 @@ def _eager_cell(monkeypatch, network=FluidNetwork, lone_path=True):
         walks.append(args[0])
         return component(*args)
 
-    reset_global_ids()
     scenario = load_scenario(_EAGER)
     with monkeypatch.context() as m:
         m.setattr(topology, "FluidNetwork", network)
@@ -270,14 +268,3 @@ def test_ordered_set_keeps_insertion_order():
     members.add("b")                    # back in, at the end
     assert list(members) == ["a", "c", "d", "b"]
     assert "b" in members and len(members) == 4
-
-
-def test_reset_global_ids_restarts_flow_ids():
-    f1 = Flow("x", 1.0, [], peak=1.0)
-    assert next(itertools.count(f1.id))  # ids were advancing
-    reset_global_ids()
-    f2 = Flow("y", 1.0, [], peak=1.0)
-    assert f2.id == 0
-    reset_global_ids()
-    f3 = Flow("z", 1.0, [], peak=1.0)
-    assert f3.id == 0

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.scenario import load_scenario
 from repro.sim import DMA, FluidNetwork, FluidPath, FluidResource
 from repro.traffic import TrafficEngine
@@ -36,7 +36,6 @@ DES_WORKLOADS = ("send_modes.rendezvous", "send_modes.batched",
 def _held_run(name: str, seed: int = 1):
     """Run one committed scenario to the end; returns what holds it."""
     scenario = load_scenario(SCENARIOS / f"{name}.json").with_(seed=seed)
-    reset_global_ids()
     session = Session.from_scenario(scenario)
     engine = TrafficEngine(session, scenario)
     engine.start()

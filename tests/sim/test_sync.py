@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Barrier, Mutex, Queue, Semaphore, Signal
+from repro.sim import Barrier, Mutex, Queue, Semaphore
 
 
 # -- Semaphore ----------------------------------------------------------------
@@ -212,46 +212,3 @@ def test_barrier_reusable_generations(sim):
 def test_barrier_invalid_parties(sim):
     with pytest.raises(ValueError):
         Barrier(sim, 0)
-
-
-# -- Signal --------------------------------------------------------------------
-
-def test_signal_latched_set(sim):
-    s = Signal(sim)
-    s.set()
-    got = []
-
-    def proc():
-        yield s.wait()
-        got.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert got == [0.0]
-    assert s.is_set
-
-
-def test_signal_fire_wakes_current_waiters_only(sim):
-    s = Signal(sim)
-    got = []
-
-    def waiter(tag):
-        yield s.wait()
-        got.append(tag)
-
-    def firer():
-        yield sim.timeout(1)
-        s.fire()
-
-    sim.process(waiter("early"))
-    sim.process(firer())
-    sim.run()
-    assert got == ["early"]
-    assert not s.is_set
-
-
-def test_signal_clear(sim):
-    s = Signal(sim)
-    s.set()
-    s.clear()
-    assert not s.is_set

@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.routing import NoRouteError
 from repro.scenario import load_scenario
 from repro.solver.network import SolverNetwork
@@ -79,7 +79,6 @@ def _all_routes(table, ranks):
 
 def _des_routes(down=None):
     """Every route of a fresh DES route table (one channel marked down)."""
-    reset_global_ids()
     session = Session.from_scenario(traffic_scenario("fat_tree", 1))
     table = session.virtual_channels[0].routes
     if down is not None:
@@ -90,7 +89,6 @@ def _des_routes(down=None):
 
 
 def test_des_routes_after_down_and_up_equal_a_fresh_table():
-    reset_global_ids()
     session = Session.from_scenario(traffic_scenario("fat_tree", 1))
     table = session.virtual_channels[0].routes
     ranks = table.members()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 from pathlib import Path
 
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.scenario import load_scenario
 from repro.telemetry import Histogram, Series
 from repro.traffic import TrafficEngine
@@ -29,7 +29,6 @@ def _instruments() -> int:
 
 def test_a_torus_build_declares_every_series_and_makes_few_objects():
     scenario = load_scenario(TORUS)
-    reset_global_ids()
     session = Session.from_scenario(scenario)       # registry on
     engine = TrafficEngine(session, scenario)
     metrics = session.metrics

@@ -31,7 +31,7 @@ import tempfile
 import pytest
 
 from repro.analysis import write_metrics_json
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.scenario import Scenario, load_scenario
 from repro.traffic import TrafficEngine
 
@@ -57,14 +57,12 @@ def _written(session: Session) -> dict:
 
 
 def _built(scenario: Scenario) -> dict:
-    reset_global_ids()
     return _written(Session.from_scenario(scenario))
 
 
 def _run(scenario: Scenario, toggles: tuple[float, ...] = ()) -> dict:
     """Run to the end; with ``toggles``, start with the registry off and
     flip it at each of those simulated instants."""
-    reset_global_ids()
     session = Session.from_scenario(scenario, telemetry=not toggles)
     engine = TrafficEngine(session, scenario)
     engine.start()

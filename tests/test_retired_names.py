@@ -12,7 +12,10 @@ expects of its pattern:
   line is ``paths[0]`` (the one producer of something);
 * ``once``: exactly one line matches (the one definition of something);
 * ``present``: some line matches (a signature that must stay);
-* ``no_call``: no Python call of an attribute whose name matches.
+* ``no_call``: no Python call of an attribute whose name matches;
+* ``no_static_call``: no Python call of a (dotted) name that matches made
+  once per import — in a module or class body, a decorator or a default
+  value — rather than inside a function.
 
 ``word`` rows match whole words only (as ``grep -w`` does); ``skip``
 lists files that record a name on purpose.  This file is never searched:
@@ -141,6 +144,28 @@ RETIRED = (
             "no library module makes a series by name: it declares its "
             "series and updates its families by slot",
             "One way to make a metric series", expect="no_call"),
+    Retired(r"(itertools\.)?count", ("src",),
+            "a counter shared by every run makes a run's ids depend on the "
+            "runs before it; each world (or the object that keys a table "
+            "by them) counts its own",
+            "A run's ids belong to its world", expect="no_static_call"),
+    Retired(r"def reset_global_ids\(", ("src", "tests", "examples",
+                                         "benchmarks", "tools"),
+            "the id reset is a no-op kept for the benchmark's workloads",
+            "A run's ids belong to its world", expect="once"),
+    Retired(r"reset_global_ids\(\)(?! ->)",
+            ("benchmarks/perf/workloads.py", "src", "tests", "examples",
+             "benchmarks", "tools", ".github", "Makefile"),
+            "a run repeats without a reset; only the benchmark's workloads "
+            "still call the no-op",
+            "A run's ids belong to its world", expect="only"),
+    Retired(r"TEST_HOOKS|leak_credits", ("src",),
+            "no deliberate-bug switch in the library: the fuzz tests plant "
+            "their known-bad gateway with a fixture",
+            "A run's ids belong to its world"),
+    Retired(r"Signal", ("src",),
+            "no synchronization primitive that nothing uses",
+            "A run's ids belong to its world", word=True),
 )
 
 
@@ -175,6 +200,29 @@ def _calls(regex, path: Path, text: str) -> list[str]:
             and regex.fullmatch(node.func.attr)]
 
 
+def _static_calls(regex, path: Path, text: str) -> list[str]:
+    """Calls ``name(...)`` in a Python file made once per import, outside
+    every function body, ``name`` (dotted) matching."""
+    if path.suffix != ".py":
+        return []
+    hits, todo = [], [ast.parse(text)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            todo += node.args.defaults + [d for d in node.args.kw_defaults
+                                          if d is not None]
+            todo += getattr(node, "decorator_list", [])
+            continue
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if regex.fullmatch(name):
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                            f"{name}(")
+        todo += ast.iter_child_nodes(node)
+    return sorted(hits)
+
+
 def _hits(row: Retired) -> list[str]:
     """Every line (or call) under ``row.paths`` that matches."""
     regex = re.compile(rf"(?<!\w)(?:{row.pattern})(?!\w)" if row.word
@@ -190,6 +238,9 @@ def _hits(row: Retired) -> list[str]:
             continue
         if row.expect == "no_call":
             hits += _calls(regex, path, text)
+            continue
+        if row.expect == "no_static_call":
+            hits += _static_calls(regex, path, text)
             continue
         for n, line in enumerate(text.splitlines(), 1):
             if regex.search(line):

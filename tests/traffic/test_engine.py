@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.madeleine import reset_global_ids
 from repro.scenario import MessageSpec, Scenario, Topology, TrafficSpec
 from repro.traffic import run_traffic
 
@@ -21,7 +20,6 @@ def _scenario(**kw):
 
 
 def _run(**kw):
-    reset_global_ids()
     session, engine = run_traffic(_scenario(**kw))
     return session, engine
 
@@ -169,7 +167,6 @@ def test_a_large_reliable_transfer_on_a_healthy_fabric_takes_one_attempt(
     from repro.scenario import load_scenario
     sc = load_scenario("benchmarks/scenarios/testbed.json")
     (msg,) = sc.messages
-    reset_global_ids()
     session, engine = run_traffic(sc.with_(
         topology=replace(sc.topology, protocols=protocols),
         messages=(MessageSpec(msg.src, msg.dst, nbytes),)))

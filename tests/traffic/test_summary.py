@@ -3,13 +3,12 @@
 import json
 import math
 
-from repro.madeleine import Session, reset_global_ids
+from repro.madeleine import Session
 from repro.scenario import Scenario, Topology, TrafficSpec
 from repro.traffic import TrafficEngine
 
 
 def _engine():
-    reset_global_ids()
     sc = Scenario(
         seed=5,
         topology=Topology(kind="torus", protocols=("myrinet",), dims=(3, 3)),
